@@ -8,6 +8,16 @@ frontier priorities bounds the probability mass still unaccounted for.
 That upper bound is probabilistically valid only for theories whose
 same-head clause bodies are disjoint (stage "disjoint"); for direct-stage
 theories it is reported as raw search mass (`sound` is False).
+
+Each search interns the ground atoms it meets as integers, and a state is
+a tuple of goal ids plus a frozenset of assumed hypothesis ids.  An atom
+is grounded once, the first time it is expanded: its clause bodies (found
+by renaming and unifying each clause of its predicate), its hypothesis
+probability and the ids of its declaration's other alternatives are kept
+and reused by every later state that reaches it, so no state unifies.
+Bodies or goals that keep variables are grounded over the theory's and
+the goals' constants.  Atoms turn back into `Atom`s only in emitted
+explanations.
 """
 
 from __future__ import annotations
@@ -22,10 +32,12 @@ from .pha import (
     Atom,
     PhaTheory,
     STAGE_DISJOINT,
-    Subst,
+    Var,
     apply_substitution,
     format_atom,
+    ground_instances,
     rename_clause,
+    theory_constants,
     unify,
 )
 
@@ -105,10 +117,7 @@ class ExplanationSearch(Iterator[Explanation]):
         self.frontier_budget = frontier_budget
         self.sound = theory.stage == STAGE_DISJOINT
 
-        self._hyp_by_pred: dict[str, list[tuple[Atom, int, float]]] = {}
-        for atom, (decl, p) in theory.hypothesis_index.items():
-            self._hyp_by_pred.setdefault(atom.pred, []).append((atom, decl, p))
-        known = set(theory.clause_index) | set(self._hyp_by_pred)
+        known = set(theory.clause_index) | {a.pred for a in theory.hypothesis_index}
         for g in self.goals:
             if g.pred not in known:
                 raise EngineError(f"unknown predicate {g.pred} in goal {format_atom(g)}")
@@ -117,19 +126,71 @@ class ExplanationSearch(Iterator[Explanation]):
         self._rename = count()
         self._emitted_probs_sum = 0.0
         self._emitted_count = 0
-        self._seen: set[frozenset[Atom]] = set()
-        # heap entries: (-priority, tiebreak, goals, assumed, decl_choice)
+        self._seen: set[frozenset[int]] = set()
+        self._ids: dict[Atom, int] = {}
+        self._atoms: list[Atom] = []
+        # goal id -> (clause bodies as id tuples, None or
+        # (hypothesis probability, ids of the declaration's other alternatives))
+        self._expansions: dict[int, tuple] = {}
+        self._constants: list | None = None
+        # running sum of frontier priorities; `bounds` recomputes it exactly
+        self._mass = 0.0
+        # heap entries: (-priority, tiebreak, goal ids, assumed ids)
         self._frontier: list = []
-        self._push(1.0, self.goals, frozenset(), {})
+        for goals in self._ground(self.goals):
+            self._push(1.0, goals, frozenset())
 
-    def _push(self, priority: float, goals, assumed, decl_choice) -> None:
+    def _intern(self, atom: Atom) -> int:
+        i = self._ids.get(atom)
+        if i is None:
+            i = self._ids[atom] = len(self._atoms)
+            self._atoms.append(atom)
+        return i
+
+    def _ground(self, atoms: tuple[Atom, ...]) -> list[tuple[int, ...]]:
+        """Id tuples of the ground instances of `atoms`."""
+        if all(a.is_ground() for a in atoms):
+            return [tuple(map(self._intern, atoms))]
+        if self._constants is None:
+            constants = theory_constants(self.theory)
+            for g in self.goals:
+                constants.update(a for a in g.args if not isinstance(a, Var))
+            self._constants = sorted(constants, key=repr)
+        return [
+            tuple(map(self._intern, inst))
+            for inst in ground_instances(atoms, self._constants)
+        ]
+
+    def _expand(self, goal: int) -> tuple:
+        atom = self._atoms[goal]
+        bodies: list[tuple[int, ...]] = []
+        for clause in self.theory.clause_index.get(atom.pred, ()):
+            fresh = rename_clause(clause, self._rename)
+            subst = unify(atom, fresh.head)
+            if subst is not None:
+                bodies.extend(
+                    self._ground(tuple(apply_substitution(b, subst) for b in fresh.body))
+                )
+        hyp = None
+        found = self.theory.hypothesis_index.get(atom)
+        if found is not None:
+            decl, p = found
+            others = frozenset(
+                self._intern(a)
+                for a, _ in self.theory.declarations[decl].alternatives
+                if a != atom
+            )
+            hyp = (p, others)
+        entry = self._expansions[goal] = (tuple(bodies), hyp)
+        return entry
+
+    def _push(self, priority: float, goals: tuple[int, ...], assumed: frozenset[int]) -> None:
         if len(self._frontier) >= self.frontier_budget:
             raise EngineError(
                 f"frontier memory budget of {self.frontier_budget} states exceeded"
             )
-        heapq.heappush(
-            self._frontier, (-priority, next(self._seq), goals, assumed, decl_choice)
-        )
+        heapq.heappush(self._frontier, (-priority, next(self._seq), goals, assumed))
+        self._mass += priority
 
     @property
     def bounds(self) -> ProbabilityBounds:
@@ -142,52 +203,50 @@ class ExplanationSearch(Iterator[Explanation]):
         return self._emitted_count
 
     def _stopped(self) -> bool:
-        if self.stop.exhaustive:
+        stop = self.stop
+        if stop.exhaustive:
             return False
         if (
-            self.stop.max_explanations is not None
-            and self._emitted_count >= self.stop.max_explanations
+            stop.max_explanations is not None
+            and self._emitted_count >= stop.max_explanations
         ):
             return True
-        return self.stop.epsilon is not None and self.bounds.width <= self.stop.epsilon
+        if stop.epsilon is None:
+            return False
+        # the running mass drifts from the exact frontier sum only by
+        # rounding, so far from epsilon it decides without summing the heap
+        if self._mass > stop.epsilon + 1e-9 * max(1.0, self._mass):
+            return False
+        return self.bounds.width <= stop.epsilon
 
     def __next__(self) -> Explanation:
         if self._stopped():
             raise StopIteration
         while self._frontier:
-            neg_priority, _, goals, assumed, decl_choice = heapq.heappop(self._frontier)
+            neg_priority, _, goals, assumed = heapq.heappop(self._frontier)
             priority = -neg_priority
+            self._mass -= priority
             if not goals:
                 if assumed in self._seen:
                     continue
                 self._seen.add(assumed)
                 self._emitted_probs_sum += priority
                 self._emitted_count += 1
-                return Explanation(assumed, priority)
+                atoms = frozenset(map(self._atoms.__getitem__, assumed))
+                return Explanation(atoms, priority)
+            # clause bodies in clause order, then the hypothesis: with the
+            # tie-break this order fixes which equal-priority state pops
+            # first, hence the emission order and every sum over it
             goal, rest = goals[0], goals[1:]
-            for clause in self.theory.clause_index.get(goal.pred, ()):
-                fresh = rename_clause(clause, self._rename)
-                subst = unify(goal, fresh.head)
-                if subst is None:
-                    continue
-                child_goals = tuple(
-                    apply_substitution(a, subst) for a in fresh.body + rest
-                )
-                self._push(priority, child_goals, assumed, decl_choice)
-            for hyp, decl, p in self._hyp_by_pred.get(goal.pred, ()):
-                subst = unify(goal, hyp)
-                if subst is None:
-                    continue
-                child_goals = tuple(apply_substitution(a, subst) for a in rest)
-                if hyp in assumed:
-                    self._push(priority, child_goals, assumed, decl_choice)
-                    continue
-                chosen = decl_choice.get(decl)
-                if chosen is not None and chosen != hyp:
-                    continue  # contradicts an alternative already assumed
-                child_choice = dict(decl_choice)
-                child_choice[decl] = hyp
-                self._push(priority * p, child_goals, assumed | {hyp}, child_choice)
+            bodies, hyp = self._expansions.get(goal) or self._expand(goal)
+            for body in bodies:
+                self._push(priority, body + rest, assumed)
+            if hyp is not None:
+                p, others = hyp
+                if goal in assumed:
+                    self._push(priority, rest, assumed)
+                elif others.isdisjoint(assumed):
+                    self._push(priority * p, rest, assumed | {goal})
         raise StopIteration
 
 
@@ -233,10 +292,20 @@ def minimal_explanations(
                 )
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
     out: list[Explanation] = []
+    # each kept explanation is filed under one of its hypotheses, so a
+    # kept subset of a new explanation sits in the bucket of one of the
+    # new explanation's own hypotheses
+    buckets: dict[Atom, list[frozenset[Atom]]] = {}
     for expl in search:
-        if any(prev.hypotheses <= expl.hypotheses for prev in out):
+        hyps = expl.hypotheses
+        if not hyps:
+            out.append(expl)
+            break  # the goals hold outright: every later explanation is a superset
+        if any(any(map(hyps.issuperset, buckets.get(h, ()))) for h in hyps):
             continue
         out.append(expl)
+        home = min(hyps, key=lambda h: len(buckets.get(h, ())))
+        buckets.setdefault(home, []).append(hyps)
     return out
 
 

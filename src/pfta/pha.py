@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
+from itertools import count, product
+from typing import Iterator
 
 from .errors import TheoryError
 
@@ -370,27 +371,30 @@ def theory_constants(theory: PhaTheory) -> set:
     return out
 
 
+def ground_instances(atoms: tuple[Atom, ...], constants: list) -> Iterator[tuple[Atom, ...]]:
+    """Every instance of `atoms` with their variables bound to `constants`.
+
+    Variables are bound in order of first appearance and instances come in
+    `itertools.product` order; a ground tuple is its only instance.
+    """
+    vs: list[Var] = []
+    for atom in atoms:
+        for a in atom.args:
+            if isinstance(a, Var) and a not in vs:
+                vs.append(a)
+    for combo in product(constants, repeat=len(vs)):
+        s = dict(zip(vs, combo))
+        yield tuple(apply_substitution(a, s) for a in atoms)
+
+
 def ground_clauses(theory: PhaTheory) -> list[Clause]:
     """All ground instances of the clauses over the theory's constants."""
-    from itertools import product as iproduct
-
     constants = sorted(theory_constants(theory), key=repr)
-    out: list[Clause] = []
-    for c in theory.clauses:
-        vs: list[Var] = []
-        for atom in (c.head, *c.body):
-            for a in atom.args:
-                if isinstance(a, Var) and a not in vs:
-                    vs.append(a)
-        for combo in iproduct(constants, repeat=len(vs)):
-            s = dict(zip(vs, combo))
-            out.append(
-                Clause(
-                    apply_substitution(c.head, s),
-                    tuple(apply_substitution(b, s) for b in c.body),
-                )
-            )
-    return out
+    return [
+        Clause(atoms[0], atoms[1:])
+        for c in theory.clauses
+        for atoms in ground_instances((c.head, *c.body), constants)
+    ]
 
 
 def _relevant_ground_clauses(theory: PhaTheory) -> list[Clause]:
@@ -549,13 +553,11 @@ def check_assumptions(theory: PhaTheory, max_joint_states: int = 2**20) -> Assum
         return AssumptionReport(assumption1, None, joint)
 
     program = GroundProgram(theory)
-    from itertools import product as iproduct
-
     choices = [
         tuple(1 << program.index[a] for a, _ in d.alternatives)
         for d in theory.declarations
     ]
-    for world in iproduct(*choices):
+    for world in product(*choices):
         mask = 0
         for bit in world:
             mask |= bit

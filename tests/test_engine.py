@@ -14,7 +14,16 @@ from pfta.engine import (
     probability,
 )
 from pfta.errors import EngineError
-from pfta.pha import Atom, Clause, DisjointDeclaration, PhaTheory, STAGE_DIRECT
+from pfta.pha import (
+    Atom,
+    Clause,
+    DisjointDeclaration,
+    PhaTheory,
+    STAGE_DIRECT,
+    Var,
+    format_atom,
+    parse_theory,
+)
 
 T = 1e4
 TE = Atom("te", ())
@@ -159,3 +168,144 @@ def test_conditional_goal_lists_conjoin(model):
     alone = probability(theory, [b_failed])
     # the bus alone downs the system, so the conjunction adds nothing
     assert joint.lower == pytest.approx(alone.lower, rel=1e-12)
+
+
+# Pinned exactly: the emission order fixes the order of every float sum
+# downstream (bounds, cut-set ranks, posteriors), so any change to how the
+# search expands or orders states must keep this sequence bit for bit.
+REFERENCE_EMISSIONS = [
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,f) d(2,2,f) mg(w) p(1,w) p(2,w)', 0.09100956057174159),
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,w) d(3,1,f) d(3,2,f) mg(w) p(1,w) p(2,w) p(3,w)', 0.04068927573309811),
+    ('b(w) d(1,1,w) d(2,1,f) d(2,2,f) d(3,1,f) d(3,2,f) mg(w) p(1,w) p(2,w) p(3,w)', 0.04068927573309811),
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,f) d(2,2,w) d(3,1,f) d(3,2,f) mg(w) p(1,w) p(2,w) p(3,w)', 0.022406405617265136),
+    ('b(w) d(1,1,f) d(1,2,w) d(2,1,f) d(2,2,f) d(3,1,f) d(3,2,f) mg(w) p(1,w) p(2,w) p(3,w)', 0.022406405617265136),
+    ('b(w) d(2,1,f) d(2,2,f) mg(w) p(1,f) p(2,w)', 0.0015043841258182617),
+    ('b(w) d(1,1,f) d(1,2,f) mg(w) p(1,w) p(2,f)', 0.0015043841258182615),
+    ('b(w) d(2,1,w) d(3,1,f) d(3,2,f) mg(w) p(1,f) p(2,w) p(3,w)', 0.0006725919795608966),
+    ('b(w) d(1,1,w) d(3,1,f) d(3,2,f) mg(w) p(1,w) p(2,f) p(3,w)', 0.0006725919795608966),
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,w) mg(w) p(1,w) p(2,w) p(3,f)', 0.0006725919795608965),
+    ('b(w) d(1,1,w) d(2,1,f) d(2,2,f) mg(w) p(1,w) p(2,w) p(3,f)', 0.0006725919795608965),
+    ('b(w) d(2,1,f) d(2,2,w) d(3,1,f) d(3,2,f) mg(w) p(1,f) p(2,w) p(3,w)', 0.00037037692211124745),
+    ('b(w) d(1,1,f) d(1,2,w) d(3,1,f) d(3,2,f) mg(w) p(1,w) p(2,f) p(3,w)', 0.00037037692211124745),
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,f) d(2,2,w) mg(w) p(1,w) p(2,w) p(3,f)', 0.0003703769221112474),
+    ('b(w) d(1,1,f) d(1,2,w) d(2,1,f) d(2,2,f) mg(w) p(1,w) p(2,w) p(3,f)', 0.0003703769221112474),
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,f) d(2,2,f) m(1,w) m(2,w) mg(f) p(1,w) p(2,w)', 2.7290584747185773e-05),
+    ('b(w) p(1,f) p(2,f)', 2.4874866301125842e-05),
+    ('b(f)', 1.999980000133333e-05),
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,w) d(3,1,f) d(3,2,f) m(1,w) m(2,w) m(3,w) mg(f) p(1,w) p(2,w) p(3,w)', 1.2197631110930114e-05),
+    ('b(w) d(1,1,w) d(2,1,f) d(2,2,f) d(3,1,f) d(3,2,f) m(1,w) m(2,w) m(3,w) mg(f) p(1,w) p(2,w) p(3,w)', 1.2197631110930114e-05),
+    ('b(w) d(2,1,w) mg(w) p(1,f) p(2,w) p(3,f)', 1.1117916522698473e-05),
+    ('b(w) d(1,1,w) mg(w) p(1,w) p(2,f) p(3,f)', 1.1117916522698473e-05),
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,f) d(2,2,w) d(3,1,f) d(3,2,f) m(1,w) m(2,w) m(3,w) mg(f) p(1,w) p(2,w) p(3,w)', 6.716882159171891e-06),
+    ('b(w) d(1,1,f) d(1,2,w) d(2,1,f) d(2,2,f) d(3,1,f) d(3,2,f) m(1,w) m(2,w) m(3,w) mg(f) p(1,w) p(2,w) p(3,w)', 6.716882159171891e-06),
+    ('b(w) d(2,1,f) d(2,2,w) mg(w) p(1,f) p(2,w) p(3,f)', 6.1223146084126265e-06),
+    ('b(w) d(1,1,f) d(1,2,w) mg(w) p(1,w) p(2,f) p(3,f)', 6.1223146084126265e-06),
+    ('b(w) d(1,1,f) d(1,2,f) m(1,w) mg(f) p(1,w) p(2,f)', 4.5124754722903757e-07),
+    ('b(w) d(2,1,f) d(2,2,f) m(2,w) mg(f) p(1,f) p(2,w)', 4.5124754722903757e-07),
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,w) m(1,w) m(2,w) mg(f) p(1,w) p(2,w) p(3,f)', 2.0168681513427104e-07),
+    ('b(w) d(1,1,w) d(2,1,f) d(2,2,f) m(1,w) m(2,w) mg(f) p(1,w) p(2,w) p(3,f)', 2.0168681513427104e-07),
+    ('b(w) d(2,1,w) d(3,1,f) d(3,2,f) m(2,w) m(3,w) mg(f) p(1,f) p(2,w) p(3,w)', 2.0168681513427104e-07),
+    ('b(w) d(1,1,w) d(3,1,f) d(3,2,f) m(1,w) m(3,w) mg(f) p(1,w) p(2,f) p(3,w)', 2.0168681513427104e-07),
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,f) d(2,2,w) m(1,w) m(2,w) mg(f) p(1,w) p(2,w) p(3,f)', 1.1106308741388747e-07),
+    ('b(w) d(1,1,f) d(1,2,w) d(2,1,f) d(2,2,f) m(1,w) m(2,w) mg(f) p(1,w) p(2,w) p(3,f)', 1.1106308741388747e-07),
+    ('b(w) d(2,1,f) d(2,2,w) d(3,1,f) d(3,2,f) m(2,w) m(3,w) mg(f) p(1,f) p(2,w) p(3,w)', 1.1106308741388747e-07),
+    ('b(w) d(1,1,f) d(1,2,w) d(3,1,f) d(3,2,f) m(1,w) m(3,w) mg(f) p(1,w) p(2,f) p(3,w)', 1.1106308741388747e-07),
+    ('b(w) d(1,1,f) d(1,2,f) m(1,w) m(2,f) mg(f) p(1,w) p(2,w)', 2.7003171429339605e-08),
+    ('b(w) d(2,1,f) d(2,2,f) m(1,f) m(2,w) mg(f) p(1,w) p(2,w)', 2.7003171429339602e-08),
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,w) m(1,w) m(2,w) m(3,f) mg(f) p(1,w) p(2,w) p(3,w)', 1.2069170630514149e-08),
+    ('b(w) d(1,1,w) d(2,1,f) d(2,2,f) m(1,w) m(2,w) m(3,f) mg(f) p(1,w) p(2,w) p(3,w)', 1.2069170630514149e-08),
+    ('b(w) d(2,1,w) d(3,1,f) d(3,2,f) m(1,f) m(2,w) m(3,w) mg(f) p(1,w) p(2,w) p(3,w)', 1.2069170630514147e-08),
+    ('b(w) d(1,1,w) d(3,1,f) d(3,2,f) m(1,w) m(2,f) m(3,w) mg(f) p(1,w) p(2,w) p(3,w)', 1.2069170630514147e-08),
+    ('b(w) d(1,1,f) d(1,2,f) d(2,1,f) d(2,2,w) m(1,w) m(2,w) m(3,f) mg(f) p(1,w) p(2,w) p(3,w)', 6.6461426933512335e-09),
+    ('b(w) d(1,1,f) d(1,2,w) d(2,1,f) d(2,2,f) m(1,w) m(2,w) m(3,f) mg(f) p(1,w) p(2,w) p(3,w)', 6.6461426933512335e-09),
+    ('b(w) d(2,1,f) d(2,2,w) d(3,1,f) d(3,2,f) m(1,f) m(2,w) m(3,w) mg(f) p(1,w) p(2,w) p(3,w)', 6.646142693351233e-09),
+    ('b(w) d(1,1,f) d(1,2,w) d(3,1,f) d(3,2,f) m(1,w) m(2,f) m(3,w) mg(f) p(1,w) p(2,w) p(3,w)', 6.646142693351233e-09),
+    ('b(w) d(2,1,w) m(2,w) mg(f) p(1,f) p(2,w) p(3,f)', 3.3348747005928924e-09),
+    ('b(w) d(1,1,w) m(1,w) mg(f) p(1,w) p(2,f) p(3,f)', 3.3348747005928924e-09),
+    ('b(w) d(2,1,f) d(2,2,w) m(2,w) mg(f) p(1,f) p(2,w) p(3,f)', 1.8364189059147591e-09),
+    ('b(w) d(1,1,f) d(1,2,w) m(1,w) mg(f) p(1,w) p(2,f) p(3,f)', 1.8364189059147591e-09),
+    ('b(w) m(1,f) mg(f) p(1,w) p(2,f)', 4.4649519194165525e-10),
+    ('b(w) m(2,f) mg(f) p(1,f) p(2,w)', 4.464951919416552e-10),
+    ('b(w) d(2,1,w) m(1,f) m(2,w) mg(f) p(1,w) p(2,w) p(3,f)', 1.9956273178316053e-10),
+    ('b(w) d(1,1,w) m(1,w) m(2,f) mg(f) p(1,w) p(2,w) p(3,f)', 1.9956273178316053e-10),
+    ('b(w) d(2,1,w) m(2,w) m(3,f) mg(f) p(1,f) p(2,w) p(3,w)', 1.995627317831605e-10),
+    ('b(w) d(1,1,w) m(1,w) m(3,f) mg(f) p(1,w) p(2,f) p(3,w)', 1.995627317831605e-10),
+    ('b(w) d(2,1,f) d(2,2,w) m(1,f) m(2,w) mg(f) p(1,w) p(2,w) p(3,f)', 1.0989341623463008e-10),
+    ('b(w) d(1,1,f) d(1,2,w) m(1,w) m(2,f) mg(f) p(1,w) p(2,w) p(3,f)', 1.0989341623463008e-10),
+    ('b(w) d(2,1,f) d(2,2,w) m(2,w) m(3,f) mg(f) p(1,f) p(2,w) p(3,w)', 1.0989341623463007e-10),
+    ('b(w) d(1,1,f) d(1,2,w) m(1,w) m(3,f) mg(f) p(1,w) p(2,f) p(3,w)', 1.0989341623463007e-10),
+    ('b(w) m(1,f) m(2,f) mg(f) p(1,w) p(2,w)', 2.6718785031438194e-11),
+    ('b(w) d(2,1,w) m(1,f) m(2,w) m(3,f) mg(f) p(1,w) p(2,w) p(3,w)', 1.1942063043531233e-11),
+    ('b(w) d(1,1,w) m(1,w) m(2,f) m(3,f) mg(f) p(1,w) p(2,w) p(3,w)', 1.1942063043531233e-11),
+    ('b(w) d(2,1,f) d(2,2,w) m(1,f) m(2,w) m(3,f) mg(f) p(1,w) p(2,w) p(3,w)', 6.57614822675879e-12),
+    ('b(w) d(1,1,f) d(1,2,w) m(1,w) m(2,f) m(3,f) mg(f) p(1,w) p(2,w) p(3,w)', 6.57614822675879e-12),
+]
+
+
+def test_reference_emission_sequence_is_pinned(model):
+    theory = compile_disjoint(model, T)
+    emitted = [
+        (" ".join(format_atom(a) for a in e.sorted_atoms()), e.prob)
+        for e in ExplanationSearch(theory, TE, EXHAUSTIVE)
+    ]
+    assert emitted == REFERENCE_EMISSIONS
+
+
+@pytest.mark.parametrize(
+    "epsilon, count, lower, upper",
+    [
+        (0.01, 6, 0.21870530739828636, 0.22689063807014215),
+        (0.001, 16, 0.22440885771554045, 0.22456008814558615),
+        (0.0001, 19, 0.22446593001295384, 0.2245438957091799),
+    ],
+)
+def test_epsilon_stop_is_pinned(model, epsilon, count, lower, upper):
+    result = explain(compile_disjoint(model, T), TE, StopCriteria(epsilon=epsilon))
+    assert len(result.explanations) == count
+    assert (result.bounds.lower, result.bounds.upper) == (lower, upper)
+
+
+# Hand-written theory whose clause bodies keep variables after the head
+# is bound, so the search grounds them over the constants.
+NON_GROUND = parse_theory(
+    "disjoint([a(1):0.3,na(1):0.7]).\n"
+    "disjoint([a(2):0.4,na(2):0.6]).\n"
+    "disjoint([b(1,x):0.2,nb(1,x):0.8]).\n"
+    "disjoint([b(2,y):0.5,nb(2,y):0.5]).\n"
+    "disjoint([b(2,x):0.1,nb(2,x):0.9]).\n"
+    "g :- a(X), b(X,Y).\n"
+    "c(X) :- b(X,Y).\n"
+)
+Z = Var("Z")
+
+
+@pytest.mark.parametrize(
+    "goals, expected",
+    [
+        (Atom("g", ()), {"a(2) b(2,y)": 0.2, "a(1) b(1,x)": 0.06, "a(2) b(2,x)": 0.04}),
+        (Atom("c", (2,)), {"b(2,y)": 0.5, "b(2,x)": 0.1}),
+        (Atom("c", (Z,)), {"b(2,y)": 0.5, "b(1,x)": 0.2, "b(2,x)": 0.1}),
+        (
+            [Atom("a", (Z,)), Atom("c", (Z,))],
+            {"a(2) b(2,y)": 0.2, "a(1) b(1,x)": 0.06, "a(2) b(2,x)": 0.04},
+        ),
+        (Atom("b", (Z, Z)), {}),
+    ],
+)
+def test_non_ground_bodies_and_goals_are_pinned(goals, expected):
+    result = explain(NON_GROUND, goals)
+    found = {
+        " ".join(format_atom(a) for a in e.sorted_atoms()): e.prob
+        for e in result.explanations
+    }
+    assert len(found) == len(result.explanations)
+    assert found == pytest.approx(expected, rel=1e-12)
+
+
+def test_a_goal_that_holds_outright_is_the_only_minimal_explanation():
+    theory = _theory(
+        [Clause(GOAL, ()), Clause(GOAL, (Atom("a", ()),))],
+        [_decl(("a", 0.3), ("x", 0.7))],
+    )
+    result = minimal_explanations(theory, GOAL)
+    assert [(e.hypotheses, e.prob) for e in result] == [(frozenset(), 1.0)]
