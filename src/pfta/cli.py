@@ -21,13 +21,14 @@ from .measures import (
     basic_event_posterior,
     basic_event_posteriors,
     curve_times,
+    measure_report,
     minimal_cut_sets,
     parse_instance,
     system_unreliability,
     unreliability_curve,
 )
 from .model import PftModel, format_instance, validate
-from .oracle import exact_probability, prime_implicants, unfold
+from .oracle import prime_implicants, top_joint_probabilities, unfold
 from .pha import serialize
 
 ORACLE_TOL = 1e-9
@@ -227,28 +228,27 @@ def _cmd_posterior(args) -> int:
 def _cmd_oracle(args) -> int:
     model = _load_model(args.model)
     tree = unfold(model, args.time)
+    te_exact, joints_exact = top_joint_probabilities(tree)
+    report = measure_report(
+        model, args.time, with_posteriors=te_exact > 0, instances=tree.basic_keys
+    )
     lines = [f"ground basic events: {len(tree.basics)}"]
-    deviations = []
 
-    te_exact = exact_probability(tree, {tree.top: True})
-    bounds = system_unreliability(model, args.time)
-    deviations.append(abs(bounds.lower - te_exact))
-    lines.append(f"P(top) search:      {_fmt(bounds.lower, args.digits)}")
+    te_search = report.unreliability.lower
+    deviations = [abs(te_search - te_exact)]
+    lines.append(f"P(top) search:      {_fmt(te_search, args.digits)}")
     lines.append(f"P(top) enumeration: {_fmt(te_exact, args.digits)}")
 
-    cut_sets = minimal_cut_sets(model, args.time)
     implicants = prime_implicants(tree)
-    search_sets = {cs.events for cs in cut_sets}
+    search_sets = {cs.events for cs in report.cut_sets}
     oracle_sets = {frozenset(s) for s in implicants}
     agree = search_sets == oracle_sets
     lines.append(f"cut sets, search:      {len(search_sets)}")
     lines.append(f"cut sets, enumeration: {len(oracle_sets)}")
     lines.append(f"cut set agreement: {'yes' if agree else 'NO'}")
 
-    if te_exact > 0:
-        for key, _ in tree.basics:
-            exact = exact_probability(tree, {key: True, tree.top: True}) / te_exact
-            deviations.append(abs(basic_event_posterior(model, key, args.time) - exact))
+    for (_, posterior), joint in zip(report.basic_posteriors, joints_exact):
+        deviations.append(abs(posterior - joint / te_exact))
     worst = max(deviations)
     lines.append(f"max probability deviation: {_fmt(worst, 3)}")
     _emit("\n".join(lines) + "\n", args.output)

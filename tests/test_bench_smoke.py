@@ -16,14 +16,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_tiny_exhaustive_scale_run_checks_and_counts():
-    cmd = [sys.executable, "bench/run.py", "--workload", "exhaustive-scale", "--seed", "7",
+def _traced_tiny_metrics(workload: str) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "7",
            "--seconds", "1", "--trace", "1", "--tiny"]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    metrics = result["metrics"]
+    return result["metrics"]
+
+
+def test_traced_tiny_exhaustive_scale_run_checks_and_counts():
+    metrics = _traced_tiny_metrics("exhaustive-scale")
     assert metrics["engine.states_popped"]["value"] == 4541
     assert metrics["engine.explanations"]["value"] == 473
+
+
+def test_traced_reference_run_checks_and_counts():
+    # one pass of every analysis command on the paper's model; each request
+    # searches the stage-2 theory at most once
+    metrics = _traced_tiny_metrics("reference")
+    assert metrics["engine.states_popped"]["value"] == 5394
+    assert metrics["engine.explanations"]["value"] == 544
+    assert metrics["compile.compile_disjoint.calls"]["value"] == 7

@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+import pfta.engine
 from conftest import DATA
 from pfta.cli import main
 
@@ -150,3 +151,44 @@ def test_zero_mission_time_is_an_analysis_error(capsys):
 def test_bad_flags_exit_through_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["compile", MODEL, "--stage", "3", "--time", "10"])
+
+
+@pytest.mark.parametrize("argv, searches", [
+    (("mcs", "--posterior"), 2),
+    (("mcs", "--posterior", "--max-explanations", "5"), 2),
+    (("posterior",), 1),
+    (("posterior", "--basic", "D(1,2)"), 1),
+    (("curve", "--from", "0", "--to", "20000", "--step", "2000"), 1),
+    (("oracle",), 2),
+], ids=["mcs-posterior", "mcs-posterior-bounded", "posterior", "posterior-basic", "curve",
+        "oracle"])
+def test_each_analysis_runs_one_search_per_theory(capsys, monkeypatch, argv, searches):
+    started = []
+    original = pfta.engine.ExplanationSearch.__init__
+
+    def counting(self, *args, **kwargs):
+        started.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(pfta.engine.ExplanationSearch, "__init__", counting)
+    time = () if argv[0] == "curve" else ("--time", "10000")
+    code, _, err = _run(capsys, argv[0], MODEL, *time, *argv[1:])
+    assert code == 0, err
+    assert len(started) == searches
+
+
+def test_oracle_on_a_deep_chain_names_the_enumeration_bound(capsys, tmp_path):
+    depth = 5000
+    lines = ["model chain", "basic A rate 1e-7"]
+    lines += [f"basic X{i} rate 1e-7" for i in range(1, depth + 1)]
+    prev = "A"
+    for i in range(1, depth):
+        lines.append(f"event C{i} = or({prev}, X{i})")
+        prev = f"C{i}"
+    lines.append(f"top C{depth} = or({prev}, X{depth})")
+    path = tmp_path / "chain.pft"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(capsys, "oracle", str(path), "--time", "10000")
+    assert code == 2
+    assert out == ""
+    assert "5001 ground basic events exceed the enumeration bound 24" in err

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from pfta.dsl import parse_model
 from pfta.engine import StopCriteria
 from pfta.errors import AnalysisError
 from pfta.measures import (
@@ -16,6 +17,8 @@ from pfta.measures import (
     system_unreliability,
     unreliability_curve,
 )
+from pfta.oracle import exact_probability, top_joint_probabilities, unfold
+from randmodels import random_model
 
 T = 1e4
 
@@ -133,3 +136,93 @@ def test_measure_report_bundles_everything(model):
     assert report.unreliability.lower == pytest.approx(TOP_PROBABILITY, abs=1e-12)
     assert [p.time for p in report.curve] == [0.0, T]
     assert len(report.basic_posteriors) == 5
+
+
+def test_posteriors_are_exact_under_bounded_stop_criteria(model):
+    exhaustive = measure_report(model, T, with_posteriors=True)
+    bounded = measure_report(model, T, with_posteriors=True,
+                             stop=StopCriteria(max_explanations=5))
+    assert len(bounded.cut_sets) == 5
+    expected = {c.events: c.posterior for c in exhaustive.cut_sets}
+    assert all(c.posterior == expected[c.events] for c in bounded.cut_sets)
+    assert bounded.basic_posteriors == exhaustive.basic_posteriors
+    assert bounded.unreliability.lower < exhaustive.unreliability.lower
+
+
+def test_basic_posteriors_reject_instances_outside_the_model(model):
+    with pytest.raises(AnalysisError, match="not a value of parameter j"):
+        basic_event_posterior(model, "D(1,3)", T)
+    with pytest.raises(AnalysisError, match="not a basic event class"):
+        basic_event_posterior(model, ("S", (1,)), T)
+    with pytest.raises(AnalysisError, match="not a basic event class"):
+        cut_set_posterior(model, {("SKN", ())}, T)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_posteriors_match_the_oracle_on_random_models(seed):
+    model, t = random_model(seed)
+    tree = unfold(model, t)
+    top, joints = top_joint_probabilities(tree)
+
+    table = basic_event_posteriors(model, t, tree.basic_keys)
+    assert [label for label, _ in table] == [
+        f"{name}({','.join(map(str, values))})" if values else name
+        for name, values in tree.basic_keys
+    ]
+    for (_, value), joint in zip(table, joints):
+        assert value == pytest.approx(joint / top, abs=1e-12)
+
+    exact = dict(zip(tree.basic_keys, joints / top))
+    for label, value in basic_event_posteriors(model, t):
+        name = label.split("(")[0]
+        first = min(k for k in tree.basic_keys if k[0] == name)
+        assert value == pytest.approx(exact[first], abs=1e-12)
+
+    for cs in attach_posteriors(model, minimal_cut_sets(model, t), t):
+        condition = {e: True for e in cs.events} | {tree.top: True}
+        assert cs.posterior == pytest.approx(
+            exact_probability(tree, condition) / top, abs=1e-12)
+
+    # event sets that are not cut sets weigh explanations with open members
+    keys = tree.basic_keys
+    for pair in zip(keys, keys[1:]):
+        condition = {e: True for e in pair} | {tree.top: True}
+        assert cut_set_posterior(model, pair, t) == pytest.approx(
+            exact_probability(tree, condition) / top, abs=1e-12)
+
+
+ZERO_RATE = """
+model zero
+type T = {1, 2, 3}
+basic A(i:T) rate 1e-4
+basic Z rate 0
+basic C rate 2e-6
+event G = vote(2:3) forall(i:T) A(i)
+event H = and(Z, C)
+top TE = or(G, H)
+"""
+
+
+@pytest.mark.parametrize("source", ["multiprocessor", "zero-rate", "random"])
+def test_curve_matches_per_point_unreliability(source, model):
+    if source == "zero-rate":
+        model = parse_model(ZERO_RATE)
+    elif source == "random":
+        model, _ = random_model(3)
+    times = [0.0, 1.0, 2500.0, 1e4, 3.3e4, 1e6]
+    curve = unreliability_curve(model, times)
+    assert [p.time for p in curve] == times
+    assert (curve[0].bounds.lower, curve[0].bounds.upper) == (0.0, 0.0)
+    for point in curve[1:]:
+        single = system_unreliability(model, point.time)
+        assert point.bounds.lower == point.bounds.upper
+        assert point.bounds.lower == pytest.approx(single.lower, abs=1e-12)
+        tree = unfold(model, point.time)
+        assert point.bounds.lower == pytest.approx(
+            exact_probability(tree, {tree.top: True}), abs=1e-12)
+
+
+def test_curve_rejects_negative_times(model):
+    with pytest.raises(AnalysisError, match="mission time"):
+        unreliability_curve(model, [0.0, -5.0])
+    assert unreliability_curve(model, []) == []
