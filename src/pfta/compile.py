@@ -28,6 +28,7 @@ from .model import (
     KIND_TOP,
     PftModel,
     failure_probability,
+    instantiate,
     require_valid,
 )
 from .pha import (
@@ -69,41 +70,6 @@ def _ordered_inputs(gate: Gate, options: CompileOptions | None) -> tuple[EventRe
     return tuple(sorted(gate.inputs, key=lambda r: ranking.get(r.event, len(ranking))))
 
 
-def _expand_ref(
-    model: PftModel,
-    ref: EventRef,
-    outer: Mapping[str, object],
-    fold: bool,
-) -> list[tuple[str, tuple]]:
-    """Instances of one gate input as (event class, argument terms) pairs.
-
-    Parameters declared at the referenced event are its replica indices:
-    with `fold` they are enumerated over their types (Cartesian product,
-    declaration order of values), otherwise they stay clause variables.
-    All other parameters take their term from `outer`.
-    """
-    ev = model.event_map[ref.event]
-    replicas: list[str] = []
-    for a in ref.args:
-        if isinstance(a, str) and a in ev.declares and a not in outer and a not in replicas:
-            replicas.append(a)
-    if not fold:
-        bind = {p: Var(p.upper()) for p in replicas}
-        args = tuple(
-            a if isinstance(a, int) else bind.get(a) or outer[a] for a in ref.args
-        )
-        return [(ref.event, args)]
-    out = []
-    for combo in product(*(model.param_values(p) for p in replicas)):
-        bind = dict(zip(replicas, combo))
-        args = tuple(
-            a if isinstance(a, int) else bind.get(a, None) if a in bind else outer[a]
-            for a in ref.args
-        )
-        out.append((ref.event, args))
-    return out
-
-
 def expand_kofn(
     model: PftModel,
     gate: Gate,
@@ -119,7 +85,8 @@ def expand_kofn(
         raise ModelInvalidError([f"gate {gate.output} is not a well-formed KofN gate"])
     if outer is None:
         outer = {p: Var(p.upper()) for p in model.event_map[gate.output].formal_params}
-    replicas = _expand_ref(model, gate.inputs[0], outer, fold=True)
+    ref = gate.inputs[0]
+    replicas = [(ref.event, args) for args in instantiate(model, ref, outer)]
     q = len(replicas) - gate.k + 1
     if q < 1:
         raise ModelInvalidError([f"KofN gate {gate.output}: k={gate.k} outside 1..{len(replicas)}"])
@@ -167,15 +134,17 @@ def compile_direct(
         outer = {p: v for p, v in zip(ev.formal_params, head.args)}
         inputs = _ordered_inputs(gate, options)
         if gate.kind == "or":
+            # one clause per input: its replica indices stay clause variables
             for ref in inputs:
-                for event, args in _expand_ref(model, ref, outer, fold=False):
-                    clauses.append(Clause(head, (_direct_atom(model, event, args),)))
+                args = tuple(a if isinstance(a, int) else Var(a.upper()) for a in ref.args)
+                clauses.append(Clause(head, (_direct_atom(model, ref.event, args),)))
         elif gate.kind == "and":
-            body: list[Atom] = []
-            for ref in inputs:
-                for event, args in _expand_ref(model, ref, outer, fold=True):
-                    body.append(_direct_atom(model, event, args))
-            clauses.append(Clause(head, tuple(body)))
+            body = tuple(
+                _direct_atom(model, ref.event, args)
+                for ref in inputs
+                for args in instantiate(model, ref, outer)
+            )
+            clauses.append(Clause(head, body))
         else:  # kofn
             for group in expand_kofn(model, gate, outer):
                 body = [_direct_atom(model, event, args) for event, args in group]
@@ -229,9 +198,11 @@ def compile_disjoint(
         gate = model.gate_map[ev.class_name]
         head_terms = _head_terms(model, ev.class_name)
         outer = {p: v for p, v in zip(ev.formal_params, head_terms)}
-        expanded: list[tuple[str, tuple]] = []
-        for ref in _ordered_inputs(gate, options):
-            expanded.extend(_expand_ref(model, ref, outer, fold=True))
+        expanded = [
+            (ref.event, args)
+            for ref in _ordered_inputs(gate, options)
+            for args in instantiate(model, ref, outer)
+        ]
         pred = predicate_name(ev.class_name)
         cells = _split_cells(gate.kind, gate.k, len(expanded))
         for status, picks in cells:

@@ -12,12 +12,12 @@ theories it is reported as raw search mass (`sound` is False).
 Each search interns the ground atoms it meets as integers, and a state is
 a tuple of goal ids plus a frozenset of assumed hypothesis ids.  An atom
 is grounded once, the first time it is expanded: its clause bodies (found
-by renaming and unifying each clause of its predicate), its hypothesis
-probability and the ids of its declaration's other alternatives are kept
-and reused by every later state that reaches it, so no state unifies.
-Bodies or goals that keep variables are grounded over the theory's and
-the goals' constants.  Atoms turn back into `Atom`s only in emitted
-explanations.
+by unifying it with each clause head of its predicate as written, since
+every expanded atom is ground), its hypothesis probability and the ids of
+its declaration's other alternatives are kept and reused by every later
+state that reaches it, so no state unifies.  Bodies or goals that keep
+variables are grounded over the theory's and the goals' constants.  Atoms
+turn back into `Atom`s only in emitted explanations.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .pha import (
     apply_substitution,
     format_atom,
     ground_instances,
-    rename_clause,
     theory_constants,
     unify,
 )
@@ -123,7 +122,6 @@ class ExplanationSearch(Iterator[Explanation]):
                 raise EngineError(f"unknown predicate {g.pred} in goal {format_atom(g)}")
 
         self._seq = count()
-        self._rename = count()
         self._emitted_probs_sum = 0.0
         self._emitted_count = 0
         self._seen: set[frozenset[int]] = set()
@@ -164,12 +162,12 @@ class ExplanationSearch(Iterator[Explanation]):
     def _expand(self, goal: int) -> tuple:
         atom = self._atoms[goal]
         bodies: list[tuple[int, ...]] = []
+        # the goal is ground, so a clause needs no renaming apart
         for clause in self.theory.clause_index.get(atom.pred, ()):
-            fresh = rename_clause(clause, self._rename)
-            subst = unify(atom, fresh.head)
+            subst = unify(atom, clause.head)
             if subst is not None:
                 bodies.extend(
-                    self._ground(tuple(apply_substitution(b, subst) for b in fresh.body))
+                    self._ground(tuple(apply_substitution(b, subst) for b in clause.body))
                 )
         hyp = None
         found = self.theory.hypothesis_index.get(atom)

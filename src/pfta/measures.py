@@ -38,9 +38,8 @@ from .model import (
     PftModel,
     failure_probability,
     format_instance,
-    require_valid,
 )
-from .pha import Atom, PhaTheory, STATUS_FAILED
+from .pha import Atom, STATUS_FAILED
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,6 @@ def minimal_cut_sets(
 ) -> list[CutSet]:
     """Minimal cut sets ranked by prior probability, ties lexicographic."""
     _require_positive_time(t)
-    require_valid(model)
     theory = compile_direct(model, t, options)
     expls = minimal_explanations(theory, top_atom(model), stop)
     names = _class_names(model)
@@ -146,11 +144,6 @@ def minimal_cut_sets(
     ]
     cut_sets.sort(key=lambda c: (-c.prior, c.rendered()))
     return cut_sets
-
-
-def _disjoint_theory(model: PftModel, t: float) -> PhaTheory:
-    require_valid(model)
-    return compile_disjoint(model, t)
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,7 @@ class _TopExplanations:
 
 
 def _top_explanations(model: PftModel, t: float) -> _TopExplanations:
-    result = explain(_disjoint_theory(model, t), top_atom(model))
+    result = explain(compile_disjoint(model, t), top_atom(model))
     names = _class_names(model)
     rows = []
     for expl in result.explanations:
@@ -274,7 +267,7 @@ def system_unreliability(
     if t == 0:
         return ProbabilityBounds(0.0, 0.0)
     _require_positive_time(t)
-    return probability(_disjoint_theory(model, t), top_atom(model), stop)
+    return probability(compile_disjoint(model, t), top_atom(model), stop)
 
 
 def unreliability_curve(

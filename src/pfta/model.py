@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ModelInvalidError
 
@@ -235,18 +235,30 @@ def validate(model: PftModel) -> list[str]:
                 "is not one of its formal parameters"
             )
 
-    # cycle check on the event graph (output -> inputs)
+    # cycle check on the event graph (output -> inputs), depth-first with
+    # an explicit stack: trees may be far deeper than the recursion limit
     color: dict[str, int] = {}
 
-    def has_cycle(name: str) -> bool:
-        color[name] = 1
+    def inputs(name: str) -> Iterator[EventRef]:
         gate = model.gate_map.get(name)
-        if gate is not None:
-            for ref in gate.inputs:
+        return iter(gate.inputs if gate is not None else ())
+
+    def has_cycle(root: str) -> bool:
+        color[root] = 1
+        stack = [(root, inputs(root))]
+        while stack:
+            name, pending = stack[-1]
+            for ref in pending:
                 c = color.get(ref.event, 0)
-                if c == 1 or (c == 0 and ref.event in classes and has_cycle(ref.event)):
+                if c == 1:
                     return True
-        color[name] = 2
+                if c == 0 and ref.event in classes:
+                    color[ref.event] = 1
+                    stack.append((ref.event, inputs(ref.event)))
+                    break
+            else:
+                color[name] = 2
+                stack.pop()
         return False
 
     if any(color.get(e.class_name, 0) == 0 and has_cycle(e.class_name) for e in model.events):
@@ -357,12 +369,15 @@ def require_valid(model: PftModel) -> None:
         raise ModelInvalidError(violations)
 
 
-def instantiate(model: PftModel, ref: EventRef, env: dict[str, int]) -> list[tuple[tuple[int, ...], dict[str, int]]]:
-    """Ground a gate input under `env`, enumerating unbound replica indices.
+def instantiate(
+    model: PftModel, ref: EventRef, env: Mapping[str, object]
+) -> list[tuple]:
+    """Argument tuples of a gate input's instances under `env`.
 
-    Returns one (value tuple, extended environment) pair per replica; the
-    order follows the Cartesian product of the declared types in the order
-    the unbound parameters first appear in the reference.
+    `env` maps a parameter to a value or to a clause `Var`; every other
+    parameter of the reference is a replica index and is enumerated over
+    its type.  Instances follow the Cartesian product of those types in
+    the order the parameters first appear in the reference.
     """
     free: list[str] = []
     for arg in ref.args:
@@ -370,8 +385,9 @@ def instantiate(model: PftModel, ref: EventRef, env: dict[str, int]) -> list[tup
             free.append(arg)
     out = []
     for combo in product(*(model.param_values(p) for p in free)):
-        child_env = dict(env)
-        child_env.update(zip(free, combo))
-        values = tuple(a if isinstance(a, int) else child_env[a] for a in ref.args)
-        out.append((values, child_env))
+        bind = dict(zip(free, combo))
+        out.append(tuple(
+            a if isinstance(a, int) else bind[a] if a in bind else env[a]
+            for a in ref.args
+        ))
     return out

@@ -15,13 +15,14 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import OracleError
-from .compile import expand_kofn, _expand_ref
+from .compile import expand_kofn
 from .model import (
     GroundEvent as Key,
     KIND_BASIC,
     PftModel,
     failure_probability,
     format_instance,
+    instantiate,
     require_valid,
 )
 
@@ -54,7 +55,9 @@ def _gate_nodes(model: PftModel, key: Key) -> list[tuple[Key, str, tuple[Key, ..
         groups = expand_kofn(model, gate, env)
         subkeys = tuple((f"{class_name}#{i}", values) for i in range(1, len(groups) + 1))
         return [(s, "and", tuple(g)) for s, g in zip(subkeys, groups)] + [(key, "or", subkeys)]
-    inputs = tuple(i for ref in gate.inputs for i in _expand_ref(model, ref, env, fold=True))
+    inputs = tuple(
+        (ref.event, args) for ref in gate.inputs for args in instantiate(model, ref, env)
+    )
     return [(key, gate.kind, inputs)]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, product
+from itertools import product
 from typing import Iterator
 
 from .errors import TheoryError
@@ -159,22 +159,6 @@ def apply_substitution(atom: Atom, subst: Subst) -> Atom:
     if not subst or atom.is_ground():
         return atom
     return Atom(atom.pred, tuple(walk(a, subst) for a in atom.args))
-
-
-def rename_clause(clause: Clause, counter: count) -> Clause:
-    """Standardize a clause apart with fresh variable names."""
-    mapping: dict[Var, Var] = {}
-
-    def fresh(term):
-        if isinstance(term, Var):
-            if term not in mapping:
-                mapping[term] = Var(f"{term.name}#{next(counter)}")
-            return mapping[term]
-        return term
-
-    head = Atom(clause.head.pred, tuple(fresh(a) for a in clause.head.args))
-    body = tuple(Atom(b.pred, tuple(fresh(a) for a in b.args)) for b in clause.body)
-    return Clause(head, body)
 
 
 # ---------------------------------------------------------------------------
@@ -455,21 +439,27 @@ class GroundProgram:
         state: dict[int, int] = {}
         acyclic = True
 
-        def visit(a: int) -> None:
-            nonlocal acyclic
-            state[a] = 1
-            for b in deps.get(a, ()):
-                s = state.get(b, 0)
-                if s == 1:
-                    acyclic = False
-                elif s == 0:
-                    visit(b)
-            state[a] = 2
-            rank[a] = len(rank)
-
-        for a in range(len(self.atoms)):
-            if state.get(a, 0) == 0:
-                visit(a)
+        # post-order depth-first walk with an explicit stack: a chain of
+        # rules may be far deeper than the recursion limit
+        for root in range(len(self.atoms)):
+            if state.get(root, 0) != 0:
+                continue
+            state[root] = 1
+            stack = [(root, iter(deps.get(root, ())))]
+            while stack:
+                a, pending = stack[-1]
+                for b in pending:
+                    s = state.get(b, 0)
+                    if s == 1:
+                        acyclic = False
+                    elif s == 0:
+                        state[b] = 1
+                        stack.append((b, iter(deps.get(b, ()))))
+                        break
+                else:
+                    state[a] = 2
+                    rank[a] = len(rank)
+                    stack.pop()
         ordered = sorted(self.rules, key=lambda r: rank.get(r[0], 0))
         return ordered, acyclic
 
@@ -538,11 +528,10 @@ def check_assumptions(theory: PhaTheory, max_joint_states: int = 2**20) -> Assum
     is skipped (reported as None) when there are more than
     `max_joint_states` assignments.
     """
-    counter = count()
     assumption1 = True
     for c in theory.clauses:
-        head = rename_clause(c, counter).head
-        if any(unify(head, hyp) is not None for hyp in theory.hypothesis_index):
+        # hypotheses are ground, so a head needs no renaming apart
+        if any(unify(c.head, hyp) is not None for hyp in theory.hypothesis_index):
             assumption1 = False
             break
 

@@ -1,9 +1,10 @@
 """The benchmark harness keeps working against the library.
 
 `bench/tracing.py` swaps names inside `pfta.engine` (`heapq`, `unify`,
-`rename_clause`, the `bounds` property, `__next__`) and reads the goals
-from heap-entry index 2, so a rename there breaks the traced run; the
-search counters it reports are deterministic for a seed.
+the `bounds` property, `__next__`) and reads the goals from heap-entry
+index 2, so a rename there breaks the traced run; a name it asks for that
+is gone (`rename_clause`) is reported as not traced.  The search counters
+it reports are deterministic for a seed.
 """
 
 from __future__ import annotations

@@ -192,3 +192,29 @@ def test_oracle_on_a_deep_chain_names_the_enumeration_bound(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "5001 ground basic events exceed the enumeration bound 24" in err
+
+
+@pytest.fixture(scope="module")
+def deep_chain(tmp_path_factory):
+    """A 5000-level OR chain declared top-first."""
+    depth = 5000
+    lines = ["model deep", f"top C{depth} = or(C{depth - 1}, X{depth})"]
+    lines += [f"event C{i} = or(C{i - 1}, X{i})" for i in range(depth - 1, 1, -1)]
+    lines += ["event C1 = or(A, X1)", "basic A rate 1e-7"]
+    lines += [f"basic X{i} rate 1e-7" for i in range(1, depth + 1)]
+    path = tmp_path_factory.mktemp("deep") / "chain.pft"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["compile", "--stage", "1", "--time", "10000"],
+    ["compile", "--stage", "2", "--time", "10000"],
+    ["mcs", "--max-explanations", "3", "--time", "10000"],
+    ["unrel", "--max-explanations", "3", "--time", "10000"],
+], ids=["validate", "compile-1", "compile-2", "mcs", "unrel"])
+def test_deep_chain_declared_top_first_runs(capsys, deep_chain, argv):
+    code, _, err = _run(capsys, argv[0], deep_chain, *argv[1:])
+    assert code == 0, err
+    assert "Traceback" not in err

@@ -1,0 +1,39 @@
+"""Modules of the package share only public names, and its exports resolve."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pfta
+
+SRC = Path(pfta.__file__).parent
+# `from .x import a, b` or `from .x import (\n a,\n b,\n)`
+_RELATIVE_IMPORT = re.compile(r"^from \.\w* import (\([^)]*\)|.*)$", re.MULTILINE)
+
+
+def _imported_names(text: str) -> list[str]:
+    names = []
+    for match in _RELATIVE_IMPORT.finditer(text):
+        for item in match.group(1).strip("()").split(","):
+            if item.strip():
+                names.append(item.split()[0])
+    return names
+
+
+def test_the_import_scan_sees_parenthesised_and_aliased_names():
+    text = "from .a import x, _y as z\nfrom .b import (\n    P,\n    _q,\n)\n"
+    assert _imported_names(text) == ["x", "_y", "P", "_q"]
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = {
+        path.name: [n for n in _imported_names(path.read_text()) if n.startswith("_")]
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: found for name, found in private.items() if found} == {}
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in pfta.__all__ if not hasattr(pfta, name)]
+    assert missing == []

@@ -22,6 +22,7 @@ from pfta.model import (
     validate,
 )
 from pfta.errors import ModelInvalidError
+from pfta.pha import Var
 
 
 def test_failure_probability_matches_closed_form():
@@ -113,20 +114,19 @@ def test_require_valid_raises_with_all_violations():
 
 def test_instantiate_passes_ground_refs_through(model):
     ref = EventRef("D", (2, 1))
-    assert instantiate(model, ref, {}) == [((2, 1), {})]
+    assert instantiate(model, ref, {}) == [(2, 1)]
 
 
 def test_instantiate_enumerates_free_parameters(model):
     got = instantiate(model, EventRef("D", ("i", "j")), {})
-    assert [values for values, _ in got] == [
-        (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2),
-    ]
-    assert got[0][1] == {"i": 1, "j": 1}
+    assert got == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
 
 
 def test_instantiate_respects_environment(model):
     got = instantiate(model, EventRef("D", ("i", "j")), {"i": 3})
-    assert [values for values, _ in got] == [(3, 1), (3, 2)]
+    assert got == [(3, 1), (3, 2)]
+    got = instantiate(model, EventRef("D", ("i", "j")), {"i": Var("I")})
+    assert got == [(Var("I"), 1), (Var("I"), 2)]
 
 
 def test_instantiate_binds_repeated_parameters_together():
@@ -135,7 +135,7 @@ def test_instantiate_binds_repeated_parameters_together():
         "top TE = and forall(a:T, b:T) X(a, b)"
     )
     got = instantiate(m, EventRef("X", ("a", "a")), {})
-    assert [values for values, _ in got] == [(1, 1), (2, 2), (3, 3)]
+    assert got == [(1, 1), (2, 2), (3, 3)]
 
 
 def test_format_instance_renders_like_the_source_labels():

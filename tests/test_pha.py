@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from pfta.compile import compile_direct, compile_disjoint
@@ -146,6 +148,22 @@ def test_entails_follows_clauses(model):
         if alt.args and alt.args[-1] == "w"
     }
     assert not entails(theory, all_working, [te])
+
+
+def test_entails_on_a_chain_deeper_than_the_recursion_limit():
+    # e00000 :- e00001, ..., e0NNNN :- a: the names sort top-first, so the
+    # walk that orders the rules starts at the top and descends the chain
+    depth = 2 * sys.getrecursionlimit()
+    names = [f"e{i:05d}" for i in range(depth)] + ["a"]
+    clauses = [Clause(Atom(h, ()), (Atom(b, ()),)) for h, b in zip(names, names[1:])]
+    theory = PhaTheory(
+        clauses=tuple(reversed(clauses)),
+        declarations=(_decl(("a", 0.5), ("x", 0.5)),),
+        stage=STAGE_DIRECT,
+    )
+    top = Atom(names[0], ())
+    assert entails(theory, {Atom("a", ())}, [top])
+    assert not entails(theory, {Atom("x", ())}, [top])
 
 
 def test_ground_program_closure_is_monotone():
