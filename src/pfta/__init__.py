@@ -30,17 +30,15 @@ from .errors import (
 )
 from .measures import (
     CutSet,
-    MeasureReport,
+    TopExplanations,
     UnreliabilityPoint,
     attach_posteriors,
-    basic_event_posterior,
     basic_event_posteriors,
     curve_times,
-    cut_set_posterior,
-    measure_report,
     minimal_cut_sets,
     parse_instance,
     system_unreliability,
+    top_explanations,
     unreliability_curve,
 )
 from .model import (
@@ -99,7 +97,6 @@ __all__ = [
     "FailureRate",
     "Gate",
     "GroundFaultTree",
-    "MeasureReport",
     "ModelInvalidError",
     "OracleError",
     "Parameter",
@@ -110,16 +107,15 @@ __all__ = [
     "ProbabilityBounds",
     "StopCriteria",
     "TheoryError",
+    "TopExplanations",
     "UnreliabilityPoint",
     "Var",
     "attach_posteriors",
-    "basic_event_posterior",
     "basic_event_posteriors",
     "check_assumptions",
     "compile_direct",
     "compile_disjoint",
     "curve_times",
-    "cut_set_posterior",
     "entails",
     "evaluate",
     "exact_probability",
@@ -128,7 +124,6 @@ __all__ = [
     "failure_probability",
     "format_instance",
     "instantiate",
-    "measure_report",
     "minimal_cut_sets",
     "minimal_explanations",
     "parse_instance",
@@ -140,6 +135,7 @@ __all__ = [
     "serialize",
     "serialize_model",
     "system_unreliability",
+    "top_explanations",
     "top_joint_probabilities",
     "unfold",
     "unify",

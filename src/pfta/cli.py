@@ -18,16 +18,14 @@ from .engine import EXHAUSTIVE, StopCriteria
 from .errors import AnalysisError, DslError, EngineError, ModelInvalidError, OracleError, TheoryError
 from .measures import (
     attach_posteriors,
-    basic_event_posterior,
     basic_event_posteriors,
     curve_times,
-    measure_report,
     minimal_cut_sets,
-    parse_instance,
     system_unreliability,
+    top_explanations,
     unreliability_curve,
 )
-from .model import PftModel, format_instance, validate
+from .model import PftModel, validate
 from .oracle import prime_implicants, top_joint_probabilities, unfold
 from .pha import serialize
 
@@ -215,12 +213,9 @@ def _cmd_curve(args) -> int:
 
 def _cmd_posterior(args) -> int:
     model = _load_model(args.model)
-    if args.basic is not None:
-        key = parse_instance(model, args.basic)
-        rows = [[format_instance(key), _fmt(basic_event_posterior(model, key, args.time), args.digits)]]
-    else:
-        rows = [[label, _fmt(value, args.digits)]
-                for label, value in basic_event_posteriors(model, args.time)]
+    instances = None if args.basic is None else [args.basic]
+    rows = [[label, _fmt(value, args.digits)]
+            for label, value in basic_event_posteriors(model, args.time, instances)]
     _emit(_render(args, ["event", "posterior"], rows), args.output)
     return 0
 
@@ -229,26 +224,26 @@ def _cmd_oracle(args) -> int:
     model = _load_model(args.model)
     tree = unfold(model, args.time)
     te_exact, joints_exact = top_joint_probabilities(tree)
-    report = measure_report(
-        model, args.time, with_posteriors=te_exact > 0, instances=tree.basic_keys
-    )
+    cut_sets = minimal_cut_sets(model, args.time)
+    table = top_explanations(model, args.time)
     lines = [f"ground basic events: {len(tree.basics)}"]
 
-    te_search = report.unreliability.lower
+    te_search = table.top
     deviations = [abs(te_search - te_exact)]
     lines.append(f"P(top) search:      {_fmt(te_search, args.digits)}")
     lines.append(f"P(top) enumeration: {_fmt(te_exact, args.digits)}")
 
     implicants = prime_implicants(tree)
-    search_sets = {cs.events for cs in report.cut_sets}
+    search_sets = {cs.events for cs in cut_sets}
     oracle_sets = {frozenset(s) for s in implicants}
     agree = search_sets == oracle_sets
     lines.append(f"cut sets, search:      {len(search_sets)}")
     lines.append(f"cut sets, enumeration: {len(oracle_sets)}")
     lines.append(f"cut set agreement: {'yes' if agree else 'NO'}")
 
-    for (_, posterior), joint in zip(report.basic_posteriors, joints_exact):
-        deviations.append(abs(posterior - joint / te_exact))
+    if te_exact > 0:
+        for key, joint in zip(tree.basic_keys, joints_exact):
+            deviations.append(abs(table.posterior([key]) - joint / te_exact))
     worst = max(deviations)
     lines.append(f"max probability deviation: {_fmt(worst, 3)}")
     _emit("\n".join(lines) + "\n", args.output)

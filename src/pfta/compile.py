@@ -152,10 +152,6 @@ def compile_direct(
     return PhaTheory(tuple(clauses), _declarations(model, t), STAGE_DIRECT)
 
 
-def _status_atom(model: PftModel, event: str, args: tuple, status: str) -> Atom:
-    return Atom(predicate_name(event), args + (status,))
-
-
 def _split_cells(kind: str, k: int | None, n: int) -> list[tuple[str, list[tuple[int, str]]]]:
     """Disjoint decision cells of a gate over n ordered inputs.
 
@@ -198,23 +194,20 @@ def compile_disjoint(
         gate = model.gate_map[ev.class_name]
         head_terms = _head_terms(model, ev.class_name)
         outer = {p: v for p, v in zip(ev.formal_params, head_terms)}
-        expanded = [
-            (ref.event, args)
+        # each expanded input's status atoms, built once and shared by every cell
+        atoms = [
+            {st: Atom(predicate_name(ref.event), args + (st,))
+             for st in (STATUS_WORKING, STATUS_FAILED)}
             for ref in _ordered_inputs(gate, options)
             for args in instantiate(model, ref, outer)
         ]
         pred = predicate_name(ev.class_name)
-        cells = _split_cells(gate.kind, gate.k, len(expanded))
-        for status, picks in cells:
+        for status, picks in _split_cells(gate.kind, gate.k, len(atoms)):
             if ev.kind == KIND_TOP:
                 if status != STATUS_FAILED:
                     continue
                 head = Atom(pred, head_terms)
             else:
                 head = Atom(pred, head_terms + (status,))
-            body = tuple(
-                _status_atom(model, expanded[i][0], expanded[i][1], st)
-                for i, st in picks
-            )
-            clauses.append(Clause(head, body))
+            clauses.append(Clause(head, tuple(atoms[i][st] for i, st in picks)))
     return PhaTheory(tuple(clauses), _declarations(model, t), STAGE_DISJOINT)

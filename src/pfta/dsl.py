@@ -333,6 +333,17 @@ def _parse_ref(cur: _Cursor) -> tuple[str, list[int | str], int]:
     return tok.text, args, tok.column
 
 
+def _parse_ref_list(cur: _Cursor) -> list[tuple[str, list[int | str], int]]:
+    """A parenthesized, comma-separated list of event references."""
+    cur.expect("(")
+    refs = [_parse_ref(cur)]
+    while cur.peek() == ",":
+        cur.next()
+        refs.append(_parse_ref(cur))
+    cur.expect(")")
+    return refs
+
+
 def _parse_gate_expr(cur: _Cursor) -> _RawGate:
     tok = cur.ident("gate kind")
     kind = tok.text
@@ -342,16 +353,7 @@ def _parse_gate_expr(cur: _Cursor) -> _RawGate:
             forall = _parse_params(cur)
             ref = _parse_ref(cur)
             return _RawGate("and", None, None, forall, [ref], cur.lineno)
-        cur.expect("(")
-        refs = []
-        while True:
-            refs.append(_parse_ref(cur))
-            if cur.peek() == ",":
-                cur.next()
-                continue
-            cur.expect(")")
-            break
-        return _RawGate(kind, None, None, [], refs, cur.lineno)
+        return _RawGate(kind, None, None, [], _parse_ref_list(cur), cur.lineno)
     if kind == "vote":
         cur.expect("(")
         k = cur.integer("k")
@@ -364,16 +366,7 @@ def _parse_gate_expr(cur: _Cursor) -> _RawGate:
             ref = _parse_ref(cur)
             return _RawGate("kofn", k, n, forall, [ref], cur.lineno)
         # bare reference list; structural checks are left to the validator
-        cur.expect("(")
-        refs = []
-        while True:
-            refs.append(_parse_ref(cur))
-            if cur.peek() == ",":
-                cur.next()
-                continue
-            cur.expect(")")
-            break
-        return _RawGate("kofn", k, n, [], refs, cur.lineno)
+        return _RawGate("kofn", k, n, [], _parse_ref_list(cur), cur.lineno)
     raise DslError(f"expected and/or/vote, got {kind!r}", cur.lineno, tok.column)
 
 

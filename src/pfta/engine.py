@@ -85,6 +85,8 @@ class StopCriteria:
     def __post_init__(self):
         if not self.exhaustive and self.max_explanations is None and self.epsilon is None:
             raise ValueError("stop criteria require a bound or exhaustive=True")
+        if self.exhaustive and (self.max_explanations is not None or self.epsilon is not None):
+            raise ValueError("an exhaustive search takes no bound")
         if self.max_explanations is not None and self.max_explanations < 1:
             raise ValueError("max_explanations must be positive")
         if self.epsilon is not None and self.epsilon < 0:

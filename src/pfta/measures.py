@@ -3,20 +3,21 @@
 Qualitative results (minimal cut sets) come from the direct translation;
 quantitative ones (unreliability, posteriors, curves) from the
 status-complete translation, whose explanations of the top event are
-mutually exclusive partial assignments of the basic events.  So one
-exhaustive search answers every posterior of a request: P(E and top) is
-the sum over the explanations of P(expl) times 1 if E is failed in it, 0
-if E is working in it and P(E failed) if it leaves E open, and a cut set
-multiplies the factors of its members.  The explanation set does not
-depend on the mission time (every declaration is emitted at any time and
-the exhaustive search prunes nothing), so an exhaustive curve reweights
-the explanations of one search at each grid time.
+mutually exclusive partial assignments of the basic events.  One
+exhaustive search of it gives a `TopExplanations` table, and every exact
+measure reads that table.  P(E1..Ek and top) is the sum over the
+explanations of P(expl) times, per member, 1 if the explanation holds it
+failed, 0 if working and P(Ei failed) if it leaves it open; a basic event
+is a one-member cut set.  The explanation set does not depend on the
+mission time (every declaration is emitted at any time and the
+exhaustive search prunes nothing), so an exhaustive curve reweights the
+rows of one table at each grid time.  Bounded unreliability and curves
+search with their stop criteria instead.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -58,18 +59,6 @@ class CutSet:
 class UnreliabilityPoint:
     time: float
     bounds: ProbabilityBounds
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """Everything the command line prints, in one bundle."""
-
-    model_name: str
-    time: float
-    cut_sets: tuple[CutSet, ...] = ()
-    unreliability: ProbabilityBounds | None = None
-    curve: tuple[UnreliabilityPoint, ...] = ()
-    basic_posteriors: tuple[tuple[str, float], ...] = ()
 
 
 def top_atom(model: PftModel) -> Atom:
@@ -121,12 +110,6 @@ def _require_positive_time(t: float) -> None:
         raise AnalysisError(f"mission time must be positive, got {t}")
 
 
-def _require_curve_times(times: Sequence[float]) -> None:
-    for t in times:
-        if t != 0:
-            _require_positive_time(t)
-
-
 def minimal_cut_sets(
     model: PftModel,
     t: float,
@@ -147,20 +130,63 @@ def minimal_cut_sets(
 
 
 @dataclass(frozen=True)
-class _TopExplanations:
+class TopExplanations:
     """Every stage-2 explanation of the top event at time `t`.
 
     Each row is (probability, failed events, working events); `top` is the
     sum of the probabilities in emission order, i.e. the exhaustive
-    unreliability bit for bit.
+    unreliability bit for bit.  Every exact posterior and every exhaustive
+    curve point is read off these rows.
     """
 
+    model: PftModel
     t: float
     top: float
     rows: tuple[tuple[float, frozenset[GroundEvent], frozenset[GroundEvent]], ...]
 
+    def posterior(self, events: Iterable[GroundEvent | str]) -> float:
+        """P(every one of `events` failed | top event) at time `t`.
 
-def _top_explanations(model: PftModel, t: float) -> _TopExplanations:
+        An explanation contributes its probability times 1 per member it
+        holds failed, 0 if it holds one working, and P(e failed) per member
+        it leaves open; the factors multiply in sorted member order.
+        """
+        keys = sorted({_as_instance(self.model, e) for e in events})
+        _require_positive_time(self.t)
+        if self.top <= 0.0:
+            raise AnalysisError("posterior undefined: system unreliability is 0")
+        probs = {e: failure_probability(self.model.rate_map[e[0]], self.t) for e in keys}
+        joint = 0.0
+        for prob, failed, working in self.rows:
+            if working.isdisjoint(keys):
+                for e in keys:
+                    if e not in failed:
+                        prob *= probs[e]
+                joint += prob
+        return joint / self.top
+
+    def curve(self, times: Sequence[float]) -> list[UnreliabilityPoint]:
+        """Exact unreliability at each time, by reweighting the rows."""
+        rates = self.model.rate_map
+        column = {name: i for i, name in enumerate(rates)}
+        # counts[e, 0, c] / counts[e, 1, c]: failed / working events of class c
+        counts = np.zeros((len(self.rows), 2, len(rates)))
+        for row, (_, failed, working) in zip(counts, self.rows):
+            for name, _ in failed:
+                row[0, column[name]] += 1
+            for name, _ in working:
+                row[1, column[name]] += 1
+        points = []
+        for t in times:
+            p = np.array([failure_probability(lam, t) for lam in rates.values()])
+            value = float((np.stack([p, 1.0 - p]) ** counts).prod(axis=(1, 2)).sum())
+            value = min(value, 1.0)
+            points.append(UnreliabilityPoint(t, ProbabilityBounds(value, value)))
+        return points
+
+
+def top_explanations(model: PftModel, t: float) -> TopExplanations:
+    """One exhaustive search of the stage-2 theory for the top event."""
     result = explain(compile_disjoint(model, t), top_atom(model))
     names = _class_names(model)
     rows = []
@@ -170,20 +196,7 @@ def _top_explanations(model: PftModel, t: float) -> _TopExplanations:
             key = (names[a.pred], a.args[:-1])
             (failed if a.args[-1] == STATUS_FAILED else working).append(key)
         rows.append((expl.prob, frozenset(failed), frozenset(working)))
-    return _TopExplanations(t, result.bounds.lower, tuple(rows))
-
-
-def _posterior_table(model: PftModel, t: float) -> _TopExplanations:
-    _require_positive_time(t)
-    table = _top_explanations(model, t)
-    if table.top <= 0.0:
-        raise AnalysisError("posterior undefined: system unreliability is 0")
-    return table
-
-
-def _exact(value: float) -> ProbabilityBounds:
-    value = min(value, 1.0)
-    return ProbabilityBounds(value, value)
+    return TopExplanations(model, t, result.bounds.lower, tuple(rows))
 
 
 def _labeled(
@@ -205,61 +218,6 @@ def _labeled(
     return labeled
 
 
-def _basic_rows(
-    model: PftModel, table: _TopExplanations, labeled: list[tuple[str, GroundEvent]]
-) -> list[tuple[str, float]]:
-    """(label, P(event failed | top)) rows, in one pass over the table."""
-    mass_f: dict[GroundEvent, float] = defaultdict(float)
-    mass_w: dict[GroundEvent, float] = defaultdict(float)
-    for prob, failed, working in table.rows:
-        for e in failed:
-            mass_f[e] += prob
-        for e in working:
-            mass_w[e] += prob
-    out = []
-    for label, e in labeled:
-        f = mass_f[e]
-        # explanations that leave e open hold it failed with its prior
-        open_mass = max(table.top - f - mass_w[e], 0.0)
-        joint = f + failure_probability(model.rate_map[e[0]], table.t) * open_mass
-        out.append((label, joint / table.top))
-    return out
-
-
-def _cut_set_posterior(
-    model: PftModel, table: _TopExplanations, events: frozenset[GroundEvent]
-) -> float:
-    probs = {e: failure_probability(model.rate_map[e[0]], table.t) for e in events}
-    joint = 0.0
-    for prob, failed, working in table.rows:
-        if working.isdisjoint(events):
-            for e in events - failed:
-                prob *= probs[e]
-            joint += prob
-    return joint / table.top
-
-
-def _reweighted_curve(
-    model: PftModel, table: _TopExplanations, times: Sequence[float]
-) -> list[UnreliabilityPoint]:
-    """Exact unreliability at each time from one exhaustive explanation set."""
-    rates = model.rate_map
-    column = {name: i for i, name in enumerate(rates)}
-    # counts[e, 0, c] / counts[e, 1, c]: failed / working events of class c
-    counts = np.zeros((len(table.rows), 2, len(rates)))
-    for row, (_, failed, working) in zip(counts, table.rows):
-        for name, _ in failed:
-            row[0, column[name]] += 1
-        for name, _ in working:
-            row[1, column[name]] += 1
-    points = []
-    for t in times:
-        p = np.array([failure_probability(lam, t) for lam in rates.values()])
-        value = (np.stack([p, 1.0 - p]) ** counts).prod(axis=(1, 2)).sum()
-        points.append(UnreliabilityPoint(t, _exact(float(value))))
-    return points
-
-
 def system_unreliability(
     model: PftModel, t: float, stop: StopCriteria = EXHAUSTIVE
 ) -> ProbabilityBounds:
@@ -278,12 +236,14 @@ def unreliability_curve(
     An exhaustive curve costs one search; a bounded one searches once per
     time, so that the stop criteria hold at every point.
     """
-    _require_curve_times(times)
+    for t in times:
+        if t != 0:
+            _require_positive_time(t)
     if not stop.exhaustive:
         return [UnreliabilityPoint(t, system_unreliability(model, t, stop)) for t in times]
     if not times:
         return []
-    return _reweighted_curve(model, _top_explanations(model, max(times)), times)
+    return top_explanations(model, max(times)).curve(times)
 
 
 def curve_times(t_from: float, t_to: float, step: float) -> list[float]:
@@ -303,23 +263,6 @@ def curve_times(t_from: float, t_to: float, step: float) -> list[float]:
     return times
 
 
-def cut_set_posterior(
-    model: PftModel, cut_set: Iterable[GroundEvent] | CutSet, t: float
-) -> float:
-    """P(cut set failed | top event) at time t."""
-    if isinstance(cut_set, CutSet):
-        events = cut_set.events
-    else:
-        events = frozenset(_as_instance(model, e) for e in cut_set)
-    return _cut_set_posterior(model, _posterior_table(model, t), events)
-
-
-def basic_event_posterior(model: PftModel, event: GroundEvent | str, t: float) -> float:
-    """P(basic event failed | top event) at time t."""
-    labeled = _labeled(model, [event])
-    return _basic_rows(model, _posterior_table(model, t), labeled)[0][1]
-
-
 def basic_event_posteriors(
     model: PftModel,
     t: float,
@@ -334,7 +277,9 @@ def basic_event_posteriors(
     there is one row per ground instance instead, labeled e.g. `D(1,2)`.
     """
     labeled = _labeled(model, instances)
-    return _basic_rows(model, _posterior_table(model, t), labeled)
+    _require_positive_time(t)
+    table = top_explanations(model, t)
+    return [(label, table.posterior([key])) for label, key in labeled]
 
 
 def attach_posteriors(
@@ -347,55 +292,6 @@ def attach_posteriors(
     """
     if not cut_sets:
         return []
-    table = _posterior_table(model, t)
-    return [
-        CutSet(c.events, c.prior, _cut_set_posterior(model, table, c.events))
-        for c in cut_sets
-    ]
-
-
-def measure_report(
-    model: PftModel,
-    t: float,
-    with_posteriors: bool = False,
-    curve: Sequence[float] = (),
-    stop: StopCriteria = EXHAUSTIVE,
-    instances: Iterable[GroundEvent | str] | None = None,
-) -> MeasureReport:
-    """Assemble the full set of measures for one model and mission time.
-
-    `stop` bounds the cut set search, the unreliability and the curve;
-    posteriors are exact whatever it says (`instances` as in
-    `basic_event_posteriors`).  Besides the cut set search, an exhaustive
-    report runs one search at t for everything else; a bounded one runs a
-    bounded search per analysed time, plus one exhaustive search at t when
-    it has posteriors.
-    """
-    _require_curve_times(curve)
-    cut_sets = minimal_cut_sets(model, t, stop)
-    table = None
-    if with_posteriors:
-        table = _posterior_table(model, t)
-    elif stop.exhaustive:
-        table = _top_explanations(model, t)
-    if stop.exhaustive:
-        unreliability = _exact(table.top)
-        points = _reweighted_curve(model, table, curve)
-    else:
-        unreliability = system_unreliability(model, t, stop)
-        points = unreliability_curve(model, curve, stop)
-    basic: list[tuple[str, float]] = []
-    if with_posteriors:
-        cut_sets = [
-            CutSet(c.events, c.prior, _cut_set_posterior(model, table, c.events))
-            for c in cut_sets
-        ]
-        basic = _basic_rows(model, table, _labeled(model, instances))
-    return MeasureReport(
-        model_name=model.name,
-        time=t,
-        cut_sets=tuple(cut_sets),
-        unreliability=unreliability,
-        curve=tuple(points),
-        basic_posteriors=tuple(basic),
-    )
+    _require_positive_time(t)
+    table = top_explanations(model, t)
+    return [CutSet(c.events, c.prior, table.posterior(c.events)) for c in cut_sets]

@@ -150,6 +150,21 @@ def _chunk_bits(n: int, start: int, stop: int) -> np.ndarray:
     return (idx[:, None] >> np.arange(n)) & 1 == 1
 
 
+def _worlds(
+    tree: GroundFaultTree, max_events: int
+) -> Iterator[tuple[slice, np.ndarray, dict[Key, np.ndarray]]]:
+    """All 2^N basic-event assignments in chunks, by failure bitmask.
+
+    Yields (bitmask range, basic statuses, node statuses) per chunk; the
+    rows of `bits` are the assignments of the range in order.
+    """
+    n = _check_size(tree, max_events)
+    for start in range(0, 1 << n, 1 << _CHUNK_BITS):
+        masks = slice(start, min(start + (1 << _CHUNK_BITS), 1 << n))
+        bits = _chunk_bits(n, masks.start, masks.stop)
+        yield masks, bits, _node_columns(tree, bits)
+
+
 def exact_probability(
     tree: GroundFaultTree,
     condition: Mapping[Key, bool],
@@ -160,15 +175,11 @@ def exact_probability(
     Computed by enumerating all 2^N basic-event assignments and summing
     the weights of those satisfying `condition` (True = failed).
     """
-    n = _check_size(tree, max_events)
     probs = np.array([p for _, p in tree.basics])
     total = 0.0
-    for start in range(0, 1 << n, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), 1 << n)
-        bits = _chunk_bits(n, start, stop)
-        cols = _node_columns(tree, bits)
+    for _, bits, cols in _worlds(tree, max_events):
         weights = np.where(bits, probs, 1.0 - probs).prod(axis=1)
-        sat = np.ones(stop - start, dtype=bool)
+        sat = np.ones(len(bits), dtype=bool)
         for key, must_fail in condition.items():
             sat &= cols[key] if must_fail else ~cols[key]
         total += float(weights[sat].sum())
@@ -186,15 +197,13 @@ def top_joint_probabilities(
     the values agree bit for bit; a matrix product sums in blocks and was
     an order of magnitude less accurate on the shipped example.
     """
-    n = _check_size(tree, max_events)
+    n = len(tree.basics)
     probs = np.array([p for _, p in tree.basics])
     top = 0.0
     joints = np.zeros(n)
-    for start in range(0, 1 << n, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), 1 << n)
-        bits = _chunk_bits(n, start, stop)
+    for _, bits, cols in _worlds(tree, max_events):
         weights = np.where(bits, probs, 1.0 - probs).prod(axis=1)
-        failed = _node_columns(tree, bits)[tree.top]
+        failed = cols[tree.top]
         top += float(weights[failed].sum())
         joints += [weights[failed & bits[:, j]].sum() for j in range(n)]
     return top, joints
@@ -202,12 +211,9 @@ def top_joint_probabilities(
 
 def top_failure_vector(tree: GroundFaultTree, max_events: int = DEFAULT_MAX_EVENTS) -> np.ndarray:
     """Top event status for every assignment, indexed by failure bitmask."""
-    n = _check_size(tree, max_events)
-    out = np.empty(1 << n, dtype=bool)
-    for start in range(0, 1 << n, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), 1 << n)
-        cols = _node_columns(tree, _chunk_bits(n, start, stop))
-        out[start:stop] = cols[tree.top]
+    out = np.empty(1 << _check_size(tree, max_events), dtype=bool)
+    for masks, _, cols in _worlds(tree, max_events):
+        out[masks] = cols[tree.top]
     return out
 
 

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +222,37 @@ def test_deep_chain_declared_top_first_runs(capsys, deep_chain, argv):
     code, _, err = _run(capsys, argv[0], deep_chain, *argv[1:])
     assert code == 0, err
     assert "Traceback" not in err
+
+
+MP_5_2_3 = """\
+model mp_5_2_3
+type T1 = {1, 2, 3, 4, 5}
+type T2 = {1, 2}
+basic B rate 2e-9
+basic Mg rate 3e-8
+basic M(i:T1) rate 3e-8
+basic P(i:T1) rate 5e-7
+basic D(i:T1, j:T2) rate 8e-5
+event MM(i:T1) = and(Mg, M(i))
+event DM(i:T1) = and forall(j:T2) D(i,j)
+event S(i:T1) = or(P(i), MM(i), DM(i))
+event SKN = vote(3:5) forall(i:T1) S(i)
+top TE = or(B, SKN)
+"""
+
+
+def test_posteriors_do_not_depend_on_the_hash_seed(tmp_path):
+    """Every digit of a cut set posterior is the same under any string hash seed."""
+    path = tmp_path / "mp.pft"
+    path.write_text(MP_5_2_3)
+    src = str(Path(pfta.engine.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "8"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "pfta.cli", "mcs", str(path), "--posterior",
+             "--time", "10000", "--digits", "17"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

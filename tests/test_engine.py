@@ -104,6 +104,13 @@ def test_stop_criteria_require_some_bound():
         StopCriteria(epsilon=-0.1)
 
 
+def test_exhaustive_stop_criteria_take_no_bound():
+    with pytest.raises(ValueError, match="exhaustive"):
+        StopCriteria(max_explanations=5, exhaustive=True)
+    with pytest.raises(ValueError, match="exhaustive"):
+        StopCriteria(epsilon=1e-3, exhaustive=True)
+
+
 def test_bounds_are_ordered():
     with pytest.raises(ValueError):
         ProbabilityBounds(0.5, 0.4)

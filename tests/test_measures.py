@@ -7,14 +7,12 @@ from pfta.engine import StopCriteria
 from pfta.errors import AnalysisError
 from pfta.measures import (
     attach_posteriors,
-    basic_event_posterior,
     basic_event_posteriors,
     curve_times,
-    cut_set_posterior,
-    measure_report,
     minimal_cut_sets,
     parse_instance,
     system_unreliability,
+    top_explanations,
     unreliability_curve,
 )
 from pfta.oracle import exact_probability, top_joint_probabilities, unfold
@@ -66,6 +64,12 @@ def test_negative_time_is_rejected(model):
         minimal_cut_sets(model, -1.0)
     with pytest.raises(AnalysisError, match="mission time"):
         system_unreliability(model, -1.0)
+    with pytest.raises(AnalysisError, match="mission time"):
+        attach_posteriors(model, minimal_cut_sets(model, T), -1.0)
+    with pytest.raises(AnalysisError, match="mission time"):
+        basic_event_posteriors(model, -1.0)
+    with pytest.raises(AnalysisError, match="mission time"):
+        top_explanations(model, 0.0).posterior(["B"])
 
 
 def test_curve_times_builds_an_inclusive_grid():
@@ -107,13 +111,14 @@ def test_posterior_equals_prior_over_top_probability(model):
 
 
 def test_cut_set_posterior_accepts_plain_event_sets(model):
-    value = cut_set_posterior(model, {("B", ())}, T)
+    value = top_explanations(model, T).posterior({("B", ())})
     assert value == pytest.approx(8.91e-5, abs=1e-7)
 
 
 def test_basic_event_posterior_accepts_text_labels(model):
-    assert basic_event_posterior(model, "D(1,2)", T) == pytest.approx(
-        basic_event_posterior(model, ("D", (1, 2)), T), abs=1e-15
+    table = top_explanations(model, T)
+    assert table.posterior(["D(1,2)"]) == pytest.approx(
+        table.posterior([("D", (1, 2))]), abs=1e-15
     )
 
 
@@ -123,39 +128,39 @@ def test_basic_event_posteriors_label_one_replica_per_class(model):
 
 
 def test_replicas_share_their_posterior(model):
-    disks = [basic_event_posterior(model, ("D", (i, j)), T)
-             for i in (1, 2, 3) for j in (1, 2)]
+    table = top_explanations(model, T)
+    disks = [table.posterior([("D", (i, j))]) for i in (1, 2, 3) for j in (1, 2)]
     assert max(disks) - min(disks) < 1e-12
 
 
-def test_measure_report_bundles_everything(model):
-    report = measure_report(model, T, with_posteriors=True, curve=[0.0, T])
-    assert report.model_name == "multiprocessor"
-    assert len(report.cut_sets) == 28
-    assert report.cut_sets[0].posterior is not None
-    assert report.unreliability.lower == pytest.approx(TOP_PROBABILITY, abs=1e-12)
-    assert [p.time for p in report.curve] == [0.0, T]
-    assert len(report.basic_posteriors) == 5
+def test_top_explanations_hold_the_exhaustive_measures(model):
+    table = top_explanations(model, T)
+    assert table.top == system_unreliability(model, T).lower
+    assert table.top == pytest.approx(TOP_PROBABILITY, abs=1e-12)
+    assert [p.time for p in table.curve([0.0, T])] == [0.0, T]
+    cut_sets = attach_posteriors(model, minimal_cut_sets(model, T), T)
+    assert len(cut_sets) == 28
+    assert cut_sets[0].posterior is not None
+    assert len(basic_event_posteriors(model, T)) == 5
 
 
 def test_posteriors_are_exact_under_bounded_stop_criteria(model):
-    exhaustive = measure_report(model, T, with_posteriors=True)
-    bounded = measure_report(model, T, with_posteriors=True,
-                             stop=StopCriteria(max_explanations=5))
-    assert len(bounded.cut_sets) == 5
-    expected = {c.events: c.posterior for c in exhaustive.cut_sets}
-    assert all(c.posterior == expected[c.events] for c in bounded.cut_sets)
-    assert bounded.basic_posteriors == exhaustive.basic_posteriors
-    assert bounded.unreliability.lower < exhaustive.unreliability.lower
+    bound = StopCriteria(max_explanations=5)
+    exhaustive = attach_posteriors(model, minimal_cut_sets(model, T), T)
+    bounded = attach_posteriors(model, minimal_cut_sets(model, T, bound), T)
+    assert len(bounded) == 5
+    expected = {c.events: c.posterior for c in exhaustive}
+    assert all(c.posterior == expected[c.events] for c in bounded)
+    assert system_unreliability(model, T, bound).lower < system_unreliability(model, T).lower
 
 
 def test_basic_posteriors_reject_instances_outside_the_model(model):
     with pytest.raises(AnalysisError, match="not a value of parameter j"):
-        basic_event_posterior(model, "D(1,3)", T)
+        basic_event_posteriors(model, T, ["D(1,3)"])
     with pytest.raises(AnalysisError, match="not a basic event class"):
-        basic_event_posterior(model, ("S", (1,)), T)
+        basic_event_posteriors(model, T, [("S", (1,))])
     with pytest.raises(AnalysisError, match="not a basic event class"):
-        cut_set_posterior(model, {("SKN", ())}, T)
+        top_explanations(model, T).posterior({("SKN", ())})
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -185,9 +190,10 @@ def test_posteriors_match_the_oracle_on_random_models(seed):
 
     # event sets that are not cut sets weigh explanations with open members
     keys = tree.basic_keys
+    explanations = top_explanations(model, t)
     for pair in zip(keys, keys[1:]):
         condition = {e: True for e in pair} | {tree.top: True}
-        assert cut_set_posterior(model, pair, t) == pytest.approx(
+        assert explanations.posterior(pair) == pytest.approx(
             exact_probability(tree, condition) / top, abs=1e-12)
 
 
