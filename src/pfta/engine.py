@@ -1,30 +1,40 @@
-"""Best-first abductive search for explanations of a goal conjunction.
+"""Explanations and exact probabilities of a goal conjunction.
 
-A search state is a partial SLD derivation: remaining goals, hypotheses
-assumed so far, and their probability product, which serves as the state
-priority.  States come off the frontier in nonincreasing priority order,
-so complete explanations are emitted most probable first, and the sum of
-frontier priorities bounds the probability mass still unaccounted for.
-That upper bound is probabilistically valid only for theories whose
-same-head clause bodies are disjoint (stage "disjoint"); for direct-stage
-theories it is reported as raw search mass (`sound` is False).
+Both procedures below read one grounder, `AtomTable`: it interns the
+ground atoms it meets as integers and grounds each atom once, the first
+time it is expanded, so neither unifies more than once per atom.
 
-Each search interns the ground atoms it meets as integers, and a state is
-a tuple of goal ids plus a frozenset of assumed hypothesis ids.  An atom
-is grounded once, the first time it is expanded: its clause bodies (found
-by unifying it with each clause head of its predicate as written, since
-every expanded atom is ground), its hypothesis probability and the ids of
-its declaration's other alternatives are kept and reused by every later
-state that reaches it, so no state unifies.  Bodies or goals that keep
-variables are grounded over the theory's and the goals' constants.  Atoms
-turn back into `Atom`s only in emitted explanations.
+`ExplanationSearch` is a best-first abductive search.  A search state is
+a partial SLD derivation: a tuple of remaining goal ids, a frozenset of
+assumed hypothesis ids, and their probability product, which serves as
+the state priority.  States come off the frontier in nonincreasing
+priority order, so complete explanations are emitted most probable
+first, and the sum of frontier priorities bounds the probability mass
+still unaccounted for.  That upper bound is probabilistically valid only
+for theories whose same-head clause bodies are disjoint (stage
+"disjoint"); for direct-stage theories it is reported as raw search mass
+(`sound` is False).  Atoms turn back into `Atom`s only in emitted
+explanations.
+
+`ExactEvaluator` applies the same probability rule without enumerating
+explanations, on disjoint-stage theories.  Same-head bodies are
+mutually exclusive, so P(head) is the sum of P(body) over its bodies.
+P(body) is the product of its atoms' probabilities when their supports
+(the declarations each atom depends on) are pairwise disjoint once the
+decided declarations are left out; otherwise the atoms sharing a
+declaration are split on it, summing P(alternative) * P(atoms | it
+holds) over its alternatives.  Values are memoized per (atom, the
+alternatives decided within its support), and conditioning on
+hypotheses means starting with their declarations decided, so one
+memo serves P(goals) and every conditioned query.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import Iterable, Iterator
 
 from .errors import EngineError
@@ -41,6 +51,7 @@ from .pha import (
 )
 
 DEFAULT_FRONTIER_BUDGET = 10**6
+DEFAULT_EVALUATION_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,76 @@ def _as_goal_list(goals: Atom | Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(goals)
 
 
+class AtomTable:
+    """The ground atoms met while proving `goals`, interned as integers.
+
+    An atom is grounded once, the first time it is expanded: its clause
+    bodies (found by unifying it with each clause head of its predicate as
+    written, since every expanded atom is ground), its hypothesis
+    probability and the ids of its declaration's other alternatives are
+    kept for every later use.  Bodies or goals that keep variables are
+    grounded over the theory's and the goals' constants.
+    """
+
+    def __init__(self, theory: PhaTheory, goals: tuple[Atom, ...]):
+        known = set(theory.clause_index) | {a.pred for a in theory.hypothesis_index}
+        for g in goals:
+            if g.pred not in known:
+                raise EngineError(f"unknown predicate {g.pred} in goal {format_atom(g)}")
+        self.theory = theory
+        self.goals = goals
+        self.ids: dict[Atom, int] = {}
+        self.atoms: list[Atom] = []
+        # atom id -> (clause bodies as id tuples, None or
+        # (hypothesis probability, ids of the declaration's other alternatives))
+        self.expansions: dict[int, tuple] = {}
+        self._constants: list | None = None
+
+    def intern(self, atom: Atom) -> int:
+        i = self.ids.get(atom)
+        if i is None:
+            i = self.ids[atom] = len(self.atoms)
+            self.atoms.append(atom)
+        return i
+
+    def ground(self, atoms: tuple[Atom, ...]) -> list[tuple[int, ...]]:
+        """Id tuples of the ground instances of `atoms`."""
+        if all(a.is_ground() for a in atoms):
+            return [tuple(map(self.intern, atoms))]
+        if self._constants is None:
+            constants = theory_constants(self.theory)
+            for g in self.goals:
+                constants.update(a for a in g.args if not isinstance(a, Var))
+            self._constants = sorted(constants, key=repr)
+        return [
+            tuple(map(self.intern, inst))
+            for inst in ground_instances(atoms, self._constants)
+        ]
+
+    def expand(self, goal: int) -> tuple:
+        atom = self.atoms[goal]
+        bodies: list[tuple[int, ...]] = []
+        # the goal is ground, so a clause needs no renaming apart
+        for clause in self.theory.clause_index.get(atom.pred, ()):
+            subst = unify(atom, clause.head)
+            if subst is not None:
+                bodies.extend(
+                    self.ground(tuple(apply_substitution(b, subst) for b in clause.body))
+                )
+        hyp = None
+        found = self.theory.hypothesis_index.get(atom)
+        if found is not None:
+            decl, p = found
+            others = frozenset(
+                self.intern(a)
+                for a, _ in self.theory.declarations[decl].alternatives
+                if a != atom
+            )
+            hyp = (p, others)
+        entry = self.expansions[goal] = (tuple(bodies), hyp)
+        return entry
+
+
 class ExplanationSearch(Iterator[Explanation]):
     """Iterator over explanations of `goals`, most probable first."""
 
@@ -118,71 +199,20 @@ class ExplanationSearch(Iterator[Explanation]):
         self.frontier_budget = frontier_budget
         self.sound = theory.stage == STAGE_DISJOINT
 
-        known = set(theory.clause_index) | {a.pred for a in theory.hypothesis_index}
-        for g in self.goals:
-            if g.pred not in known:
-                raise EngineError(f"unknown predicate {g.pred} in goal {format_atom(g)}")
+        self._table = table = AtomTable(theory, self.goals)
+        self._atoms = table.atoms
+        self._expansions = table.expansions
 
         self._seq = count()
         self._emitted_probs_sum = 0.0
         self._emitted_count = 0
         self._seen: set[frozenset[int]] = set()
-        self._ids: dict[Atom, int] = {}
-        self._atoms: list[Atom] = []
-        # goal id -> (clause bodies as id tuples, None or
-        # (hypothesis probability, ids of the declaration's other alternatives))
-        self._expansions: dict[int, tuple] = {}
-        self._constants: list | None = None
         # running sum of frontier priorities; `bounds` recomputes it exactly
         self._mass = 0.0
         # heap entries: (-priority, tiebreak, goal ids, assumed ids)
         self._frontier: list = []
-        for goals in self._ground(self.goals):
+        for goals in table.ground(self.goals):
             self._push(1.0, goals, frozenset())
-
-    def _intern(self, atom: Atom) -> int:
-        i = self._ids.get(atom)
-        if i is None:
-            i = self._ids[atom] = len(self._atoms)
-            self._atoms.append(atom)
-        return i
-
-    def _ground(self, atoms: tuple[Atom, ...]) -> list[tuple[int, ...]]:
-        """Id tuples of the ground instances of `atoms`."""
-        if all(a.is_ground() for a in atoms):
-            return [tuple(map(self._intern, atoms))]
-        if self._constants is None:
-            constants = theory_constants(self.theory)
-            for g in self.goals:
-                constants.update(a for a in g.args if not isinstance(a, Var))
-            self._constants = sorted(constants, key=repr)
-        return [
-            tuple(map(self._intern, inst))
-            for inst in ground_instances(atoms, self._constants)
-        ]
-
-    def _expand(self, goal: int) -> tuple:
-        atom = self._atoms[goal]
-        bodies: list[tuple[int, ...]] = []
-        # the goal is ground, so a clause needs no renaming apart
-        for clause in self.theory.clause_index.get(atom.pred, ()):
-            subst = unify(atom, clause.head)
-            if subst is not None:
-                bodies.extend(
-                    self._ground(tuple(apply_substitution(b, subst) for b in clause.body))
-                )
-        hyp = None
-        found = self.theory.hypothesis_index.get(atom)
-        if found is not None:
-            decl, p = found
-            others = frozenset(
-                self._intern(a)
-                for a, _ in self.theory.declarations[decl].alternatives
-                if a != atom
-            )
-            hyp = (p, others)
-        entry = self._expansions[goal] = (tuple(bodies), hyp)
-        return entry
 
     def _push(self, priority: float, goals: tuple[int, ...], assumed: frozenset[int]) -> None:
         if len(self._frontier) >= self.frontier_budget:
@@ -238,7 +268,7 @@ class ExplanationSearch(Iterator[Explanation]):
             # tie-break this order fixes which equal-priority state pops
             # first, hence the emission order and every sum over it
             goal, rest = goals[0], goals[1:]
-            bodies, hyp = self._expansions.get(goal) or self._expand(goal)
+            bodies, hyp = self._expansions.get(goal) or self._table.expand(goal)
             for body in bodies:
                 self._push(priority, body + rest, assumed)
             if hyp is not None:
@@ -292,21 +322,328 @@ def minimal_explanations(
                 )
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
     out: list[Explanation] = []
-    # each kept explanation is filed under one of its hypotheses, so a
-    # kept subset of a new explanation sits in the bucket of one of the
-    # new explanation's own hypotheses
-    buckets: dict[Atom, list[frozenset[Atom]]] = {}
+    kept = _KeptSets()
     for expl in search:
-        hyps = expl.hypotheses
-        if not hyps:
+        if not expl.hypotheses:
             out.append(expl)
             break  # the goals hold outright: every later explanation is a superset
-        if any(any(map(hyps.issuperset, buckets.get(h, ()))) for h in hyps):
-            continue
-        out.append(expl)
-        home = min(hyps, key=lambda h: len(buckets.get(h, ())))
-        buckets.setdefault(home, []).append(hyps)
+        if not kept.has_subset_of(expl.hypotheses):
+            out.append(expl)
+            kept.add(expl.hypotheses)
     return out
+
+
+class _KeptSets:
+    """Hypothesis sets kept so far, as bitmasks over their keep order.
+
+    Set number k is bit k of `containing[h]` for each of its hypotheses h
+    and of `by_size[its size]`.  Adding up `containing[h]` over the
+    hypotheses of a new set X, bit-sliced (plane i holds bit i of every
+    kept set's count), gives |K & X| for every kept K at once, and K is a
+    subset of X exactly when that count is |K|.
+    """
+
+    def __init__(self) -> None:
+        self.containing: dict[Atom, int] = {}
+        self.by_size: dict[int, int] = {}
+        self.count = 0
+
+    def has_subset_of(self, hyps: frozenset[Atom]) -> bool:
+        planes: list[int] = []
+        for h in hyps:
+            carry = self.containing.get(h, 0)
+            for i, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[i], carry = plane ^ carry, plane & carry
+            if carry:
+                planes.append(carry)
+        for size, sets in self.by_size.items():
+            if size >> len(planes):
+                continue  # no count reaches this size
+            for i, plane in enumerate(planes):
+                sets &= plane if size >> i & 1 else ~plane
+            if sets:
+                return True
+        return False
+
+    def add(self, hyps: frozenset[Atom]) -> None:
+        bit = 1 << self.count
+        self.count += 1
+        self.by_size[len(hyps)] = self.by_size.get(len(hyps), 0) | bit
+        for h in hyps:
+            self.containing[h] = self.containing.get(h, 0) | bit
+
+
+def _require_disjoint(theory: PhaTheory) -> None:
+    if theory.stage != STAGE_DISJOINT:
+        raise EngineError(
+            "probability requires a disjoint-stage theory; "
+            "recompile with the status-complete translation"
+        )
+
+
+class ExactEvaluator:
+    """Exact probability of `goals` on a disjoint-stage theory, by decomposition.
+
+    Every alternative of every declaration gets one bit; an atom's support
+    is the mask of the alternatives of the declarations it depends on, and
+    a context is the pair (chosen alternatives, all alternatives of the
+    decided declarations).  `budget` bounds the memo entries held plus the
+    splits made during one query; past it the query raises `EngineError`.
+    """
+
+    def __init__(
+        self,
+        theory: PhaTheory,
+        goals: Atom | Iterable[Atom],
+        budget: int = DEFAULT_EVALUATION_BUDGET,
+    ):
+        _require_disjoint(theory)
+        self.budget = budget
+        self._bit: dict[Atom, int] = {}
+        self._probs: list[float] = []
+        # per declaration: its alternatives' bits and their mask
+        self._alternatives: list[tuple[int, ...]] = []
+        self._decl_masks: list[int] = []
+        self._decl_of: list[int] = []  # per bit
+        for i, decl in enumerate(theory.declarations):
+            bits = tuple(range(len(self._probs), len(self._probs) + len(decl.alternatives)))
+            for (atom, p), bit in zip(decl.alternatives, bits):
+                self._bit[atom] = bit
+                self._probs.append(p)
+                self._decl_of.append(i)
+            self._alternatives.append(bits)
+            self._decl_masks.append(sum(1 << b for b in bits))
+        table = AtomTable(theory, _as_goal_list(goals))
+        roots = table.ground(table.goals)
+        self._index(table, roots)
+        self._roots = [(atoms, self._shared(atoms)) for atoms in roots]
+        self._memo: dict[tuple[int, int], float] = {}
+        self._splits = 0
+
+    def _index(self, table: AtomTable, roots: list[tuple[int, ...]]) -> None:
+        """Bodies and supports of every atom the goals reach, inputs first.
+
+        Each body is kept with the alternatives its atoms share: a body
+        whose supports never overlap never needs a split.
+        """
+        self._bodies: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+        self._support: dict[int, int] = {}
+        # hypothesis atoms -> (bit, mask of the declaration); leaves have no bodies
+        self._hypotheses: dict[int, tuple[int, int]] = {}
+        self._leaves: dict[int, tuple[int, int]] = {}
+
+        def children(a: int) -> Iterator[int]:
+            bodies = (table.expansions.get(a) or table.expand(a))[0]
+            return (b for body in bodies for b in body)
+
+        # post-order walk with an explicit stack: a chain of clauses may be
+        # far deeper than the recursion limit
+        pending: set[int] = set()
+        for root in (a for atoms in roots for a in atoms):
+            if root in self._support:
+                continue
+            pending.add(root)
+            stack = [(root, children(root))]
+            while stack:
+                a, rest = stack[-1]
+                for b in rest:
+                    if b in pending:
+                        raise EngineError(
+                            f"cyclic theory: {format_atom(table.atoms[b])} depends on itself"
+                        )
+                    if b not in self._support:
+                        pending.add(b)
+                        stack.append((b, children(b)))
+                        break
+                else:
+                    stack.pop()
+                    pending.discard(a)
+                    bodies = table.expansions[a][0]
+                    self._bodies[a] = tuple((body, self._shared(body)) for body in bodies)
+                    mask = 0
+                    for body in bodies:
+                        for b in body:
+                            mask |= self._support[b]
+                    atom = table.atoms[a]
+                    bit = self._bit.get(atom)
+                    if bit is not None:
+                        decl_mask = self._decl_masks[self._decl_of[bit]]
+                        mask |= decl_mask
+                        self._hypotheses[a] = (bit, decl_mask)
+                        if not bodies:
+                            self._leaves[a] = self._hypotheses[a]
+                    self._support[a] = mask
+
+    def _shared(self, atoms: tuple[int, ...]) -> int:
+        """The alternatives in the supports of two or more of `atoms`."""
+        seen = shared = 0
+        for a in atoms:
+            shared |= seen & self._support[a]
+            seen |= self._support[a]
+        return shared
+
+    def reweighted(self, probabilities: Iterable[Iterable[float]]) -> ExactEvaluator:
+        """This evaluator with new alternative probabilities and an empty memo.
+
+        `probabilities` has one row per declaration of the theory, in order,
+        with one value per alternative; the grounding is reused as it is.
+        """
+        rows = [tuple(row) for row in probabilities]
+        if [len(r) for r in rows] != [len(bits) for bits in self._alternatives]:
+            raise ValueError("one probability per declaration alternative is required")
+        out = copy.copy(self)
+        out._probs = [p for row in rows for p in row]
+        out._memo = {}
+        out._splits = 0
+        return out
+
+    def probability(self, condition: Iterable[Atom] = ()) -> float:
+        """P(goals | every hypothesis in `condition` holds).
+
+        0 when two of the hypotheses are alternatives of one declaration.
+        """
+        chosen = decided = 0
+        for atom in condition:
+            bit = self._bit.get(atom)
+            if bit is None:
+                raise EngineError(f"{format_atom(atom)} is not a hypothesis of the theory")
+            mask = self._decl_masks[self._decl_of[bit]]
+            if decided & mask and not chosen >> bit & 1:
+                return 0.0
+            chosen |= 1 << bit
+            decided |= mask
+        held = len(self._memo)
+        self._splits = 0
+        value = sum(self._run(atoms, shared, chosen, decided) for atoms, shared in self._roots)
+        # entries keyed by a conditioned alternative serve no other query
+        for key in list(islice(reversed(self._memo), len(self._memo) - held)):
+            if key[1] & chosen:
+                del self._memo[key]
+        return value
+
+    def _over_budget(self) -> EngineError:
+        return EngineError(
+            f"exact evaluation budget of {self.budget} memo entries and splits exceeded"
+        )
+
+    def _run(self, atoms: tuple[int, ...], shared: int, chosen: int, decided: int) -> float:
+        """P(atoms | context), driving the tasks below from an explicit stack.
+
+        A task is a generator that yields what it needs and is sent its
+        value: an (atom, chosen, decided) request for an atom neither a
+        leaf nor in the memo, answered by a new atom task, or a
+        conjunction task.
+        """
+        memo, support = self._memo, self._support
+        stack: list[tuple[tuple[int, int] | None, Iterator]] = [
+            (None, self._conjunction(atoms, shared, chosen, decided))
+        ]
+        value = None
+        while True:
+            key, task = stack[-1]
+            try:
+                request = task.send(value)
+            except StopIteration as done:
+                value = done.value
+                stack.pop()
+                if key is not None:
+                    memo[key] = value
+                    if len(memo) + self._splits > self.budget:
+                        raise self._over_budget() from None
+                if not stack:
+                    return value
+                continue
+            value = None
+            if type(request) is tuple:
+                a, c, d = request
+                stack.append(((a, c & support[a]), self._atom(a, c, d)))
+            else:
+                stack.append((None, request))
+
+    def _known(self, a: int, chosen: int, decided: int) -> float | None:
+        """P(atom a | context) if it is a leaf or memoized, else None."""
+        leaf = self._leaves.get(a)
+        if leaf is None:
+            return self._memo.get((a, chosen & self._support[a]))
+        bit, mask = leaf
+        return (chosen >> bit & 1) if decided & mask else self._probs[bit]
+
+    def _atom(self, a: int, chosen: int, decided: int):
+        """Task: P(atom a | context), the sum over its bodies."""
+        total = 0.0
+        for body, shared in self._bodies[a]:
+            if shared and shared & ~decided:
+                total += yield self._conjunction(body, shared, chosen, decided)
+                continue
+            value = 1.0
+            for b in body:
+                v = self._known(b, chosen, decided)
+                if v is None:
+                    v = yield (b, chosen, decided)
+                value *= v
+                if not value:
+                    break
+            total += value
+        hyp = self._hypotheses.get(a)
+        if hyp is not None:
+            bit, mask = hyp
+            total += (chosen >> bit & 1) if decided & mask else self._probs[bit]
+        return total
+
+    def _conjunction(self, atoms: tuple[int, ...], shared: int, chosen: int, decided: int):
+        """Task: P(all of atoms | context), given the alternatives they share.
+
+        Atoms whose supports overlap outside the decided declarations form
+        one part, split on the declaration of the lowest alternative bit
+        they share; every part is then independent of the others and the
+        product is exact.
+        """
+        probs = self._probs
+        if shared and shared & ~decided:
+            parts = _parts(atoms, self._support, ~decided)
+        else:
+            parts = [(0, a) for a in atoms]
+        value = 1.0
+        for part_shared, part in parts:
+            if not part_shared:
+                v = self._known(part, chosen, decided)
+                if v is None:
+                    v = yield (part, chosen, decided)
+            else:
+                self._splits += 1
+                if len(self._memo) + self._splits > self.budget:
+                    raise self._over_budget()
+                low = (part_shared & -part_shared).bit_length() - 1
+                decl = self._decl_of[low]
+                mask = self._decl_masks[decl]
+                v = 0.0
+                for bit in self._alternatives[decl]:
+                    if probs[bit]:
+                        v += probs[bit] * (yield self._conjunction(
+                            part, part_shared, chosen | 1 << bit, decided | mask))
+            value *= v
+            if not value:
+                break
+        return value
+
+
+def _parts(atoms: tuple[int, ...], support: dict[int, int], free: int) -> list:
+    """Group atoms into parts of overlapping free support.
+
+    Returns (shared alternatives, atom) for a lone atom, whose shared mask
+    is 0, and (shared alternatives, atom tuple) for a part of several.
+    """
+    groups: list[list] = []  # [free support, shared, atoms]
+    for a in atoms:
+        s = support[a] & free
+        group = [s, 0, (a,)]
+        for g in [g for g in groups if g[0] & s]:
+            groups.remove(g)
+            group = [group[0] | g[0], group[1] | g[1] | (g[0] & group[0]), g[2] + group[2]]
+        groups.append(group)
+    return [(shared, members if shared else members[0]) for _, shared, members in groups]
 
 
 def probability(
@@ -314,18 +651,19 @@ def probability(
     goals: Atom | Iterable[Atom],
     stop: StopCriteria = EXHAUSTIVE,
     frontier_budget: int = DEFAULT_FRONTIER_BUDGET,
+    evaluation_budget: int = DEFAULT_EVALUATION_BUDGET,
 ) -> ProbabilityBounds:
     """Bounds on the probability of the goal conjunction.
 
     Only meaningful for disjoint-stage theories, where explanations are
-    mutually exclusive events and the frontier mass is a sound bound on
-    what remains.
+    mutually exclusive events.  Exhaustive stop criteria give the exact
+    value of `ExactEvaluator` as a point interval; bounded ones search,
+    and the frontier mass is a sound bound on what remains.
     """
-    if theory.stage != STAGE_DISJOINT:
-        raise EngineError(
-            "probability requires a disjoint-stage theory; "
-            "recompile with the status-complete translation"
-        )
+    _require_disjoint(theory)
+    if stop.exhaustive:
+        p = min(ExactEvaluator(theory, goals, evaluation_budget).probability(), 1.0)
+        return ProbabilityBounds(p, p)
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
     for _ in search:
         pass

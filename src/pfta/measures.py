@@ -2,33 +2,31 @@
 
 Qualitative results (minimal cut sets) come from the direct translation;
 quantitative ones (unreliability, posteriors, curves) from the
-status-complete translation, whose explanations of the top event are
-mutually exclusive partial assignments of the basic events.  One
-exhaustive search of it gives a `TopExplanations` table, and every exact
-measure reads that table.  P(E1..Ek and top) is the sum over the
-explanations of P(expl) times, per member, 1 if the explanation holds it
-failed, 0 if working and P(Ei failed) if it leaves it open; a basic event
-is a one-member cut set.  The explanation set does not depend on the
-mission time (every declaration is emitted at any time and the
-exhaustive search prunes nothing), so an exhaustive curve reweights the
-rows of one table at each grid time.  Bounded unreliability and curves
-search with their stop criteria instead.
+status-complete translation, whose same-head clause bodies are mutually
+exclusive.  Every exact measure is evaluated on that theory by
+decomposition (`ExactEvaluator`), without enumerating explanations:
+P(top) directly, the posterior of failed events E1..Ek as
+P(E1..Ek) * P(top | E1..Ek failed) / P(top) from the same evaluator, and
+the posterior of a minimal cut set, which entails the top event, as its
+prior over P(top).  The theory's clauses do not depend on the mission
+time, so an exhaustive curve grounds them once and reweights the
+declarations at each time.  Bounded unreliability and curves search with
+their stop criteria instead.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .compile import CompileOptions, compile_direct, compile_disjoint, predicate_name
 from .engine import (
     EXHAUSTIVE,
+    ExactEvaluator,
     ProbabilityBounds,
     StopCriteria,
-    explain,
     minimal_explanations,
     probability,
 )
@@ -40,7 +38,7 @@ from .model import (
     failure_probability,
     format_instance,
 )
-from .pha import Atom, STATUS_FAILED
+from .pha import Atom, PhaTheory, STATUS_FAILED
 
 
 @dataclass(frozen=True)
@@ -52,6 +50,10 @@ class CutSet:
     posterior: float | None = None
 
     def rendered(self) -> tuple[str, ...]:
+        return self._rendered
+
+    @cached_property
+    def _rendered(self) -> tuple[str, ...]:
         return tuple(format_instance(k) for k in sorted(self.events))
 
 
@@ -130,73 +132,58 @@ def minimal_cut_sets(
 
 
 @dataclass(frozen=True)
-class TopExplanations:
-    """Every stage-2 explanation of the top event at time `t`.
+class TopEvent:
+    """The exact top-event probability of a model at time `t`, and its posteriors.
 
-    Each row is (probability, failed events, working events); `top` is the
-    sum of the probabilities in emission order, i.e. the exhaustive
-    unreliability bit for bit.  Every exact posterior and every exhaustive
-    curve point is read off these rows.
+    One evaluator of the stage-2 theory answers P(top) and every
+    conditioned query, so its memo is shared by all of them.
     """
 
     model: PftModel
     t: float
-    top: float
-    rows: tuple[tuple[float, frozenset[GroundEvent], frozenset[GroundEvent]], ...]
+    evaluator: ExactEvaluator
+    probability: float
 
     def posterior(self, events: Iterable[GroundEvent | str]) -> float:
         """P(every one of `events` failed | top event) at time `t`.
 
-        An explanation contributes its probability times 1 per member it
-        holds failed, 0 if it holds one working, and P(e failed) per member
-        it leaves open; the factors multiply in sorted member order.
+        That is the product of their failure probabilities, times
+        P(top | they failed), over P(top); members multiply in sorted order.
         """
         keys = sorted({_as_instance(self.model, e) for e in events})
-        _require_positive_time(self.t)
-        if self.top <= 0.0:
-            raise AnalysisError("posterior undefined: system unreliability is 0")
-        probs = {e: failure_probability(self.model.rate_map[e[0]], self.t) for e in keys}
-        joint = 0.0
-        for prob, failed, working in self.rows:
-            if working.isdisjoint(keys):
-                for e in keys:
-                    if e not in failed:
-                        prob *= probs[e]
-                joint += prob
-        return joint / self.top
-
-    def curve(self, times: Sequence[float]) -> list[UnreliabilityPoint]:
-        """Exact unreliability at each time, by reweighting the rows."""
-        rates = self.model.rate_map
-        column = {name: i for i, name in enumerate(rates)}
-        # counts[e, 0, c] / counts[e, 1, c]: failed / working events of class c
-        counts = np.zeros((len(self.rows), 2, len(rates)))
-        for row, (_, failed, working) in zip(counts, self.rows):
-            for name, _ in failed:
-                row[0, column[name]] += 1
-            for name, _ in working:
-                row[1, column[name]] += 1
-        points = []
-        for t in times:
-            p = np.array([failure_probability(lam, t) for lam in rates.values()])
-            value = float((np.stack([p, 1.0 - p]) ** counts).prod(axis=(1, 2)).sum())
-            value = min(value, 1.0)
-            points.append(UnreliabilityPoint(t, ProbabilityBounds(value, value)))
-        return points
+        prior = 1.0
+        for name, _ in keys:
+            prior *= failure_probability(self.model.rate_map[name], self.t)
+        failed = [Atom(predicate_name(name), values + (STATUS_FAILED,)) for name, values in keys]
+        return _posterior(prior * min(self.evaluator.probability(failed), 1.0), self.probability)
 
 
-def top_explanations(model: PftModel, t: float) -> TopExplanations:
-    """One exhaustive search of the stage-2 theory for the top event."""
-    result = explain(compile_disjoint(model, t), top_atom(model))
-    names = _class_names(model)
-    rows = []
-    for expl in result.explanations:
-        failed, working = [], []
-        for a in expl.hypotheses:
-            key = (names[a.pred], a.args[:-1])
-            (failed if a.args[-1] == STATUS_FAILED else working).append(key)
-        rows.append((expl.prob, frozenset(failed), frozenset(working)))
-    return TopExplanations(model, t, result.bounds.lower, tuple(rows))
+def _posterior(joint: float, top: float) -> float:
+    if top <= 0.0:
+        raise AnalysisError("posterior undefined: system unreliability is 0")
+    return joint / top
+
+
+def top_event(model: PftModel, t: float) -> TopEvent:
+    """Exact P(top) at time `t` > 0, from the stage-2 theory without a search."""
+    _require_positive_time(t)
+    evaluator = ExactEvaluator(compile_disjoint(model, t), top_atom(model))
+    return TopEvent(model, t, evaluator, min(evaluator.probability(), 1.0))
+
+
+def _declaration_probabilities(
+    model: PftModel, theory: PhaTheory, t: float
+) -> list[tuple[float, ...]]:
+    """Alternative probabilities of the stage-2 declarations at time `t`."""
+    failed = {
+        predicate_name(name): failure_probability(rate, t)
+        for name, rate in model.rate_map.items()
+    }
+    return [
+        tuple(failed[a.pred] if a.args[-1] == STATUS_FAILED else 1.0 - failed[a.pred]
+              for a, _ in decl.alternatives)
+        for decl in theory.declarations
+    ]
 
 
 def _labeled(
@@ -233,8 +220,9 @@ def unreliability_curve(
 ) -> list[UnreliabilityPoint]:
     """Unreliability at each requested mission time.
 
-    An exhaustive curve costs one search; a bounded one searches once per
-    time, so that the stop criteria hold at every point.
+    An exhaustive curve grounds the stage-2 theory once and evaluates it
+    exactly at each time; a bounded one searches once per time, so that the
+    stop criteria hold at every point.
     """
     for t in times:
         if t != 0:
@@ -243,7 +231,18 @@ def unreliability_curve(
         return [UnreliabilityPoint(t, system_unreliability(model, t, stop)) for t in times]
     if not times:
         return []
-    return top_explanations(model, max(times)).curve(times)
+    # the theory's clauses do not depend on the time: ground them once and
+    # only reweight the declarations at each point
+    theory = compile_disjoint(model, max(times))
+    evaluator = ExactEvaluator(theory, top_atom(model))
+    points = []
+    for t in times:
+        value = 0.0
+        if t != 0:
+            reweighted = evaluator.reweighted(_declaration_probabilities(model, theory, t))
+            value = min(reweighted.probability(), 1.0)
+        points.append(UnreliabilityPoint(t, ProbabilityBounds(value, value)))
+    return points
 
 
 def curve_times(t_from: float, t_to: float, step: float) -> list[float]:
@@ -268,7 +267,7 @@ def basic_event_posteriors(
     t: float,
     instances: Iterable[GroundEvent | str] | None = None,
 ) -> list[tuple[str, float]]:
-    """Posterior table of basic events, all rows from one search.
+    """Posterior table of basic events, all rows from one evaluator.
 
     By default there is one row per class, computed on its first replica
     and labeled with the class and its formal parameter names, e.g.
@@ -277,9 +276,8 @@ def basic_event_posteriors(
     there is one row per ground instance instead, labeled e.g. `D(1,2)`.
     """
     labeled = _labeled(model, instances)
-    _require_positive_time(t)
-    table = top_explanations(model, t)
-    return [(label, table.posterior([key])) for label, key in labeled]
+    top = top_event(model, t)
+    return [(label, top.posterior([key])) for label, key in labeled]
 
 
 def attach_posteriors(
@@ -287,11 +285,10 @@ def attach_posteriors(
 ) -> list[CutSet]:
     """Return the cut sets with their posterior weights filled in.
 
-    The posteriors are exact even when the cut sets came from a bounded
-    search.
+    A minimal cut set entails the top event, so its posterior is its prior
+    over the exact P(top), even when the cut sets came from a bounded search.
     """
     if not cut_sets:
         return []
-    _require_positive_time(t)
-    table = top_explanations(model, t)
-    return [CutSet(c.events, c.prior, table.posterior(c.events)) for c in cut_sets]
+    top = top_event(model, t).probability
+    return [CutSet(c.events, c.prior, _posterior(c.prior, top)) for c in cut_sets]

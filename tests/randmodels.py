@@ -62,3 +62,22 @@ def random_model(seed: int) -> tuple[PftModel, float]:
     violations = validate(model)
     assert not violations, violations
     return model, t
+
+
+def multiprocessor(n: int, m: int, k: int) -> PftModel:
+    """The shipped multiprocessor template with n subsystems of m disks, vote(k:n)."""
+    return parse_model(f"""
+model mp_{n}_{m}_{k}
+type T1 = {{{", ".join(str(i) for i in range(1, n + 1))}}}
+type T2 = {{{", ".join(str(j) for j in range(1, m + 1))}}}
+basic B rate 2e-9
+basic Mg rate 3e-8
+basic M(i:T1) rate 3e-8
+basic P(i:T1) rate 5e-7
+basic D(i:T1, j:T2) rate 8e-5
+event MM(i:T1) = and(Mg, M(i))
+event DM(i:T1) = and forall(j:T2) D(i,j)
+event S(i:T1) = or(P(i), MM(i), DM(i))
+event SKN = vote({k}:{n}) forall(i:T1) S(i)
+top TE = or(B, SKN)
+""")

@@ -23,7 +23,7 @@ from pfta.measures import (
     minimal_cut_sets,
     system_unreliability,
     top_atom,
-    top_explanations,
+    top_event,
     unreliability_curve,
 )
 from pfta.oracle import exact_probability, prime_implicants, unfold
@@ -134,11 +134,11 @@ def test_criterion_6_basic_event_posteriors(model):
     assert table["Mg"] == pytest.approx(PUBLISHED_BASIC_POSTERIORS["Mg"], abs=FINE_TOL)
     assert table["B"] == pytest.approx(PUBLISHED_BASIC_POSTERIORS["B"], abs=FINE_TOL)
 
-    explanations = top_explanations(model, T)
+    top = top_event(model, T)
     for replicas in ([("D", (i, j)) for i in (1, 2, 3) for j in (1, 2)],
                      [("P", (i,)) for i in (1, 2, 3)],
                      [("M", (i,)) for i in (1, 2, 3)]):
-        values = [explanations.posterior([key]) for key in replicas]
+        values = [top.posterior([key]) for key in replicas]
         assert max(values) - min(values) <= SYMMETRY_TOL
     print("criterion 6 PASS: component posteriors match; replicas symmetric")
 

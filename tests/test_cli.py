@@ -158,27 +158,28 @@ def test_bad_flags_exit_through_argparse(capsys):
 
 
 @pytest.mark.parametrize("argv, searches", [
-    (("mcs", "--posterior"), 2),
-    (("mcs", "--posterior", "--max-explanations", "5"), 2),
-    (("posterior",), 1),
-    (("posterior", "--basic", "D(1,2)"), 1),
-    (("curve", "--from", "0", "--to", "20000", "--step", "2000"), 1),
-    (("oracle",), 2),
+    (("mcs", "--posterior"), 1),
+    (("mcs", "--posterior", "--max-explanations", "5"), 1),
+    (("posterior",), 0),
+    (("posterior", "--basic", "D(1,2)"), 0),
+    (("curve", "--from", "0", "--to", "20000", "--step", "2000"), 0),
+    (("oracle",), 1),
 ], ids=["mcs-posterior", "mcs-posterior-bounded", "posterior", "posterior-basic", "curve",
         "oracle"])
 def test_each_analysis_runs_one_search_per_theory(capsys, monkeypatch, argv, searches):
-    started = []
-    original = pfta.engine.ExplanationSearch.__init__
-
-    def counting(self, *args, **kwargs):
-        started.append(1)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(pfta.engine.ExplanationSearch, "__init__", counting)
+    # exact measures search nothing: one evaluator grounds the stage-2
+    # theory once, for every time and every conditioned query
+    started = {"search": 0, "evaluator": 0}
+    for name, cls in (("search", pfta.engine.ExplanationSearch),
+                      ("evaluator", pfta.engine.ExactEvaluator)):
+        def counting(self, *args, _name=name, _original=cls.__init__, **kwargs):
+            started[_name] += 1
+            _original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
     time = () if argv[0] == "curve" else ("--time", "10000")
     code, _, err = _run(capsys, argv[0], MODEL, *time, *argv[1:])
     assert code == 0, err
-    assert len(started) == searches
+    assert started == {"search": searches, "evaluator": 1}
 
 
 def test_oracle_on_a_deep_chain_names_the_enumeration_bound(capsys, tmp_path):
@@ -217,7 +218,12 @@ def deep_chain(tmp_path_factory):
     ["compile", "--stage", "2", "--time", "10000"],
     ["mcs", "--max-explanations", "3", "--time", "10000"],
     ["unrel", "--max-explanations", "3", "--time", "10000"],
-], ids=["validate", "compile-1", "compile-2", "mcs", "unrel"])
+    ["unrel", "--time", "10000"],
+    # X1 sits at the bottom: conditioning on it re-evaluates every level
+    ["posterior", "--basic", "X1", "--time", "10000"],
+    ["curve", "--from", "0", "--to", "20000", "--step", "5000"],
+], ids=["validate", "compile-1", "compile-2", "mcs", "unrel", "unrel-exact", "posterior",
+        "curve"])
 def test_deep_chain_declared_top_first_runs(capsys, deep_chain, argv):
     code, _, err = _run(capsys, argv[0], deep_chain, *argv[1:])
     assert code == 0, err

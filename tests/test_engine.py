@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from pfta.compile import compile_direct, compile_disjoint
+from pfta.dsl import parse_model
 from pfta.engine import (
     EXHAUSTIVE,
+    ExactEvaluator,
     Explanation,
     ExplanationSearch,
     ProbabilityBounds,
@@ -14,16 +18,20 @@ from pfta.engine import (
     probability,
 )
 from pfta.errors import EngineError
+from pfta.measures import top_atom
+from pfta.oracle import exact_probability, unfold
 from pfta.pha import (
     Atom,
     Clause,
     DisjointDeclaration,
     PhaTheory,
     STAGE_DIRECT,
+    STAGE_DISJOINT,
     Var,
     format_atom,
     parse_theory,
 )
+from randmodels import multiprocessor
 
 T = 1e4
 TE = Atom("te", ())
@@ -316,3 +324,160 @@ def test_a_goal_that_holds_outright_is_the_only_minimal_explanation():
     )
     result = minimal_explanations(theory, GOAL)
     assert [(e.hypotheses, e.prob) for e in result] == [(frozenset(), 1.0)]
+
+
+@pytest.mark.parametrize("n, m, k", [(3, 2, 2), (4, 2, 3), (5, 2, 3), (5, 3, 3), (6, 2, 4)])
+def test_evaluator_agrees_with_the_exhaustive_search(n, m, k):
+    model = multiprocessor(n, m, k)
+    theory = compile_disjoint(model, T)
+    searched = explain(theory, TE).bounds.lower
+    value = ExactEvaluator(theory, TE).probability()
+    assert value == pytest.approx(searched, abs=1e-12)
+    assert probability(theory, TE) == ProbabilityBounds(value, value)
+
+
+# A basic event feeding two gates: the top event's bodies share it, and
+# the voting cells share `G` through every replica of `S`.
+SHARED_INPUT = """
+model shared
+type T = {1, 2, 3}
+basic A rate 4e-5
+basic B rate 7e-5
+basic C rate 2e-5
+basic G rate 3e-5
+basic P(i:T) rate 9e-5
+event G1 = and(A, B)
+event G2 = and(A, C)
+event S(i:T) = or(P(i), G)
+event V = vote(2:3) forall(i:T) S(i)
+top TE = or(G1, G2, V)
+"""
+
+
+def test_evaluator_splits_on_an_event_feeding_two_gates():
+    model = parse_model(SHARED_INPUT)
+    theory = compile_disjoint(model, T)
+    tree = unfold(model, T)
+    value = ExactEvaluator(theory, TE).probability()
+    assert value == pytest.approx(exact_probability(tree, {tree.top: True}), abs=1e-12)
+    assert value == pytest.approx(explain(theory, TE).bounds.lower, abs=1e-12)
+
+
+def test_evaluator_counts_the_same_event_twice_in_one_body_once():
+    theory = _theory(
+        [Clause(GOAL, (Atom("a", ()), Atom("c", ()), Atom("a", ())))],
+        [_decl(("a", 0.5), ("x", 0.5)), _decl(("c", 0.2), ("y", 0.8))],
+        STAGE_DISJOINT,
+    )
+    assert ExactEvaluator(theory, GOAL).probability() == pytest.approx(0.1, abs=1e-15)
+    assert ExactEvaluator(theory, GOAL).probability([Atom("x", ())]) == 0.0
+
+
+def test_conditioned_queries_match_the_oracle(model):
+    theory = compile_disjoint(model, T)
+    tree = unfold(model, T)
+    evaluator = ExactEvaluator(theory, TE)
+    probs = dict(tree.basics)
+    for (name, values), p in tree.basics:
+        pred = name.lower()
+        failed = evaluator.probability([Atom(pred, values + ("f",))])
+        working = evaluator.probability([Atom(pred, values + ("w",))])
+        key = (name, values)
+        assert p * failed == pytest.approx(
+            exact_probability(tree, {key: True, tree.top: True}), abs=1e-12)
+        assert (1 - p) * working == pytest.approx(
+            exact_probability(tree, {key: False, tree.top: True}), abs=1e-12)
+    both = [Atom("d", (1, 1, "f")), Atom("mg", ("f",))]
+    joint = probs[("D", (1, 1))] * probs[("Mg", ())] * evaluator.probability(both)
+    assert joint == pytest.approx(exact_probability(
+        tree, {("D", (1, 1)): True, ("Mg", ()): True, tree.top: True}), abs=1e-12)
+    # two alternatives of one declaration cannot both hold
+    assert evaluator.probability([Atom("b", ("f",)), Atom("b", ("w",))]) == 0.0
+    with pytest.raises(EngineError, match="not a hypothesis"):
+        evaluator.probability([Atom("skn", ("f",))])
+
+
+def test_conditioned_queries_leave_only_reusable_memo_entries(model):
+    evaluator = ExactEvaluator(compile_disjoint(model, T), TE)
+    top = evaluator.probability()
+    held = len(evaluator._memo)
+    for i in (1, 2, 3):
+        evaluator.probability([Atom("p", (i, "f"))])
+    assert len(evaluator._memo) == held
+    assert evaluator.probability() == top
+
+
+def test_reweighted_evaluator_matches_a_recompiled_theory(model):
+    evaluator = ExactEvaluator(compile_disjoint(model, T), TE)
+    later = compile_disjoint(model, 3 * T)
+    rows = [tuple(p for _, p in decl.alternatives) for decl in later.declarations]
+    assert evaluator.reweighted(rows).probability() == pytest.approx(
+        ExactEvaluator(later, TE).probability(), abs=1e-15)
+    with pytest.raises(ValueError, match="alternative"):
+        evaluator.reweighted(rows[1:])
+
+
+def test_evaluation_budget_is_enforced(model):
+    theory = compile_disjoint(model, T)
+    with pytest.raises(EngineError, match="evaluation budget of 5 "):
+        probability(theory, TE, evaluation_budget=5)
+    with pytest.raises(EngineError, match="evaluation budget of 20 "):
+        ExactEvaluator(theory, TE, budget=20).probability()
+
+
+def test_evaluator_rejects_direct_stage_and_cyclic_theories(model):
+    with pytest.raises(EngineError, match="disjoint-stage"):
+        ExactEvaluator(compile_direct(model, T), TE)
+    cyclic = _theory(
+        [Clause(GOAL, (Atom("h", ()),)), Clause(Atom("h", ()), (GOAL, Atom("a", ())))],
+        [_decl(("a", 0.5), ("x", 0.5))],
+        STAGE_DISJOINT,
+    )
+    with pytest.raises(EngineError, match="cyclic"):
+        ExactEvaluator(cyclic, GOAL)
+
+
+def test_evaluator_runs_on_a_chain_deeper_than_the_recursion_limit():
+    depth = 3000
+    lines = ["model chain", "basic A rate 1e-6"]
+    lines += [f"basic X{i} rate 1e-6" for i in range(1, depth + 1)]
+    prev = "A"
+    for i in range(1, depth):
+        lines.append(f"event C{i} = or({prev}, X{i})")
+        prev = f"C{i}"
+    lines.append(f"top C{depth} = or({prev}, X{depth})")
+    model = parse_model("\n".join(lines) + "\n")
+    evaluator = ExactEvaluator(compile_disjoint(model, 1.0), top_atom(model))
+    q = -math.expm1(-1e-6)  # P(one event failed by t = 1)
+    assert evaluator.probability() == pytest.approx(1 - (1 - q) ** (depth + 1), rel=1e-9)
+
+
+def _brute_force_minimal(theory, goal):
+    kept = []
+    for expl in ExplanationSearch(theory, goal):
+        if not any(k.hypotheses <= expl.hypotheses for k in kept):
+            kept.append(expl)
+    return kept
+
+
+# Supersets of minimal explanations: {A, B} of {A}, and {G, P(i)} of {G}.
+ABSORBED = """
+model absorbed
+type T = {1, 2, 3}
+basic A rate 4e-5
+basic B rate 7e-5
+basic G rate 3e-5
+basic P(i:T) rate 9e-5
+event H = and(A, B)
+event S(i:T) = or(P(i), G)
+event V = vote(2:3) forall(i:T) S(i)
+top TE = or(H, A, V)
+"""
+
+
+def test_minimal_explanations_match_a_brute_force_filter():
+    for model in (multiprocessor(5, 2, 3), parse_model(ABSORBED)):
+        theory = compile_direct(model, T)
+        assert minimal_explanations(theory, TE) == _brute_force_minimal(theory, TE)
+    emitted = list(ExplanationSearch(theory, TE))
+    assert len(_brute_force_minimal(theory, TE)) < len(emitted)  # supersets were dropped

@@ -12,7 +12,7 @@ from pfta.measures import (
     minimal_cut_sets,
     parse_instance,
     system_unreliability,
-    top_explanations,
+    top_event,
     unreliability_curve,
 )
 from pfta.oracle import exact_probability, top_joint_probabilities, unfold
@@ -69,7 +69,7 @@ def test_negative_time_is_rejected(model):
     with pytest.raises(AnalysisError, match="mission time"):
         basic_event_posteriors(model, -1.0)
     with pytest.raises(AnalysisError, match="mission time"):
-        top_explanations(model, 0.0).posterior(["B"])
+        top_event(model, 0.0).posterior(["B"])
 
 
 def test_curve_times_builds_an_inclusive_grid():
@@ -111,14 +111,14 @@ def test_posterior_equals_prior_over_top_probability(model):
 
 
 def test_cut_set_posterior_accepts_plain_event_sets(model):
-    value = top_explanations(model, T).posterior({("B", ())})
+    value = top_event(model, T).posterior({("B", ())})
     assert value == pytest.approx(8.91e-5, abs=1e-7)
 
 
 def test_basic_event_posterior_accepts_text_labels(model):
-    table = top_explanations(model, T)
-    assert table.posterior(["D(1,2)"]) == pytest.approx(
-        table.posterior([("D", (1, 2))]), abs=1e-15
+    top = top_event(model, T)
+    assert top.posterior(["D(1,2)"]) == pytest.approx(
+        top.posterior([("D", (1, 2))]), abs=1e-15
     )
 
 
@@ -128,16 +128,16 @@ def test_basic_event_posteriors_label_one_replica_per_class(model):
 
 
 def test_replicas_share_their_posterior(model):
-    table = top_explanations(model, T)
-    disks = [table.posterior([("D", (i, j))]) for i in (1, 2, 3) for j in (1, 2)]
+    top = top_event(model, T)
+    disks = [top.posterior([("D", (i, j))]) for i in (1, 2, 3) for j in (1, 2)]
     assert max(disks) - min(disks) < 1e-12
 
 
-def test_top_explanations_hold_the_exhaustive_measures(model):
-    table = top_explanations(model, T)
-    assert table.top == system_unreliability(model, T).lower
-    assert table.top == pytest.approx(TOP_PROBABILITY, abs=1e-12)
-    assert [p.time for p in table.curve([0.0, T])] == [0.0, T]
+def test_top_event_holds_the_exhaustive_measures(model):
+    top = top_event(model, T)
+    assert top.probability == system_unreliability(model, T).lower
+    assert top.probability == pytest.approx(TOP_PROBABILITY, abs=1e-12)
+    assert [p.time for p in unreliability_curve(model, [0.0, T])] == [0.0, T]
     cut_sets = attach_posteriors(model, minimal_cut_sets(model, T), T)
     assert len(cut_sets) == 28
     assert cut_sets[0].posterior is not None
@@ -160,7 +160,7 @@ def test_basic_posteriors_reject_instances_outside_the_model(model):
     with pytest.raises(AnalysisError, match="not a basic event class"):
         basic_event_posteriors(model, T, [("S", (1,))])
     with pytest.raises(AnalysisError, match="not a basic event class"):
-        top_explanations(model, T).posterior({("SKN", ())})
+        top_event(model, T).posterior({("SKN", ())})
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -188,12 +188,12 @@ def test_posteriors_match_the_oracle_on_random_models(seed):
         assert cs.posterior == pytest.approx(
             exact_probability(tree, condition) / top, abs=1e-12)
 
-    # event sets that are not cut sets weigh explanations with open members
+    # event sets that are not cut sets need P(top | both failed)
     keys = tree.basic_keys
-    explanations = top_explanations(model, t)
+    exact_top = top_event(model, t)
     for pair in zip(keys, keys[1:]):
         condition = {e: True for e in pair} | {tree.top: True}
-        assert explanations.posterior(pair) == pytest.approx(
+        assert exact_top.posterior(pair) == pytest.approx(
             exact_probability(tree, condition) / top, abs=1e-12)
 
 

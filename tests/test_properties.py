@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from randmodels import random_model
 from pfta.compile import compile_disjoint
-from pfta.engine import EXHAUSTIVE, ExplanationSearch
+from pfta.engine import EXHAUSTIVE, ExactEvaluator, ExplanationSearch, explain
 from pfta.measures import minimal_cut_sets, system_unreliability, top_atom
 from pfta.model import failure_probability
 from pfta.oracle import exact_probability, prime_implicants, unfold
-from pfta.pha import check_assumptions
+from pfta.pha import Atom, check_assumptions
 
 AGREEMENT_TOL = 1e-9
 BATTERY_SEEDS = range(60)
@@ -51,6 +51,26 @@ def test_search_and_enumeration_agree_on_random_models(seed):
 
     cut_sets = {c.events for c in minimal_cut_sets(model, t)}
     assert cut_sets == set(prime_implicants(tree))
+
+
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_evaluator_agrees_with_oracle_and_search_on_random_models(seed):
+    model, t = random_model(seed)
+    tree = unfold(model, t)
+    theory = compile_disjoint(model, t)
+    evaluator = ExactEvaluator(theory, top_atom(model))
+    value = evaluator.probability()
+    assert value == pytest.approx(exact_probability(tree, {tree.top: True}), abs=AGREEMENT_TOL)
+    assert value == pytest.approx(explain(theory, top_atom(model)).bounds.lower, abs=1e-12)
+
+    # conditioned on each basic event failed, and on consecutive pairs
+    probs = dict(tree.basics)
+    keys = tree.basic_keys
+    for group in [(k,) for k in keys] + list(zip(keys, keys[1:])):
+        failed = [Atom(name.lower(), values + ("f",)) for name, values in group]
+        joint = math.prod(probs[k] for k in group) * evaluator.probability(failed)
+        condition = {k: True for k in group} | {tree.top: True}
+        assert joint == pytest.approx(exact_probability(tree, condition), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 6))
