@@ -1,8 +1,9 @@
 """Translate parametric fault trees into probabilistic Horn theories.
 
-Two translations share the same disjoint declarations (one per ground
-basic event, working/failed alternatives at the mission time) and differ
-in clause discipline:
+Two translations share the same disjoint declarations, `declarations`
+(one per ground basic event, working/failed alternatives at the mission
+time), and differ in clause discipline.  Both take each gate's inputs in
+the order the model declares them:
 
 * `compile_direct` emits one clause per disjunct, keeping parameters as
   clause variables wherever possible.  Same-head bodies may overlap, so
@@ -16,13 +17,11 @@ in clause discipline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ModelInvalidError
 from .model import (
-    EventRef,
     Gate,
     KIND_BASIC,
     KIND_TOP,
@@ -44,13 +43,6 @@ from .pha import (
 )
 
 
-@dataclass(frozen=True)
-class CompileOptions:
-    """Per-gate input ordering overrides: output class -> input class order."""
-
-    input_order: Mapping[str, Sequence[str]] | None = None
-
-
 def predicate_name(class_name: str) -> str:
     return class_name.lower()
 
@@ -58,16 +50,6 @@ def predicate_name(class_name: str) -> str:
 def _head_terms(model: PftModel, class_name: str) -> tuple:
     ev = model.event_map[class_name]
     return tuple(Var(p.upper()) for p in ev.formal_params)
-
-
-def _ordered_inputs(gate: Gate, options: CompileOptions | None) -> tuple[EventRef, ...]:
-    if options is None or not options.input_order:
-        return gate.inputs
-    order = options.input_order.get(gate.output)
-    if order is None:
-        return gate.inputs
-    ranking = {name: i for i, name in enumerate(order)}
-    return tuple(sorted(gate.inputs, key=lambda r: ranking.get(r.event, len(ranking))))
 
 
 def expand_kofn(
@@ -93,7 +75,12 @@ def expand_kofn(
     return [tuple(group) for group in combinations(replicas, q)]
 
 
-def _declarations(model: PftModel, t: float) -> tuple[DisjointDeclaration, ...]:
+def declarations(model: PftModel, t: float) -> tuple[DisjointDeclaration, ...]:
+    """One declaration per ground basic event, working then failed at time `t`.
+
+    Both translations share these, in model order; they are also what an
+    evaluator of either theory is reweighted with at another time.
+    """
     decls = []
     for ev in model.events:
         if ev.kind != KIND_BASIC:
@@ -120,9 +107,7 @@ def _direct_atom(model: PftModel, event: str, args: tuple) -> Atom:
     return Atom(predicate_name(event), args)
 
 
-def compile_direct(
-    model: PftModel, t: float, options: CompileOptions | None = None
-) -> PhaTheory:
+def compile_direct(model: PftModel, t: float) -> PhaTheory:
     """Direct clause translation (stage 1): cut set oriented."""
     require_valid(model)
     clauses: list[Clause] = []
@@ -132,16 +117,15 @@ def compile_direct(
         gate = model.gate_map[ev.class_name]
         head = Atom(predicate_name(ev.class_name), _head_terms(model, ev.class_name))
         outer = {p: v for p, v in zip(ev.formal_params, head.args)}
-        inputs = _ordered_inputs(gate, options)
         if gate.kind == "or":
             # one clause per input: its replica indices stay clause variables
-            for ref in inputs:
+            for ref in gate.inputs:
                 args = tuple(a if isinstance(a, int) else Var(a.upper()) for a in ref.args)
                 clauses.append(Clause(head, (_direct_atom(model, ref.event, args),)))
         elif gate.kind == "and":
             body = tuple(
                 _direct_atom(model, ref.event, args)
-                for ref in inputs
+                for ref in gate.inputs
                 for args in instantiate(model, ref, outer)
             )
             clauses.append(Clause(head, body))
@@ -149,7 +133,7 @@ def compile_direct(
             for group in expand_kofn(model, gate, outer):
                 body = [_direct_atom(model, event, args) for event, args in group]
                 clauses.append(Clause(head, tuple(body)))
-    return PhaTheory(tuple(clauses), _declarations(model, t), STAGE_DIRECT)
+    return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DIRECT)
 
 
 def _split_cells(kind: str, k: int | None, n: int) -> list[tuple[str, list[tuple[int, str]]]]:
@@ -182,9 +166,7 @@ def _split_cells(kind: str, k: int | None, n: int) -> list[tuple[str, list[tuple
     return cells
 
 
-def compile_disjoint(
-    model: PftModel, t: float, options: CompileOptions | None = None
-) -> PhaTheory:
+def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
     """Status-complete translation (stage 2): probability oriented."""
     require_valid(model)
     clauses: list[Clause] = []
@@ -198,7 +180,7 @@ def compile_disjoint(
         atoms = [
             {st: Atom(predicate_name(ref.event), args + (st,))
              for st in (STATUS_WORKING, STATUS_FAILED)}
-            for ref in _ordered_inputs(gate, options)
+            for ref in gate.inputs
             for args in instantiate(model, ref, outer)
         ]
         pred = predicate_name(ev.class_name)
@@ -210,4 +192,4 @@ def compile_disjoint(
             else:
                 head = Atom(pred, head_terms + (status,))
             clauses.append(Clause(head, tuple(atoms[i][st] for i, st in picks)))
-    return PhaTheory(tuple(clauses), _declarations(model, t), STAGE_DISJOINT)
+    return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DISJOINT)

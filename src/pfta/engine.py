@@ -23,10 +23,12 @@ P(body) is the product of its atoms' probabilities when their supports
 (the declarations each atom depends on) are pairwise disjoint once the
 decided declarations are left out; otherwise the atoms sharing a
 declaration are split on it, summing P(alternative) * P(atoms | it
-holds) over its alternatives.  Values are memoized per (atom, the
-alternatives decided within its support), and conditioning on
-hypotheses means starting with their declarations decided, so one
-memo serves P(goals) and every conditioned query.
+holds) over its alternatives.  Hypotheses are the leaves: the rule
+assumes no hypothesis heads a clause, and a theory where one does is
+rejected.  Values are memoized per (atom, the alternatives decided
+within its support), and conditioning on hypotheses means starting with
+their declarations decided, so one memo serves P(goals) and every
+conditioned query.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Iterable, Iterator
 from .errors import EngineError
 from .pha import (
     Atom,
+    DisjointDeclaration,
     PhaTheory,
     STAGE_DISJOINT,
     Var,
@@ -228,10 +231,6 @@ class ExplanationSearch(Iterator[Explanation]):
         lower = self._emitted_probs_sum
         return ProbabilityBounds(lower, lower + max(mass, 0.0))
 
-    @property
-    def emitted(self) -> int:
-        return self._emitted_count
-
     def _stopped(self) -> bool:
         stop = self.stop
         if stop.exhaustive:
@@ -311,7 +310,9 @@ def minimal_explanations(
 
     Emission order guarantees a subset is found before any of its strict
     supersets only when every hypothesis probability is strictly below 1,
-    so that is required of the theory's declarations.
+    so that is required of the theory's declarations.  A new explanation
+    is then checked only against the kept ones filed under its own
+    hypotheses.
     """
     for decl in theory.declarations:
         for atom, p in decl.alternatives:
@@ -322,57 +323,21 @@ def minimal_explanations(
                 )
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
     out: list[Explanation] = []
-    kept = _KeptSets()
+    # each kept explanation is filed under one of its hypotheses, so a
+    # kept subset of a new explanation sits in the bucket of one of the
+    # new explanation's own hypotheses
+    buckets: dict[Atom, list[frozenset[Atom]]] = {}
     for expl in search:
-        if not expl.hypotheses:
+        hyps = expl.hypotheses
+        if not hyps:
             out.append(expl)
             break  # the goals hold outright: every later explanation is a superset
-        if not kept.has_subset_of(expl.hypotheses):
-            out.append(expl)
-            kept.add(expl.hypotheses)
+        if any(any(map(hyps.issuperset, buckets.get(h, ()))) for h in hyps):
+            continue
+        out.append(expl)
+        home = min(hyps, key=lambda h: len(buckets.get(h, ())))
+        buckets.setdefault(home, []).append(hyps)
     return out
-
-
-class _KeptSets:
-    """Hypothesis sets kept so far, as bitmasks over their keep order.
-
-    Set number k is bit k of `containing[h]` for each of its hypotheses h
-    and of `by_size[its size]`.  Adding up `containing[h]` over the
-    hypotheses of a new set X, bit-sliced (plane i holds bit i of every
-    kept set's count), gives |K & X| for every kept K at once, and K is a
-    subset of X exactly when that count is |K|.
-    """
-
-    def __init__(self) -> None:
-        self.containing: dict[Atom, int] = {}
-        self.by_size: dict[int, int] = {}
-        self.count = 0
-
-    def has_subset_of(self, hyps: frozenset[Atom]) -> bool:
-        planes: list[int] = []
-        for h in hyps:
-            carry = self.containing.get(h, 0)
-            for i, plane in enumerate(planes):
-                if not carry:
-                    break
-                planes[i], carry = plane ^ carry, plane & carry
-            if carry:
-                planes.append(carry)
-        for size, sets in self.by_size.items():
-            if size >> len(planes):
-                continue  # no count reaches this size
-            for i, plane in enumerate(planes):
-                sets &= plane if size >> i & 1 else ~plane
-            if sets:
-                return True
-        return False
-
-    def add(self, hyps: frozenset[Atom]) -> None:
-        bit = 1 << self.count
-        self.count += 1
-        self.by_size[len(hyps)] = self.by_size.get(len(hyps), 0) | bit
-        for h in hyps:
-            self.containing[h] = self.containing.get(h, 0) | bit
 
 
 def _require_disjoint(theory: PhaTheory) -> None:
@@ -389,8 +354,10 @@ class ExactEvaluator:
     Every alternative of every declaration gets one bit; an atom's support
     is the mask of the alternatives of the declarations it depends on, and
     a context is the pair (chosen alternatives, all alternatives of the
-    decided declarations).  `budget` bounds the memo entries held plus the
-    splits made during one query; past it the query raises `EngineError`.
+    decided declarations).  A hypothesis is a leaf whose value the context
+    gives; one that heads a clause raises `EngineError`.  `budget` bounds
+    the memo entries held plus the splits made during one query; past it
+    the query raises `EngineError`.
     """
 
     def __init__(
@@ -430,8 +397,7 @@ class ExactEvaluator:
         """
         self._bodies: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
         self._support: dict[int, int] = {}
-        # hypothesis atoms -> (bit, mask of the declaration); leaves have no bodies
-        self._hypotheses: dict[int, tuple[int, int]] = {}
+        # hypothesis atoms -> (bit, mask of the declaration); they head no clause
         self._leaves: dict[int, tuple[int, int]] = {}
 
         def children(a: int) -> Iterator[int]:
@@ -469,11 +435,13 @@ class ExactEvaluator:
                     atom = table.atoms[a]
                     bit = self._bit.get(atom)
                     if bit is not None:
-                        decl_mask = self._decl_masks[self._decl_of[bit]]
-                        mask |= decl_mask
-                        self._hypotheses[a] = (bit, decl_mask)
-                        if not bodies:
-                            self._leaves[a] = self._hypotheses[a]
+                        if bodies:
+                            raise EngineError(
+                                f"hypothesis {format_atom(atom)} heads a clause; "
+                                "the probability rule requires that none does"
+                            )
+                        mask = self._decl_masks[self._decl_of[bit]]
+                        self._leaves[a] = (bit, mask)
                     self._support[a] = mask
 
     def _shared(self, atoms: tuple[int, ...]) -> int:
@@ -484,17 +452,19 @@ class ExactEvaluator:
             seen |= self._support[a]
         return shared
 
-    def reweighted(self, probabilities: Iterable[Iterable[float]]) -> ExactEvaluator:
+    def reweighted(self, declarations: Iterable[DisjointDeclaration]) -> ExactEvaluator:
         """This evaluator with new alternative probabilities and an empty memo.
 
-        `probabilities` has one row per declaration of the theory, in order,
-        with one value per alternative; the grounding is reused as it is.
+        `declarations` must list the theory's alternatives in order, as
+        `compile.declarations` does for the theory's model at another
+        time; only their probabilities are read, and the grounding is
+        reused as it is.
         """
-        rows = [tuple(row) for row in probabilities]
-        if [len(r) for r in rows] != [len(bits) for bits in self._alternatives]:
-            raise ValueError("one probability per declaration alternative is required")
+        pairs = [pair for decl in declarations for pair in decl.alternatives]
+        if [a for a, _ in pairs] != list(self._bit):
+            raise ValueError("the declarations must list the theory's alternatives in order")
         out = copy.copy(self)
-        out._probs = [p for row in rows for p in row]
+        out._probs = [p for _, p in pairs]
         out._memo = {}
         out._splits = 0
         return out
@@ -586,10 +556,6 @@ class ExactEvaluator:
                 if not value:
                     break
             total += value
-        hyp = self._hypotheses.get(a)
-        if hyp is not None:
-            bit, mask = hyp
-            total += (chosen >> bit & 1) if decided & mask else self._probs[bit]
         return total
 
     def _conjunction(self, atoms: tuple[int, ...], shared: int, chosen: int, decided: int):

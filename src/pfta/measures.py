@@ -10,8 +10,8 @@ P(E1..Ek) * P(top | E1..Ek failed) / P(top) from the same evaluator, and
 the posterior of a minimal cut set, which entails the top event, as its
 prior over P(top).  The theory's clauses do not depend on the mission
 time, so an exhaustive curve grounds them once and reweights the
-declarations at each time.  Bounded unreliability and curves search with
-their stop criteria instead.
+evaluator with the compiler's declarations at each time.  Bounded
+unreliability and curves search with their stop criteria instead.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .compile import CompileOptions, compile_direct, compile_disjoint, predicate_name
+from .compile import compile_direct, compile_disjoint, declarations, predicate_name
 from .engine import (
     EXHAUSTIVE,
     ExactEvaluator,
@@ -38,7 +38,7 @@ from .model import (
     failure_probability,
     format_instance,
 )
-from .pha import Atom, PhaTheory, STATUS_FAILED
+from .pha import Atom, STATUS_FAILED
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,11 @@ def _require_positive_time(t: float) -> None:
 
 
 def minimal_cut_sets(
-    model: PftModel,
-    t: float,
-    stop: StopCriteria = EXHAUSTIVE,
-    options: CompileOptions | None = None,
+    model: PftModel, t: float, stop: StopCriteria = EXHAUSTIVE
 ) -> list[CutSet]:
     """Minimal cut sets ranked by prior probability, ties lexicographic."""
     _require_positive_time(t)
-    theory = compile_direct(model, t, options)
+    theory = compile_direct(model, t)
     expls = minimal_explanations(theory, top_atom(model), stop)
     names = _class_names(model)
     cut_sets = [
@@ -171,21 +168,6 @@ def top_event(model: PftModel, t: float) -> TopEvent:
     return TopEvent(model, t, evaluator, min(evaluator.probability(), 1.0))
 
 
-def _declaration_probabilities(
-    model: PftModel, theory: PhaTheory, t: float
-) -> list[tuple[float, ...]]:
-    """Alternative probabilities of the stage-2 declarations at time `t`."""
-    failed = {
-        predicate_name(name): failure_probability(rate, t)
-        for name, rate in model.rate_map.items()
-    }
-    return [
-        tuple(failed[a.pred] if a.args[-1] == STATUS_FAILED else 1.0 - failed[a.pred]
-              for a, _ in decl.alternatives)
-        for decl in theory.declarations
-    ]
-
-
 def _labeled(
     model: PftModel, instances: Iterable[GroundEvent | str] | None
 ) -> list[tuple[str, GroundEvent]]:
@@ -233,13 +215,12 @@ def unreliability_curve(
         return []
     # the theory's clauses do not depend on the time: ground them once and
     # only reweight the declarations at each point
-    theory = compile_disjoint(model, max(times))
-    evaluator = ExactEvaluator(theory, top_atom(model))
+    evaluator = ExactEvaluator(compile_disjoint(model, max(times)), top_atom(model))
     points = []
     for t in times:
         value = 0.0
         if t != 0:
-            reweighted = evaluator.reweighted(_declaration_probabilities(model, theory, t))
+            reweighted = evaluator.reweighted(declarations(model, t))
             value = min(reweighted.probability(), 1.0)
         points.append(UnreliabilityPoint(t, ProbabilityBounds(value, value)))
     return points

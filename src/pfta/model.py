@@ -134,10 +134,6 @@ class PftModel:
     def param_values(self, param_name: str) -> tuple[int, ...]:
         return self.type_map[self.param_map[param_name].type_name].values
 
-    def formal_types(self, class_name: str) -> tuple[str, ...]:
-        ev = self.event_map[class_name]
-        return tuple(self.param_map[p].type_name for p in ev.formal_params)
-
 
 def failure_probability(lam: float, t: float) -> float:
     """Failure probability 1 - exp(-lam*t) of an exponential component."""

@@ -224,20 +224,21 @@ def prime_implicants(
 
     The tree is coherent (AND/OR only), so a failing set is minimal
     exactly when dropping any single element makes the top event work.
+    One numpy step per basic event j clears that flag on every failing
+    set with bit j whose twin without it fails too; at the 24-event bound
+    the flags and the step's temporary take about 24 MB beside the
+    failure vector.
     """
     n = _check_size(tree, max_events)
     failed = top_failure_vector(tree, max_events)
+    minimal = failed.copy()
+    for j in range(n):
+        # axis 1 is bit j of the failure bitmask
+        minimal.reshape(-1, 2, 1 << j)[:, 1, :] &= ~failed.reshape(-1, 2, 1 << j)[:, 0, :]
     keys = tree.basic_keys
-    out: list[frozenset[Key]] = []
-    for mask in np.flatnonzero(failed):
-        mask = int(mask)
-        minimal = True
-        for j in range(n):
-            bit = 1 << j
-            if mask & bit and failed[mask ^ bit]:
-                minimal = False
-                break
-        if minimal:
-            out.append(frozenset(keys[j] for j in range(n) if mask & (1 << j)))
+    out = [
+        frozenset(keys[j] for j in range(n) if mask >> j & 1)
+        for mask in map(int, np.flatnonzero(minimal))
+    ]
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out

@@ -487,10 +487,6 @@ class GroundProgram:
                     changed = True
         return mask
 
-    def closure(self, facts: set[Atom]) -> set[Atom]:
-        mask = self.closure_mask(self.fact_mask(facts))
-        return {a for i, a in enumerate(self.atoms) if mask & (1 << i)}
-
     def derives(self, facts: set[Atom], goals: list[Atom]) -> bool:
         if any(g not in self.index for g in goals):
             return False

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import DATA
 from randmodels import random_model
-from pfta.compile import CompileOptions, compile_direct, compile_disjoint, predicate_name
+from pfta.compile import compile_direct, compile_disjoint, predicate_name
 from pfta.engine import EXHAUSTIVE, ExplanationSearch
 from pfta.measures import (
     attach_posteriors,
@@ -30,7 +30,6 @@ from pfta.oracle import exact_probability, prime_implicants, unfold
 from pfta.pha import Atom, ground_clauses, serialize
 
 T = 1e4
-LISTING_ORDER = CompileOptions(input_order={"S": ["MM", "DM", "P"]})
 
 ORACLE_TOL = 1e-9
 TABLE_TOL = 1e-5
@@ -65,8 +64,8 @@ def _by_shape(cut_sets):
     return groups
 
 
-def test_criterion_1_golden_compilation(model):
-    direct = serialize(compile_direct(model, T, LISTING_ORDER), precision=4)
+def test_criterion_1_golden_compilation(model, listing_model):
+    direct = serialize(compile_direct(listing_model, T), precision=4)
     assert direct == (DATA / "theory_stage1.pha").read_text()
     disjoint = serialize(compile_disjoint(model, T), precision=4)
     assert disjoint == (DATA / "theory_stage2.pha").read_text()

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import DATA
-from pfta.compile import CompileOptions, compile_direct, compile_disjoint, expand_kofn
+from pfta.compile import compile_direct, compile_disjoint, expand_kofn
 from pfta.dsl import parse_model
 from pfta.errors import ModelInvalidError
 from pfta.model import EventRef
@@ -11,12 +11,9 @@ from pfta.pha import STAGE_DIRECT, STAGE_DISJOINT, format_clause, serialize
 
 T = 1e4
 
-# the published listing orders the shared-subsystem inputs module-first
-LISTING_ORDER = CompileOptions(input_order={"S": ["MM", "DM", "P"]})
 
-
-def test_direct_stage_matches_golden_text(model):
-    theory = compile_direct(model, T, LISTING_ORDER)
+def test_direct_stage_matches_golden_text(listing_model):
+    theory = compile_direct(listing_model, T)
     assert serialize(theory, precision=4) == (DATA / "theory_stage1.pha").read_text()
 
 
@@ -120,9 +117,9 @@ def test_compile_rejects_invalid_models():
         compile_disjoint(broken, T)
 
 
-def test_input_order_option_only_reorders(model):
+def test_reordered_gate_inputs_only_reorder_clauses(model, listing_model):
     plain = compile_direct(model, T)
-    ordered = compile_direct(model, T, LISTING_ORDER)
+    ordered = compile_direct(listing_model, T)
     assert set(plain.clauses) == set(ordered.clauses)
     assert plain.declarations == ordered.declarations
 

@@ -410,11 +410,10 @@ def test_conditioned_queries_leave_only_reusable_memo_entries(model):
 def test_reweighted_evaluator_matches_a_recompiled_theory(model):
     evaluator = ExactEvaluator(compile_disjoint(model, T), TE)
     later = compile_disjoint(model, 3 * T)
-    rows = [tuple(p for _, p in decl.alternatives) for decl in later.declarations]
-    assert evaluator.reweighted(rows).probability() == pytest.approx(
+    assert evaluator.reweighted(later.declarations).probability() == pytest.approx(
         ExactEvaluator(later, TE).probability(), abs=1e-15)
     with pytest.raises(ValueError, match="alternative"):
-        evaluator.reweighted(rows[1:])
+        evaluator.reweighted(later.declarations[1:])
 
 
 def test_evaluation_budget_is_enforced(model):
@@ -435,6 +434,21 @@ def test_evaluator_rejects_direct_stage_and_cyclic_theories(model):
     )
     with pytest.raises(EngineError, match="cyclic"):
         ExactEvaluator(cyclic, GOAL)
+
+
+def test_evaluator_rejects_a_hypothesis_that_heads_a_clause():
+    # P(a) = 1 - 0.5 * 0.6 = 0.7, but summing the hypothesis with its
+    # clause body gives 0.5 + 0.4 = 0.9: the probability rule assumes
+    # that no hypothesis heads a clause
+    theory = parse_theory(
+        "disjoint([a:0.5,c:0.5]).\ndisjoint([b:0.4,d:0.6]).\na :- b.\n",
+        stage=STAGE_DISJOINT,
+    )
+    goal = Atom("a", ())
+    with pytest.raises(EngineError, match="hypothesis a heads a clause"):
+        ExactEvaluator(theory, goal)
+    with pytest.raises(EngineError, match="hypothesis a heads a clause"):
+        probability(theory, goal)
 
 
 def test_evaluator_runs_on_a_chain_deeper_than_the_recursion_limit():
