@@ -14,7 +14,7 @@ import sys
 
 from .compile import compile_direct, compile_disjoint
 from .dsl import parse_model
-from .engine import EXHAUSTIVE, StopCriteria
+from .engine import StopCriteria
 from .errors import AnalysisError, DslError, EngineError, ModelInvalidError, OracleError, TheoryError
 from .measures import (
     attach_posteriors,
@@ -154,8 +154,6 @@ def _render(args, headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _stop(args) -> StopCriteria:
-    if args.max_explanations is None and args.epsilon is None:
-        return EXHAUSTIVE
     return StopCriteria(max_explanations=args.max_explanations, epsilon=args.epsilon)
 
 

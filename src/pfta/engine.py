@@ -4,9 +4,14 @@ Both procedures below read one grounder, `AtomTable`: it interns the
 ground atoms it meets as integers and grounds each atom once, the first
 time it is expanded, so neither unifies more than once per atom.
 
+`AtomTable` also numbers every declaration alternative once, in
+declaration order, so the alternatives of one declaration hold adjacent
+bits.  It rejects a hypothesis that heads a clause: the PHA probability
+rule assumes none does, and both procedures rest on that rule.
+
 `ExplanationSearch` is a best-first abductive search.  A search state is
-a partial SLD derivation: a tuple of remaining goal ids, a frozenset of
-assumed hypothesis ids, and their probability product, which serves as
+a partial SLD derivation: a tuple of remaining goal ids, a bitmask of the
+assumed alternatives, and their probability product, which serves as
 the state priority.  States come off the frontier in nonincreasing
 priority order, so complete explanations are emitted most probable
 first, and the sum of frontier priorities bounds the probability mass
@@ -23,12 +28,10 @@ P(body) is the product of its atoms' probabilities when their supports
 (the declarations each atom depends on) are pairwise disjoint once the
 decided declarations are left out; otherwise the atoms sharing a
 declaration are split on it, summing P(alternative) * P(atoms | it
-holds) over its alternatives.  Hypotheses are the leaves: the rule
-assumes no hypothesis heads a clause, and a theory where one does is
-rejected.  Values are memoized per (atom, the alternatives decided
-within its support), and conditioning on hypotheses means starting with
-their declarations decided, so one memo serves P(goals) and every
-conditioned query.
+holds) over its alternatives.  Hypotheses are the leaves.  Values are
+memoized per (atom, the alternatives decided within its support), and
+conditioning on hypotheses means starting with their declarations
+decided, so one memo serves P(goals) and every conditioned query.
 """
 
 from __future__ import annotations
@@ -90,24 +93,26 @@ class ProbabilityBounds:
 
 @dataclass(frozen=True)
 class StopCriteria:
-    """When to stop emitting explanations; criteria combine disjunctively."""
+    """When to stop emitting explanations; bounds combine disjunctively.
+
+    With no bound the search is exhaustive.
+    """
 
     max_explanations: int | None = None
     epsilon: float | None = None
-    exhaustive: bool = False
 
     def __post_init__(self):
-        if not self.exhaustive and self.max_explanations is None and self.epsilon is None:
-            raise ValueError("stop criteria require a bound or exhaustive=True")
-        if self.exhaustive and (self.max_explanations is not None or self.epsilon is not None):
-            raise ValueError("an exhaustive search takes no bound")
         if self.max_explanations is not None and self.max_explanations < 1:
             raise ValueError("max_explanations must be positive")
         if self.epsilon is not None and self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
 
+    @property
+    def exhaustive(self) -> bool:
+        return self.max_explanations is None and self.epsilon is None
 
-EXHAUSTIVE = StopCriteria(exhaustive=True)
+
+EXHAUSTIVE = StopCriteria()
 
 
 def _as_goal_list(goals: Atom | Iterable[Atom]) -> tuple[Atom, ...]:
@@ -119,16 +124,30 @@ def _as_goal_list(goals: Atom | Iterable[Atom]) -> tuple[Atom, ...]:
 class AtomTable:
     """The ground atoms met while proving `goals`, interned as integers.
 
-    An atom is grounded once, the first time it is expanded: its clause
-    bodies (found by unifying it with each clause head of its predicate as
-    written, since every expanded atom is ground), its hypothesis
-    probability and the ids of its declaration's other alternatives are
-    kept for every later use.  Bodies or goals that keep variables are
-    grounded over the theory's and the goals' constants.
+    Every declaration alternative gets one bit, in declaration order:
+    `bits` maps its atom to the bit, `alternatives` the bit back to the
+    atom, `probs` gives its probability and `decl_masks` the mask of its
+    declaration's bits.  An atom is grounded once, the first time it is
+    expanded: its clause bodies (found by unifying it with each clause
+    head of its predicate as written, since every expanded atom is ground)
+    and its bit, if it is an alternative, are kept for every later use.
+    Bodies or goals that keep variables are grounded over the theory's and
+    the goals' constants.
     """
 
     def __init__(self, theory: PhaTheory, goals: tuple[Atom, ...]):
-        known = set(theory.clause_index) | {a.pred for a in theory.hypothesis_index}
+        self.bits: dict[Atom, int] = {}
+        self.alternatives: list[Atom] = []
+        self.probs: list[float] = []
+        self.decl_masks: list[int] = []
+        for decl in theory.declarations:
+            mask = ((1 << len(decl.alternatives)) - 1) << len(self.alternatives)
+            for atom, p in decl.alternatives:
+                self.bits[atom] = len(self.alternatives)
+                self.alternatives.append(atom)
+                self.probs.append(p)
+                self.decl_masks.append(mask)
+        known = set(theory.clause_index) | {a.pred for a in self.bits}
         for g in goals:
             if g.pred not in known:
                 raise EngineError(f"unknown predicate {g.pred} in goal {format_atom(g)}")
@@ -136,8 +155,7 @@ class AtomTable:
         self.goals = goals
         self.ids: dict[Atom, int] = {}
         self.atoms: list[Atom] = []
-        # atom id -> (clause bodies as id tuples, None or
-        # (hypothesis probability, ids of the declaration's other alternatives))
+        # atom id -> (clause bodies as id tuples, its bit or None)
         self.expansions: dict[int, tuple] = {}
         self._constants: list | None = None
 
@@ -172,17 +190,13 @@ class AtomTable:
                 bodies.extend(
                     self.ground(tuple(apply_substitution(b, subst) for b in clause.body))
                 )
-        hyp = None
-        found = self.theory.hypothesis_index.get(atom)
-        if found is not None:
-            decl, p = found
-            others = frozenset(
-                self.intern(a)
-                for a, _ in self.theory.declarations[decl].alternatives
-                if a != atom
+        bit = self.bits.get(atom)
+        if bit is not None and bodies:
+            raise EngineError(
+                f"hypothesis {format_atom(atom)} heads a clause; "
+                "the probability rule requires that none does"
             )
-            hyp = (p, others)
-        entry = self.expansions[goal] = (tuple(bodies), hyp)
+        entry = self.expansions[goal] = (tuple(bodies), bit)
         return entry
 
 
@@ -203,21 +217,20 @@ class ExplanationSearch(Iterator[Explanation]):
         self.sound = theory.stage == STAGE_DISJOINT
 
         self._table = table = AtomTable(theory, self.goals)
-        self._atoms = table.atoms
         self._expansions = table.expansions
 
         self._seq = count()
         self._emitted_probs_sum = 0.0
         self._emitted_count = 0
-        self._seen: set[frozenset[int]] = set()
+        self._seen: set[int] = set()
         # running sum of frontier priorities; `bounds` recomputes it exactly
         self._mass = 0.0
-        # heap entries: (-priority, tiebreak, goal ids, assumed ids)
+        # heap entries: (-priority, tiebreak, goal ids, mask of assumed alternatives)
         self._frontier: list = []
         for goals in table.ground(self.goals):
-            self._push(1.0, goals, frozenset())
+            self._push(1.0, goals, 0)
 
-    def _push(self, priority: float, goals: tuple[int, ...], assumed: frozenset[int]) -> None:
+    def _push(self, priority: float, goals: tuple[int, ...], assumed: int) -> None:
         if len(self._frontier) >= self.frontier_budget:
             raise EngineError(
                 f"frontier memory budget of {self.frontier_budget} states exceeded"
@@ -233,8 +246,6 @@ class ExplanationSearch(Iterator[Explanation]):
 
     def _stopped(self) -> bool:
         stop = self.stop
-        if stop.exhaustive:
-            return False
         if (
             stop.max_explanations is not None
             and self._emitted_count >= stop.max_explanations
@@ -251,6 +262,7 @@ class ExplanationSearch(Iterator[Explanation]):
     def __next__(self) -> Explanation:
         if self._stopped():
             raise StopIteration
+        table = self._table
         while self._frontier:
             neg_priority, _, goals, assumed = heapq.heappop(self._frontier)
             priority = -neg_priority
@@ -261,21 +273,24 @@ class ExplanationSearch(Iterator[Explanation]):
                 self._seen.add(assumed)
                 self._emitted_probs_sum += priority
                 self._emitted_count += 1
-                atoms = frozenset(map(self._atoms.__getitem__, assumed))
-                return Explanation(atoms, priority)
-            # clause bodies in clause order, then the hypothesis: with the
-            # tie-break this order fixes which equal-priority state pops
-            # first, hence the emission order and every sum over it
+                hypotheses = []
+                while assumed:
+                    low = assumed & -assumed
+                    hypotheses.append(table.alternatives[low.bit_length() - 1])
+                    assumed ^= low
+                return Explanation(frozenset(hypotheses), priority)
+            # clause bodies in clause order: with the tie-break this order
+            # fixes which equal-priority state pops first, hence the
+            # emission order and every sum over it
             goal, rest = goals[0], goals[1:]
-            bodies, hyp = self._expansions.get(goal) or self._table.expand(goal)
+            bodies, bit = self._expansions.get(goal) or table.expand(goal)
             for body in bodies:
                 self._push(priority, body + rest, assumed)
-            if hyp is not None:
-                p, others = hyp
-                if goal in assumed:
+            if bit is not None:
+                if assumed >> bit & 1:
                     self._push(priority, rest, assumed)
-                elif others.isdisjoint(assumed):
-                    self._push(priority * p, rest, assumed | {goal})
+                elif not assumed & table.decl_masks[bit]:
+                    self._push(priority * table.probs[bit], rest, assumed | 1 << bit)
         raise StopIteration
 
 
@@ -351,13 +366,12 @@ def _require_disjoint(theory: PhaTheory) -> None:
 class ExactEvaluator:
     """Exact probability of `goals` on a disjoint-stage theory, by decomposition.
 
-    Every alternative of every declaration gets one bit; an atom's support
-    is the mask of the alternatives of the declarations it depends on, and
-    a context is the pair (chosen alternatives, all alternatives of the
+    Alternatives are the bits of the `AtomTable`; an atom's support is the
+    mask of the alternatives of the declarations it depends on, and a
+    context is the pair (chosen alternatives, all alternatives of the
     decided declarations).  A hypothesis is a leaf whose value the context
-    gives; one that heads a clause raises `EngineError`.  `budget` bounds
-    the memo entries held plus the splits made during one query; past it
-    the query raises `EngineError`.
+    gives.  `budget` bounds the memo entries held plus the splits made
+    during one query; past it the query raises `EngineError`.
     """
 
     def __init__(
@@ -368,36 +382,24 @@ class ExactEvaluator:
     ):
         _require_disjoint(theory)
         self.budget = budget
-        self._bit: dict[Atom, int] = {}
-        self._probs: list[float] = []
-        # per declaration: its alternatives' bits and their mask
-        self._alternatives: list[tuple[int, ...]] = []
-        self._decl_masks: list[int] = []
-        self._decl_of: list[int] = []  # per bit
-        for i, decl in enumerate(theory.declarations):
-            bits = tuple(range(len(self._probs), len(self._probs) + len(decl.alternatives)))
-            for (atom, p), bit in zip(decl.alternatives, bits):
-                self._bit[atom] = bit
-                self._probs.append(p)
-                self._decl_of.append(i)
-            self._alternatives.append(bits)
-            self._decl_masks.append(sum(1 << b for b in bits))
-        table = AtomTable(theory, _as_goal_list(goals))
+        self._table = table = AtomTable(theory, _as_goal_list(goals))
+        self._probs = table.probs
         roots = table.ground(table.goals)
-        self._index(table, roots)
+        self._index(roots)
         self._roots = [(atoms, self._shared(atoms)) for atoms in roots]
         self._memo: dict[tuple[int, int], float] = {}
         self._splits = 0
 
-    def _index(self, table: AtomTable, roots: list[tuple[int, ...]]) -> None:
+    def _index(self, roots: list[tuple[int, ...]]) -> None:
         """Bodies and supports of every atom the goals reach, inputs first.
 
         Each body is kept with the alternatives its atoms share: a body
         whose supports never overlap never needs a split.
         """
+        table = self._table
         self._bodies: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
         self._support: dict[int, int] = {}
-        # hypothesis atoms -> (bit, mask of the declaration); they head no clause
+        # hypothesis atoms -> (bit, mask of the declaration)
         self._leaves: dict[int, tuple[int, int]] = {}
 
         def children(a: int) -> Iterator[int]:
@@ -426,21 +428,14 @@ class ExactEvaluator:
                 else:
                     stack.pop()
                     pending.discard(a)
-                    bodies = table.expansions[a][0]
+                    bodies, bit = table.expansions[a]
                     self._bodies[a] = tuple((body, self._shared(body)) for body in bodies)
                     mask = 0
                     for body in bodies:
                         for b in body:
                             mask |= self._support[b]
-                    atom = table.atoms[a]
-                    bit = self._bit.get(atom)
                     if bit is not None:
-                        if bodies:
-                            raise EngineError(
-                                f"hypothesis {format_atom(atom)} heads a clause; "
-                                "the probability rule requires that none does"
-                            )
-                        mask = self._decl_masks[self._decl_of[bit]]
+                        mask = table.decl_masks[bit]
                         self._leaves[a] = (bit, mask)
                     self._support[a] = mask
 
@@ -461,7 +456,7 @@ class ExactEvaluator:
         reused as it is.
         """
         pairs = [pair for decl in declarations for pair in decl.alternatives]
-        if [a for a, _ in pairs] != list(self._bit):
+        if [a for a, _ in pairs] != self._table.alternatives:
             raise ValueError("the declarations must list the theory's alternatives in order")
         out = copy.copy(self)
         out._probs = [p for _, p in pairs]
@@ -470,16 +465,17 @@ class ExactEvaluator:
         return out
 
     def probability(self, condition: Iterable[Atom] = ()) -> float:
-        """P(goals | every hypothesis in `condition` holds).
+        """P(goals | every hypothesis in `condition` holds), at most 1.
 
         0 when two of the hypotheses are alternatives of one declaration.
         """
+        table = self._table
         chosen = decided = 0
         for atom in condition:
-            bit = self._bit.get(atom)
+            bit = table.bits.get(atom)
             if bit is None:
                 raise EngineError(f"{format_atom(atom)} is not a hypothesis of the theory")
-            mask = self._decl_masks[self._decl_of[bit]]
+            mask = table.decl_masks[bit]
             if decided & mask and not chosen >> bit & 1:
                 return 0.0
             chosen |= 1 << bit
@@ -491,46 +487,32 @@ class ExactEvaluator:
         for key in list(islice(reversed(self._memo), len(self._memo) - held)):
             if key[1] & chosen:
                 del self._memo[key]
-        return value
+        # the sum can pass 1 by rounding
+        return min(value, 1.0)
 
-    def _over_budget(self) -> EngineError:
-        return EngineError(
-            f"exact evaluation budget of {self.budget} memo entries and splits exceeded"
-        )
+    def _check_budget(self) -> None:
+        if len(self._memo) + self._splits > self.budget:
+            raise EngineError(
+                f"exact evaluation budget of {self.budget} memo entries and splits exceeded"
+            )
 
     def _run(self, atoms: tuple[int, ...], shared: int, chosen: int, decided: int) -> float:
         """P(atoms | context), driving the tasks below from an explicit stack.
 
-        A task is a generator that yields what it needs and is sent its
-        value: an (atom, chosen, decided) request for an atom neither a
-        leaf nor in the memo, answered by a new atom task, or a
-        conjunction task.
+        A task is a generator that yields the tasks whose values it needs
+        and is sent each value in turn.
         """
-        memo, support = self._memo, self._support
-        stack: list[tuple[tuple[int, int] | None, Iterator]] = [
-            (None, self._conjunction(atoms, shared, chosen, decided))
-        ]
+        stack = [self._conjunction(atoms, shared, chosen, decided)]
         value = None
         while True:
-            key, task = stack[-1]
             try:
-                request = task.send(value)
+                stack.append(stack[-1].send(value))
+                value = None
             except StopIteration as done:
-                value = done.value
                 stack.pop()
-                if key is not None:
-                    memo[key] = value
-                    if len(memo) + self._splits > self.budget:
-                        raise self._over_budget() from None
                 if not stack:
-                    return value
-                continue
-            value = None
-            if type(request) is tuple:
-                a, c, d = request
-                stack.append(((a, c & support[a]), self._atom(a, c, d)))
-            else:
-                stack.append((None, request))
+                    return done.value
+                value = done.value
 
     def _known(self, a: int, chosen: int, decided: int) -> float | None:
         """P(atom a | context) if it is a leaf or memoized, else None."""
@@ -541,7 +523,7 @@ class ExactEvaluator:
         return (chosen >> bit & 1) if decided & mask else self._probs[bit]
 
     def _atom(self, a: int, chosen: int, decided: int):
-        """Task: P(atom a | context), the sum over its bodies."""
+        """Task: P(atom a | context), the sum over its bodies, memoized."""
         total = 0.0
         for body, shared in self._bodies[a]:
             if shared and shared & ~decided:
@@ -551,11 +533,13 @@ class ExactEvaluator:
             for b in body:
                 v = self._known(b, chosen, decided)
                 if v is None:
-                    v = yield (b, chosen, decided)
+                    v = yield self._atom(b, chosen, decided)
                 value *= v
                 if not value:
                     break
             total += value
+        self._memo[a, chosen & self._support[a]] = total
+        self._check_budget()
         return total
 
     def _conjunction(self, atoms: tuple[int, ...], shared: int, chosen: int, decided: int):
@@ -576,16 +560,14 @@ class ExactEvaluator:
             if not part_shared:
                 v = self._known(part, chosen, decided)
                 if v is None:
-                    v = yield (part, chosen, decided)
+                    v = yield self._atom(part, chosen, decided)
             else:
                 self._splits += 1
-                if len(self._memo) + self._splits > self.budget:
-                    raise self._over_budget()
-                low = (part_shared & -part_shared).bit_length() - 1
-                decl = self._decl_of[low]
-                mask = self._decl_masks[decl]
+                self._check_budget()
+                mask = self._table.decl_masks[(part_shared & -part_shared).bit_length() - 1]
                 v = 0.0
-                for bit in self._alternatives[decl]:
+                # a declaration's alternatives hold adjacent bits
+                for bit in range((mask & -mask).bit_length() - 1, mask.bit_length()):
                     if probs[bit]:
                         v += probs[bit] * (yield self._conjunction(
                             part, part_shared, chosen | 1 << bit, decided | mask))
@@ -617,7 +599,6 @@ def probability(
     goals: Atom | Iterable[Atom],
     stop: StopCriteria = EXHAUSTIVE,
     frontier_budget: int = DEFAULT_FRONTIER_BUDGET,
-    evaluation_budget: int = DEFAULT_EVALUATION_BUDGET,
 ) -> ProbabilityBounds:
     """Bounds on the probability of the goal conjunction.
 
@@ -628,7 +609,7 @@ def probability(
     """
     _require_disjoint(theory)
     if stop.exhaustive:
-        p = min(ExactEvaluator(theory, goals, evaluation_budget).probability(), 1.0)
+        p = ExactEvaluator(theory, goals).probability()
         return ProbabilityBounds(p, p)
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
     for _ in search:

@@ -152,7 +152,7 @@ class TopEvent:
         for name, _ in keys:
             prior *= failure_probability(self.model.rate_map[name], self.t)
         failed = [Atom(predicate_name(name), values + (STATUS_FAILED,)) for name, values in keys]
-        return _posterior(prior * min(self.evaluator.probability(failed), 1.0), self.probability)
+        return _posterior(prior * self.evaluator.probability(failed), self.probability)
 
 
 def _posterior(joint: float, top: float) -> float:
@@ -165,7 +165,7 @@ def top_event(model: PftModel, t: float) -> TopEvent:
     """Exact P(top) at time `t` > 0, from the stage-2 theory without a search."""
     _require_positive_time(t)
     evaluator = ExactEvaluator(compile_disjoint(model, t), top_atom(model))
-    return TopEvent(model, t, evaluator, min(evaluator.probability(), 1.0))
+    return TopEvent(model, t, evaluator, evaluator.probability())
 
 
 def _labeled(
@@ -220,8 +220,7 @@ def unreliability_curve(
     for t in times:
         value = 0.0
         if t != 0:
-            reweighted = evaluator.reweighted(declarations(model, t))
-            value = min(reweighted.probability(), 1.0)
+            value = evaluator.reweighted(declarations(model, t)).probability()
         points.append(UnreliabilityPoint(t, ProbabilityBounds(value, value)))
     return points
 

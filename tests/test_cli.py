@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -262,3 +263,39 @@ def test_posteriors_do_not_depend_on_the_hash_seed(tmp_path):
         )
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+FUZZ_COMMANDS = (
+    ("unrel", "--time", "1e4"),
+    ("unrel", "--time", "1e4", "--epsilon", "1e-3"),
+    ("mcs", "--time", "1e4", "--posterior"),
+    ("posterior", "--time", "1e4"),
+    ("curve", "--from", "0", "--to", "2e4", "--step", "1e4"),
+)
+
+
+def test_mutated_models_exit_through_the_documented_codes(capsys, model_text, tmp_path):
+    """Every mutant of the shipped model either runs or fails with exit
+    code 1 (model), 2 (analysis) or 3 (I/O); no exception escapes."""
+    rng = random.Random(5)
+    alphabet = sorted(set(model_text))
+    for n in range(200):
+        text = model_text
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(text))
+            edit = rng.choice(("delete", "insert", "replace"))
+            if edit == "delete":
+                text = text[:i] + text[i + 1:]
+            elif edit == "insert":
+                text = text[:i] + rng.choice(alphabet) + text[i:]
+            else:
+                text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+        path = tmp_path / f"mutant{n}.pft"
+        path.write_text(text)
+        for command, *options in FUZZ_COMMANDS:
+            try:
+                code = main([command, str(path), *options])
+            except Exception as exc:
+                pytest.fail(f"{command} {options} on mutant {n} raised {exc!r}:\n{text}")
+            assert code in (0, 1, 2, 3), (command, options, n, text)
+        capsys.readouterr()

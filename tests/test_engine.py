@@ -105,18 +105,16 @@ def test_epsilon_stop_reports_bracketing_bounds():
 
 def test_stop_criteria_require_some_bound():
     with pytest.raises(ValueError):
-        StopCriteria()
-    with pytest.raises(ValueError):
         StopCriteria(max_explanations=0)
     with pytest.raises(ValueError):
         StopCriteria(epsilon=-0.1)
 
 
 def test_exhaustive_stop_criteria_take_no_bound():
-    with pytest.raises(ValueError, match="exhaustive"):
-        StopCriteria(max_explanations=5, exhaustive=True)
-    with pytest.raises(ValueError, match="exhaustive"):
-        StopCriteria(epsilon=1e-3, exhaustive=True)
+    assert not StopCriteria(max_explanations=5).exhaustive
+    assert not StopCriteria(epsilon=1e-3).exhaustive
+    assert StopCriteria() == EXHAUSTIVE
+    assert EXHAUSTIVE.exhaustive
 
 
 def test_bounds_are_ordered():
@@ -419,7 +417,7 @@ def test_reweighted_evaluator_matches_a_recompiled_theory(model):
 def test_evaluation_budget_is_enforced(model):
     theory = compile_disjoint(model, T)
     with pytest.raises(EngineError, match="evaluation budget of 5 "):
-        probability(theory, TE, evaluation_budget=5)
+        ExactEvaluator(theory, TE, budget=5).probability()
     with pytest.raises(EngineError, match="evaluation budget of 20 "):
         ExactEvaluator(theory, TE, budget=20).probability()
 
@@ -449,6 +447,19 @@ def test_evaluator_rejects_a_hypothesis_that_heads_a_clause():
         ExactEvaluator(theory, goal)
     with pytest.raises(EngineError, match="hypothesis a heads a clause"):
         probability(theory, goal)
+
+
+def test_search_rejects_a_hypothesis_that_heads_a_clause():
+    # the bounded search once reported [0.9, 0.9] as a sound interval
+    # around P(a) = 0.7 on this theory
+    text = "disjoint([a:0.5,c:0.5]).\ndisjoint([b:0.4,d:0.6]).\na :- b.\n"
+    goal = Atom("a", ())
+    disjoint = parse_theory(text, stage=STAGE_DISJOINT)
+    for stop in (StopCriteria(max_explanations=5), StopCriteria(epsilon=0)):
+        with pytest.raises(EngineError, match="hypothesis a heads a clause"):
+            probability(disjoint, goal, stop)
+    with pytest.raises(EngineError, match="hypothesis a heads a clause"):
+        minimal_explanations(parse_theory(text, stage=STAGE_DIRECT), goal)
 
 
 def test_evaluator_runs_on_a_chain_deeper_than_the_recursion_limit():
