@@ -43,6 +43,16 @@ def _nonnegative(text: str) -> float:
     return value
 
 
+def _digit_count(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfta",
@@ -58,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"output format (default: {fmt_default})",
         )
         p.add_argument(
-            "--digits", type=int, default=6,
+            "--digits", type=_digit_count, default=6,
             help="significant digits for displayed probabilities (default: 6)",
         )
 
@@ -83,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--time", type=_nonnegative, required=True, help="mission time in hours")
     p.add_argument(
-        "--precision", type=int, default=None,
+        "--precision", type=_digit_count, default=None,
         help="decimal digits for declaration probabilities (default: shortest exact form)",
     )
 

@@ -18,7 +18,7 @@ the order the model declares them:
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ModelInvalidError
 from .model import (
@@ -52,6 +52,19 @@ def _head_terms(model: PftModel, class_name: str) -> tuple:
     return tuple(Var(p.upper()) for p in ev.formal_params)
 
 
+def _failure_groups(gate: Gate, replicas: list) -> list[tuple]:
+    """The k-of-n rule: the failure subsets of a voting gate's replicas.
+
+    A gate asking for k working replicas out of n fails when n-k+1 fail;
+    the result lists one conjunction per subset of that size, in
+    lexicographic order of `replicas` (ground events or their atoms).
+    """
+    q = len(replicas) - gate.k + 1
+    if q < 1:
+        raise ModelInvalidError([f"KofN gate {gate.output}: k={gate.k} outside 1..{len(replicas)}"])
+    return list(combinations(replicas, q))
+
+
 def expand_kofn(
     model: PftModel,
     gate: Gate,
@@ -59,20 +72,15 @@ def expand_kofn(
 ) -> list[tuple[tuple[str, tuple], ...]]:
     """Rewrite a voting gate as a disjunction of replica conjunctions.
 
-    A gate asking for k working replicas out of n fails when n-k+1 fail;
-    the result lists one conjunction per subset of that size, subsets in
-    lexicographic order of the replica list.
+    Each conjunction is a failure subset of the replicas `(event, args)`
+    of the gate's one input, as `_failure_groups` lists them.
     """
     if gate.kind != "kofn" or len(gate.inputs) != 1 or gate.k is None:
         raise ModelInvalidError([f"gate {gate.output} is not a well-formed KofN gate"])
     if outer is None:
         outer = {p: Var(p.upper()) for p in model.event_map[gate.output].formal_params}
     ref = gate.inputs[0]
-    replicas = [(ref.event, args) for args in instantiate(model, ref, outer)]
-    q = len(replicas) - gate.k + 1
-    if q < 1:
-        raise ModelInvalidError([f"KofN gate {gate.output}: k={gate.k} outside 1..{len(replicas)}"])
-    return [tuple(group) for group in combinations(replicas, q)]
+    return _failure_groups(gate, [(ref.event, args) for args in instantiate(model, ref, outer)])
 
 
 def declarations(model: PftModel, t: float) -> tuple[DisjointDeclaration, ...]:
@@ -129,41 +137,40 @@ def compile_direct(model: PftModel, t: float) -> PhaTheory:
                 for args in instantiate(model, ref, outer)
             )
             clauses.append(Clause(head, body))
-        else:  # kofn
-            for group in expand_kofn(model, gate, outer):
-                body = [_direct_atom(model, event, args) for event, args in group]
-                clauses.append(Clause(head, tuple(body)))
+        else:  # kofn: each replica's atom is built once and shared by every subset
+            (ref,) = gate.inputs
+            replicas = [_direct_atom(model, ref.event, args)
+                        for args in instantiate(model, ref, outer)]
+            clauses.extend(Clause(head, body) for body in _failure_groups(gate, replicas))
     return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DIRECT)
 
 
-def _split_cells(kind: str, k: int | None, n: int) -> list[tuple[str, list[tuple[int, str]]]]:
+def _split_cells(
+    kind: str, k: int | None, n: int
+) -> Iterator[tuple[str, Sequence[int], Sequence[int]]]:
     """Disjoint decision cells of a gate over n ordered inputs.
 
-    Each cell is (gate status, [(input index, input status), ...]) where
-    the inputs that settle the gate value come first in positional order
-    and the remaining decided inputs follow in reverse positional order.
-    Together the cells of a gate partition the joint status space of its
-    inputs; the failure cells alone cover exactly the failing region.
+    Each cell is (gate status, lead, trail): the lead inputs, at the gate's
+    status, settle its value; the trail inputs, at the opposite status,
+    are those decided before them, in reverse positional order.  Lead
+    inputs come in positional order, except in the working cell of an OR
+    (every input working, scanned from the last).  Together the cells of a
+    gate partition the joint status space of its inputs; the failure
+    cells, which come first, alone cover exactly the failing region.
     """
-    cells: list[tuple[str, list[tuple[int, str]]]] = []
     f, w = STATUS_FAILED, STATUS_WORKING
     if kind == "and":
-        cells.append((f, [(i, f) for i in range(n)]))
+        yield f, range(n), ()
         for i in range(n):
-            cells.append((w, [(i, w)] + [(j, f) for j in range(i - 1, -1, -1)]))
+            yield w, (i,), range(i - 1, -1, -1)
     elif kind == "or":
         for i in range(n):
-            cells.append((f, [(i, f)] + [(j, w) for j in range(i - 1, -1, -1)]))
-        cells.append((w, [(i, w) for i in range(n - 1, -1, -1)]))
+            yield f, (i,), range(i - 1, -1, -1)
+        yield w, range(n - 1, -1, -1), ()
     else:  # kofn with threshold k: fails when n-k+1 replicas fail
-        q = n - k + 1
-        for subset in combinations(range(n), q):
-            rest = [j for j in range(max(subset) - 1, -1, -1) if j not in subset]
-            cells.append((f, [(i, f) for i in subset] + [(j, w) for j in rest]))
-        for subset in combinations(range(n), k):
-            rest = [j for j in range(max(subset) - 1, -1, -1) if j not in subset]
-            cells.append((w, [(i, w) for i in subset] + [(j, f) for j in rest]))
-    return cells
+        for status, size in ((f, n - k + 1), (w, k)):
+            for lead in combinations(range(n), size):
+                yield status, lead, [j for j in range(lead[-1] - 1, -1, -1) if j not in lead]
 
 
 def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
@@ -176,20 +183,25 @@ def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
         gate = model.gate_map[ev.class_name]
         head_terms = _head_terms(model, ev.class_name)
         outer = {p: v for p, v in zip(ev.formal_params, head_terms)}
-        # each expanded input's status atoms, built once and shared by every cell
-        atoms = [
-            {st: Atom(predicate_name(ref.event), args + (st,))
-             for st in (STATUS_WORKING, STATUS_FAILED)}
+        instances = [
+            (predicate_name(ref.event), args)
             for ref in gate.inputs
             for args in instantiate(model, ref, outer)
         ]
+        # each expanded input's atom at each status, built once and shared by every cell
+        atoms = {st: [Atom(pred, args + (st,)) for pred, args in instances]
+                 for st in (STATUS_WORKING, STATUS_FAILED)}
+        opposite = {STATUS_WORKING: atoms[STATUS_FAILED], STATUS_FAILED: atoms[STATUS_WORKING]}
         pred = predicate_name(ev.class_name)
-        for status, picks in _split_cells(gate.kind, gate.k, len(atoms)):
-            if ev.kind == KIND_TOP:
-                if status != STATUS_FAILED:
-                    continue
-                head = Atom(pred, head_terms)
-            else:
-                head = Atom(pred, head_terms + (status,))
-            clauses.append(Clause(head, tuple(atoms[i][st] for i, st in picks)))
+        if ev.kind == KIND_TOP:
+            # the top event keeps only its failure cells, under a plain head
+            heads = {STATUS_FAILED: Atom(pred, head_terms)}
+        else:
+            heads = {st: Atom(pred, head_terms + (st,)) for st in atoms}
+        for status, lead, trail in _split_cells(gate.kind, gate.k, len(instances)):
+            if status not in heads:
+                break
+            same, other = atoms[status], opposite[status]
+            body = [same[i] for i in lead] + [other[i] for i in trail]
+            clauses.append(Clause(heads[status], tuple(body)))
     return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DISJOINT)

@@ -104,7 +104,7 @@ class StopCriteria:
     def __post_init__(self):
         if self.max_explanations is not None and self.max_explanations < 1:
             raise ValueError("max_explanations must be positive")
-        if self.epsilon is not None and self.epsilon < 0:
+        if self.epsilon is not None and not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
 
     @property

@@ -194,11 +194,15 @@ def _format_probability(p: float, precision: int | None) -> str:
         digits += 1
 
 
+def _clause_line(texts: list[str]) -> str:
+    """A clause from its rendered head and body atoms, in that order."""
+    if len(texts) == 1:
+        return texts[0] + "."
+    return f"{texts[0]} :- {', '.join(texts[1:])}."
+
+
 def format_clause(clause: Clause) -> str:
-    if not clause.body:
-        return format_atom(clause.head) + "."
-    body = ", ".join(format_atom(b) for b in clause.body)
-    return f"{format_atom(clause.head)} :- {body}."
+    return _clause_line([format_atom(a) for a in (clause.head, *clause.body)])
 
 
 def format_declaration(decl: DisjointDeclaration, precision: int | None = None) -> str:
@@ -214,10 +218,21 @@ def serialize(theory: PhaTheory, precision: int | None = None) -> str:
 
     With `precision`, probabilities are rendered to that many decimal
     places (more when rounding would collapse them to 0 or 1); otherwise
-    they round-trip exactly.
+    they round-trip exactly.  Clauses read as `format_clause` renders
+    them, but a stage-2 vote gate repeats a few hundred distinct atoms
+    across a hundred thousand body slots, so each distinct atom is
+    rendered once per call.
     """
     lines = [format_declaration(d, precision) for d in theory.declarations]
-    lines.extend(format_clause(c) for c in theory.clauses)
+    rendered: dict[Atom, str] = {}
+    for c in theory.clauses:
+        texts = []
+        for atom in (c.head, *c.body):
+            text = rendered.get(atom)
+            if text is None:
+                text = rendered[atom] = format_atom(atom)
+            texts.append(text)
+        lines.append(_clause_line(texts))
     return "\n".join(lines) + "\n"
 
 

@@ -158,6 +158,24 @@ def test_bad_flags_exit_through_argparse(capsys):
         main(["compile", MODEL, "--stage", "3", "--time", "10"])
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("compile", MODEL, "--stage", "2", "--time", "1e4", "--precision", "-1"), "--precision"),
+    (("unrel", MODEL, "--time", "1e4", "--digits", "-1"), "--digits"),
+], ids=["precision", "digits"])
+def test_negative_digit_counts_are_usage_errors(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {option}: expected a nonnegative integer, got -1" in err
+
+
+def test_nan_epsilon_is_an_analysis_error(capsys):
+    code, out, err = _run(capsys, "unrel", MODEL, "--time", "1e4", "--epsilon", "nan")
+    assert (code, out) == (2, "")
+    assert err == "error: epsilon must be nonnegative\n"
+
+
 @pytest.mark.parametrize("argv, searches", [
     (("mcs", "--posterior"), 1),
     (("mcs", "--posterior", "--max-explanations", "5"), 1),

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from conftest import DATA
+from randmodels import multiprocessor
 from pfta.compile import compile_direct, compile_disjoint, expand_kofn
 from pfta.dsl import parse_model
 from pfta.errors import ModelInvalidError
 from pfta.model import EventRef
-from pfta.pha import STAGE_DIRECT, STAGE_DISJOINT, format_clause, serialize
+from pfta.pha import STAGE_DIRECT, STAGE_DISJOINT, Atom, format_clause, serialize
 
 T = 1e4
 
@@ -79,8 +83,6 @@ def test_kofn_expands_to_failure_subsets(model):
 
 
 def test_kofn_group_count_is_n_minus_k_plus_1_choose_n():
-    from math import comb
-
     for card, k in [(3, 1), (3, 2), (3, 3), (4, 2)]:
         values = ", ".join(str(v) for v in range(1, card + 1))
         m = parse_model(
@@ -89,6 +91,28 @@ def test_kofn_group_count_is_n_minus_k_plus_1_choose_n():
         )
         groups = expand_kofn(m, m.gate_map["TE"])
         assert len(groups) == comb(card, card - k + 1)
+
+
+def test_direct_kofn_bodies_are_the_failure_groups():
+    # stage 1 builds each replica's atom once, but must list exactly the
+    # subsets `expand_kofn` gives the oracle, in the same order
+    m = multiprocessor(6, 2, 4)
+    bodies = [c.body for c in compile_direct(m, T).clauses if c.head.pred == "skn"]
+    groups = expand_kofn(m, m.gate_map["SKN"])
+    assert bodies == [
+        tuple(Atom(event.lower(), args) for event, args in group) for group in groups
+    ]
+    assert len(bodies) == comb(6, 3)
+
+
+def test_disjoint_kofn_has_a_cell_per_failure_and_working_subset():
+    m = multiprocessor(6, 2, 4)
+    skn = [c for c in compile_disjoint(m, T).clauses if c.head.pred == "skn"]
+    statuses = [c.head.args[-1] for c in skn]
+    assert statuses == ["f"] * comb(6, 3) + ["w"] * comb(6, 4)
+    # each cell leads with its subset at the gate's status, in subset order
+    leads = [tuple(a.args[0] for a in c.body if a.args[-1] == c.head.args[-1]) for c in skn]
+    assert leads == list(combinations(range(1, 7), 3)) + list(combinations(range(1, 7), 4))
 
 
 def test_disjoint_top_event_head_carries_no_status(model):

@@ -110,6 +110,12 @@ def test_stop_criteria_require_some_bound():
         StopCriteria(epsilon=-0.1)
 
 
+def test_stop_criteria_reject_a_nan_epsilon():
+    # `width <= nan` never holds, so a NaN bound would silently run to exhaustion
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        StopCriteria(epsilon=float("nan"))
+
+
 def test_exhaustive_stop_criteria_take_no_bound():
     assert not StopCriteria(max_explanations=5).exhaustive
     assert not StopCriteria(epsilon=1e-3).exhaustive

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from randmodels import multiprocessor
 from pfta.compile import compile_direct, compile_disjoint
 from pfta.errors import TheoryError
 from pfta.pha import (
@@ -20,6 +21,7 @@ from pfta.pha import (
     entails,
     format_atom,
     format_clause,
+    format_declaration,
     parse_theory,
     serialize,
     unify,
@@ -99,6 +101,36 @@ def test_serialize_parse_round_trip(model):
     assert again.clauses == theory.clauses
     assert again.declarations == theory.declarations
     assert serialize(again) == text
+
+
+@pytest.mark.parametrize("stage, compile_theory", [
+    (STAGE_DIRECT, compile_direct),
+    (STAGE_DISJOINT, compile_disjoint),
+])
+@pytest.mark.parametrize("precision", [None, 4])
+def test_serialize_renders_item_by_item(stage, compile_theory, precision):
+    # vote(3:5) repeats each replica atom across many bodies; the text must
+    # still read as the per-item formatters render each line
+    theory = compile_theory(multiprocessor(5, 2, 3), T)
+    text = serialize(theory, precision)
+    assert text.splitlines() == (
+        [format_declaration(d, precision) for d in theory.declarations]
+        + [format_clause(c) for c in theory.clauses]
+    )
+    again = parse_theory(serialize(theory), stage)
+    assert again == theory
+
+
+def test_serialize_renders_facts_and_propositional_atoms():
+    fact = Clause(Atom("g", (Var("X"),)))
+    rule = Clause(Atom("h", ()), (Atom("a", ()), Atom("g", (1,)), Atom("a", ())))
+    theory = PhaTheory((fact, rule), (_decl(("a", 0.25), ("b", 0.75)),))
+    assert serialize(theory) == (
+        "disjoint([a:0.25,b:0.75]).\n"
+        f"{format_clause(fact)}\n"
+        f"{format_clause(rule)}\n"
+    )
+    assert serialize(theory).splitlines()[1:] == ["g(X).", "h :- a, g(1), a."]
 
 
 def test_serialize_default_precision_round_trips_probabilities(model):
