@@ -38,7 +38,7 @@ def _fmt(value: float, digits: int) -> str:
 
 def _nonnegative(text: str) -> float:
     value = float(text)
-    if value < 0:
+    if not value >= 0:
         raise argparse.ArgumentTypeError(f"time must be nonnegative, got {text}")
     return value
 

@@ -43,6 +43,7 @@ from itertools import count, islice
 from typing import Iterable, Iterator
 
 from .errors import EngineError
+from .graph import CycleError, postorder
 from .pha import (
     Atom,
     DisjointDeclaration,
@@ -406,38 +407,22 @@ class ExactEvaluator:
             bodies = (table.expansions.get(a) or table.expand(a))[0]
             return (b for body in bodies for b in body)
 
-        # post-order walk with an explicit stack: a chain of clauses may be
-        # far deeper than the recursion limit
-        pending: set[int] = set()
-        for root in (a for atoms in roots for a in atoms):
-            if root in self._support:
-                continue
-            pending.add(root)
-            stack = [(root, children(root))]
-            while stack:
-                a, rest = stack[-1]
-                for b in rest:
-                    if b in pending:
-                        raise EngineError(
-                            f"cyclic theory: {format_atom(table.atoms[b])} depends on itself"
-                        )
-                    if b not in self._support:
-                        pending.add(b)
-                        stack.append((b, children(b)))
-                        break
-                else:
-                    stack.pop()
-                    pending.discard(a)
-                    bodies, bit = table.expansions[a]
-                    self._bodies[a] = tuple((body, self._shared(body)) for body in bodies)
-                    mask = 0
-                    for body in bodies:
-                        for b in body:
-                            mask |= self._support[b]
-                    if bit is not None:
-                        mask = table.decl_masks[bit]
-                        self._leaves[a] = (bit, mask)
-                    self._support[a] = mask
+        try:
+            for a in postorder((a for atoms in roots for a in atoms), children):
+                bodies, bit = table.expansions[a]
+                self._bodies[a] = tuple((body, self._shared(body)) for body in bodies)
+                mask = 0
+                for body in bodies:
+                    for b in body:
+                        mask |= self._support[b]
+                if bit is not None:
+                    mask = table.decl_masks[bit]
+                    self._leaves[a] = (bit, mask)
+                self._support[a] = mask
+        except CycleError as exc:
+            raise EngineError(
+                f"cyclic theory: {format_atom(table.atoms[exc.node])} depends on itself"
+            ) from None
 
     def _shared(self, atoms: tuple[int, ...]) -> int:
         """The alternatives in the supports of two or more of `atoms`."""

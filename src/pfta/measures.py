@@ -16,6 +16,7 @@ unreliability and curves search with their stop criteria instead.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -227,6 +228,9 @@ def unreliability_curve(
 
 def curve_times(t_from: float, t_to: float, step: float) -> list[float]:
     """Arithmetic grid from t_from to t_to inclusive (within rounding)."""
+    for name, value in (("start time", t_from), ("end time", t_to), ("step", step)):
+        if not math.isfinite(value):
+            raise AnalysisError(f"curve {name} must be finite, got {value}")
     if step <= 0:
         raise AnalysisError(f"step must be positive, got {step}")
     if t_to < t_from:

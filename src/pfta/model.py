@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ModelInvalidError
+from .graph import CycleError, postorder
 
 GateKind = str  # "and" | "or" | "kofn"
 
@@ -144,21 +145,6 @@ def failure_probability(lam: float, t: float) -> float:
     return -math.expm1(-lam * t)
 
 
-def _descendants(model: PftModel, root: str) -> set[str]:
-    """All event classes reachable downward from `root`, inclusive."""
-    seen: set[str] = set()
-    stack = [root]
-    while stack:
-        name = stack.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        gate = model.gate_map.get(name)
-        if gate is not None:
-            stack.extend(ref.event for ref in gate.inputs)
-    return seen
-
-
 def validate(model: PftModel) -> list[str]:
     """Check structural well-formedness; returns human-readable violations."""
     out: list[str] = []
@@ -231,33 +217,15 @@ def validate(model: PftModel) -> list[str]:
                 "is not one of its formal parameters"
             )
 
-    # cycle check on the event graph (output -> inputs), depth-first with
-    # an explicit stack: trees may be far deeper than the recursion limit
-    color: dict[str, int] = {}
-
-    def inputs(name: str) -> Iterator[EventRef]:
+    # the event graph: a class's inputs are the declared classes its gate reads
+    def inputs(name: str) -> list[str]:
         gate = model.gate_map.get(name)
-        return iter(gate.inputs if gate is not None else ())
+        return [ref.event for ref in gate.inputs if ref.event in classes] if gate else []
 
-    def has_cycle(root: str) -> bool:
-        color[root] = 1
-        stack = [(root, inputs(root))]
-        while stack:
-            name, pending = stack[-1]
-            for ref in pending:
-                c = color.get(ref.event, 0)
-                if c == 1:
-                    return True
-                if c == 0 and ref.event in classes:
-                    color[ref.event] = 1
-                    stack.append((ref.event, inputs(ref.event)))
-                    break
-            else:
-                color[name] = 2
-                stack.pop()
-        return False
-
-    if any(color.get(e.class_name, 0) == 0 and has_cycle(e.class_name) for e in model.events):
+    try:
+        for _ in postorder((e.class_name for e in model.events), inputs):
+            pass
+    except CycleError:
         out.append("event graph contains a cycle")
         return out  # scope checks below assume an acyclic graph
 
@@ -268,7 +236,7 @@ def validate(model: PftModel) -> list[str]:
     for p in model.params:
         if p.declared_at is None or p.declared_at not in classes:
             continue
-        scope = _descendants(model, p.declared_at)
+        scope = set(postorder([p.declared_at], inputs))
         holders = [e.class_name for e in model.events if p.name in e.formal_params]
         # a gate may name the parameter in the ref that introduces it (forall)
         holders.extend(

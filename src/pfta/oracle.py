@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import OracleError
 from .compile import expand_kofn
+from .graph import postorder
 from .model import (
     GroundEvent as Key,
     KIND_BASIC,
     PftModel,
     failure_probability,
-    format_instance,
     instantiate,
     require_valid,
 )
@@ -43,8 +43,8 @@ class GroundFaultTree:
         return tuple(k for k, _ in self.basics)
 
 
-def _gate_nodes(model: PftModel, key: Key) -> list[tuple[Key, str, tuple[Key, ...]]]:
-    """The ground nodes a gate instance unfolds to, its own node last.
+def _gate_nodes(model: PftModel, key: Key) -> dict[Key, tuple[str, tuple[Key, ...]]]:
+    """The ground nodes a gate instance unfolds to: key -> (kind, inputs).
 
     A voting gate becomes one AND node per failure subset under an OR node.
     """
@@ -54,55 +54,36 @@ def _gate_nodes(model: PftModel, key: Key) -> list[tuple[Key, str, tuple[Key, ..
     if gate.kind == "kofn":
         groups = expand_kofn(model, gate, env)
         subkeys = tuple((f"{class_name}#{i}", values) for i in range(1, len(groups) + 1))
-        return [(s, "and", tuple(g)) for s, g in zip(subkeys, groups)] + [(key, "or", subkeys)]
+        nodes = {s: ("and", tuple(g)) for s, g in zip(subkeys, groups)}
+        nodes[key] = ("or", subkeys)
+        return nodes
     inputs = tuple(
         (ref.event, args) for ref in gate.inputs for args in instantiate(model, ref, env)
     )
-    return [(key, gate.kind, inputs)]
+    return {key: (gate.kind, inputs)}
 
 
 def unfold(model: PftModel, t: float) -> GroundFaultTree:
     """Instantiate every replica reachable from the top event."""
     require_valid(model)
-    basic_probs: dict[Key, float] = {}
-    nodes: list[tuple[Key, str, tuple[Key, ...]]] = []
-    done: set[Key] = set()
-    building: set[Key] = set()
+    # ground gate node -> (kind, inputs); a voting subnode enters with its gate
+    gates: dict[Key, tuple[str, tuple[Key, ...]]] = {}
 
-    def inputs_first(key: Key):
-        """Yield each node's inputs, then append the node (a post-order walk)."""
-        for node in _gate_nodes(model, key):
-            yield from node[2]
-            nodes.append(node)
-            done.add(node[0])
-
-    # depth-first with an explicit stack: trees may be far deeper than the
-    # interpreter's recursion limit
-    stack: list[tuple[Key, Iterator[Key]]] = []
-
-    def enter(key: Key) -> None:
-        if key in done:
-            return
-        if key in building:
-            raise OracleError(f"cycle through {format_instance(key)}")
-        class_name = key[0]
-        if model.event_map[class_name].kind == KIND_BASIC:
-            basic_probs[key] = failure_probability(model.rate_map[class_name], t)
-            done.add(key)
-        else:
-            building.add(key)
-            stack.append((key, inputs_first(key)))
+    def inputs(key: Key) -> tuple[Key, ...]:
+        if key not in gates:
+            if model.event_map[key[0]].kind == KIND_BASIC:
+                return ()
+            gates.update(_gate_nodes(model, key))
+        return gates[key][1]
 
     top_key: Key = (model.top.class_name, ())
-    enter(top_key)
-    while stack:
-        key, pending = stack[-1]
-        child = next(pending, None)
-        if child is None:
-            stack.pop()
-            building.discard(key)
+    nodes = []
+    basic_probs: dict[Key, float] = {}
+    for key in postorder([top_key], inputs):
+        if key in gates:
+            nodes.append((key, *gates[key]))
         else:
-            enter(child)
+            basic_probs[key] = failure_probability(model.rate_map[key[0]], t)
     order = {e.class_name: i for i, e in enumerate(model.events)}
     basics = tuple(
         (k, basic_probs[k]) for k in sorted(basic_probs, key=lambda k: (order[k[0]], k[1]))

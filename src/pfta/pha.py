@@ -16,6 +16,7 @@ from itertools import product
 from typing import Iterator
 
 from .errors import TheoryError
+from .graph import CycleError, postorder
 
 STATUS_WORKING = "w"
 STATUS_FAILED = "f"
@@ -420,9 +421,10 @@ def _relevant_ground_clauses(theory: PhaTheory) -> list[Clause]:
 class GroundProgram:
     """Grounded theory compiled to bitmask rules for fast world evaluation.
 
-    Rules whose bodies can never hold are dropped; the rest are ordered so
-    a single pass computes the forward-chaining closure when the clause
-    graph is acyclic (the general fixpoint loop covers cyclic theories).
+    Rules whose bodies can never hold are dropped.  When the clause graph
+    is acyclic the rest are ordered bodies first, so one pass over them
+    computes the forward-chaining closure; a cyclic theory keeps its rules
+    as given and the closure repeats that pass until nothing changes.
     """
 
     def __init__(self, theory: PhaTheory):
@@ -450,33 +452,12 @@ class GroundProgram:
         deps: dict[int, set[int]] = {}
         for head_i, _, body_i, _ in self.rules:
             deps.setdefault(head_i, set()).update(body_i)
-        rank: dict[int, int] = {}
-        state: dict[int, int] = {}
-        acyclic = True
-
-        # post-order depth-first walk with an explicit stack: a chain of
-        # rules may be far deeper than the recursion limit
-        for root in range(len(self.atoms)):
-            if state.get(root, 0) != 0:
-                continue
-            state[root] = 1
-            stack = [(root, iter(deps.get(root, ())))]
-            while stack:
-                a, pending = stack[-1]
-                for b in pending:
-                    s = state.get(b, 0)
-                    if s == 1:
-                        acyclic = False
-                    elif s == 0:
-                        state[b] = 1
-                        stack.append((b, iter(deps.get(b, ()))))
-                        break
-                else:
-                    state[a] = 2
-                    rank[a] = len(rank)
-                    stack.pop()
-        ordered = sorted(self.rules, key=lambda r: rank.get(r[0], 0))
-        return ordered, acyclic
+        order = postorder(range(len(self.atoms)), lambda a: deps.get(a, ()))
+        try:
+            rank = {a: r for r, a in enumerate(order)}
+        except CycleError:
+            return self.rules, False
+        return sorted(self.rules, key=lambda r: rank[r[0]]), True
 
     def fact_mask(self, facts: set[Atom]) -> int:
         mask = 0
@@ -487,20 +468,13 @@ class GroundProgram:
         return mask
 
     def closure_mask(self, mask: int) -> int:
-        if self.acyclic:
+        while True:
+            before = mask
             for head_i, body_mask, _, _ in self.ordered:
                 if body_mask & ~mask == 0:
                     mask |= 1 << head_i
-            return mask
-        changed = True
-        while changed:
-            changed = False
-            for head_i, body_mask, _, _ in self.rules:
-                head_bit = 1 << head_i
-                if not mask & head_bit and body_mask & ~mask == 0:
-                    mask |= head_bit
-                    changed = True
-        return mask
+            if self.acyclic or mask == before:
+                return mask
 
     def derives(self, facts: set[Atom], goals: list[Atom]) -> bool:
         if any(g not in self.index for g in goals):

@@ -176,6 +176,26 @@ def test_nan_epsilon_is_an_analysis_error(capsys):
     assert err == "error: epsilon must be nonnegative\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--from", "0", "--to", "10", "--step", "nan"), "error: curve step must be finite, got nan"),
+    (("--from", "nan", "--to", "10", "--step", "1"),
+     "argument --from: time must be nonnegative, got nan"),
+    (("--from", "0", "--to", "inf", "--step", "1"), "error: curve end time must be finite, got inf"),
+    (("--from", "inf", "--to", "10", "--step", "1"),
+     "error: curve start time must be finite, got inf"),
+    (("--from", "0", "--to", "10", "--step", "inf"), "error: curve step must be finite, got inf"),
+], ids=["step-nan", "from-nan", "to-inf", "from-inf", "step-inf"])
+def test_a_non_finite_curve_grid_exits_2_naming_the_argument(capsys, flags, message):
+    # each of these once built the grid without end, or an unusable one
+    try:
+        code = main(["curve", MODEL, *flags])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("argv, searches", [
     (("mcs", "--posterior"), 1),
     (("mcs", "--posterior", "--max-explanations", "5"), 1),

@@ -212,6 +212,34 @@ def test_ground_program_closure_is_monotone():
     assert not program.derives({Atom("a", ())}, [Atom("g", ())])
 
 
+def test_ground_program_closure_on_a_cyclic_theory():
+    # g and h depend on each other
+    a, b, g, h = (Atom(n, ()) for n in "abgh")
+    theory = PhaTheory(
+        clauses=(Clause(g, (a, h)), Clause(h, (g,)), Clause(h, (b,))),
+        declarations=(_decl(("a", 0.5), ("x", 0.5)), _decl(("b", 0.5), ("y", 0.5))),
+        stage=STAGE_DIRECT,
+    )
+    assert GroundProgram(theory).acyclic is False
+    assert entails(theory, {a, b}, [g])
+    assert not entails(theory, {a}, [g])
+    assert entails(theory, {b}, [h])
+
+
+def test_ground_program_closure_repeats_its_pass_on_a_cyclic_theory():
+    # a cyclic theory keeps its live rules in the order they became live:
+    # h :- b, g :- a h, h :- g, k :- c, h :- k; from {a, c} one pass
+    # derives k and h after g's rule has been tried, so g needs a second
+    theory = parse_theory(
+        "disjoint([a:0.5,x:0.5]).\ndisjoint([b:0.5,y:0.5]).\ndisjoint([c:0.5,z:0.5]).\n"
+        "h :- b.\ng :- a, h.\nh :- g.\nh :- k.\nk :- c.\n"
+    )
+    program = GroundProgram(theory)
+    assert program.acyclic is False
+    assert program.derives({Atom("a", ()), Atom("c", ())}, [Atom("g", ())])
+    assert not program.derives({Atom("c", ())}, [Atom("g", ())])
+
+
 def test_parse_theory_reports_line_numbers():
     with pytest.raises(TheoryError) as err:
         parse_theory("disjoint([a:0.5,b:0.5]).\ng :- a\n")
