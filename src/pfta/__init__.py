@@ -7,7 +7,7 @@ results (minimal cut sets) and quantitative results (prior and posterior
 unreliability) can be cross-checked against exhaustive enumeration.
 """
 
-from .compile import compile_direct, compile_disjoint, expand_kofn
+from .compile import compile_direct, compile_disjoint
 from .dsl import parse_model, serialize_model
 from .engine import (
     EXHAUSTIVE,
@@ -120,7 +120,6 @@ __all__ = [
     "entails",
     "evaluate",
     "exact_probability",
-    "expand_kofn",
     "explain",
     "failure_probability",
     "format_instance",

@@ -13,14 +13,16 @@ the order the model declares them:
   cells (an ordered expansion with early termination), making explanation
   probabilities directly summable.  The top event keeps a plain failure
   predicate.
+
+Both read every gate as one rule: it fails when at least m of its n
+inputs fail, with m = n for AND, 1 for OR and n-k+1 for `vote(k:n)`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from .errors import ModelInvalidError
 from .model import (
     Gate,
     KIND_BASIC,
@@ -52,35 +54,13 @@ def _head_terms(model: PftModel, class_name: str) -> tuple:
     return tuple(Var(p.upper()) for p in ev.formal_params)
 
 
-def _failure_groups(gate: Gate, replicas: list) -> list[tuple]:
-    """The k-of-n rule: the failure subsets of a voting gate's replicas.
-
-    A gate asking for k working replicas out of n fails when n-k+1 fail;
-    the result lists one conjunction per subset of that size, in
-    lexicographic order of `replicas` (ground events or their atoms).
-    """
-    q = len(replicas) - gate.k + 1
-    if q < 1:
-        raise ModelInvalidError([f"KofN gate {gate.output}: k={gate.k} outside 1..{len(replicas)}"])
-    return list(combinations(replicas, q))
-
-
-def expand_kofn(
-    model: PftModel,
-    gate: Gate,
-    outer: Mapping[str, object] | None = None,
-) -> list[tuple[tuple[str, tuple], ...]]:
-    """Rewrite a voting gate as a disjunction of replica conjunctions.
-
-    Each conjunction is a failure subset of the replicas `(event, args)`
-    of the gate's one input, as `_failure_groups` lists them.
-    """
-    if gate.kind != "kofn" or len(gate.inputs) != 1 or gate.k is None:
-        raise ModelInvalidError([f"gate {gate.output} is not a well-formed KofN gate"])
-    if outer is None:
-        outer = {p: Var(p.upper()) for p in model.event_map[gate.output].formal_params}
-    ref = gate.inputs[0]
-    return _failure_groups(gate, [(ref.event, args) for args in instantiate(model, ref, outer)])
+def _needed(gate: Gate, n: int) -> int:
+    """How many of the gate's n inputs must fail for it to fail."""
+    if gate.kind == "and":
+        return n
+    if gate.kind == "or":
+        return 1
+    return n - gate.k + 1
 
 
 def declarations(model: PftModel, t: float) -> tuple[DisjointDeclaration, ...]:
@@ -126,51 +106,42 @@ def compile_direct(model: PftModel, t: float) -> PhaTheory:
         head = Atom(predicate_name(ev.class_name), _head_terms(model, ev.class_name))
         outer = {p: v for p, v in zip(ev.formal_params, head.args)}
         if gate.kind == "or":
-            # one clause per input: its replica indices stay clause variables
-            for ref in gate.inputs:
-                args = tuple(a if isinstance(a, int) else Var(a.upper()) for a in ref.args)
-                clauses.append(Clause(head, (_direct_atom(model, ref.event, args),)))
-        elif gate.kind == "and":
-            body = tuple(
+            # one input per reference: its replica indices stay clause variables
+            inputs = [
+                _direct_atom(model, ref.event,
+                             tuple(a if isinstance(a, int) else Var(a.upper()) for a in ref.args))
+                for ref in gate.inputs
+            ]
+        else:
+            # each replica's atom is built once and shared by every clause
+            inputs = [
                 _direct_atom(model, ref.event, args)
                 for ref in gate.inputs
                 for args in instantiate(model, ref, outer)
-            )
-            clauses.append(Clause(head, body))
-        else:  # kofn: each replica's atom is built once and shared by every subset
-            (ref,) = gate.inputs
-            replicas = [_direct_atom(model, ref.event, args)
-                        for args in instantiate(model, ref, outer)]
-            clauses.extend(Clause(head, body) for body in _failure_groups(gate, replicas))
+            ]
+        clauses.extend(Clause(head, body)
+                       for body in combinations(inputs, _needed(gate, len(inputs))))
     return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DIRECT)
 
 
-def _split_cells(
-    kind: str, k: int | None, n: int
-) -> Iterator[tuple[str, Sequence[int], Sequence[int]]]:
+def _split_cells(gate: Gate, n: int) -> Iterator[tuple[str, Sequence[int], Sequence[int]]]:
     """Disjoint decision cells of a gate over n ordered inputs.
 
     Each cell is (gate status, lead, trail): the lead inputs, at the gate's
     status, settle its value; the trail inputs, at the opposite status,
-    are those decided before them, in reverse positional order.  Lead
-    inputs come in positional order, except in the working cell of an OR
-    (every input working, scanned from the last).  Together the cells of a
-    gate partition the joint status space of its inputs; the failure
-    cells, which come first, alone cover exactly the failing region.
+    are those before the last lead input and outside the lead, in reverse
+    positional order.  A gate needing m failures has a failure cell per
+    m-subset of its inputs and a working cell per (n-m+1)-subset, each
+    lead in positional order, except that an OR's one working cell scans
+    its inputs from the last.  Together the cells partition the joint
+    status space of the inputs; the failure cells, which come first,
+    alone cover exactly the failing region.
     """
-    f, w = STATUS_FAILED, STATUS_WORKING
-    if kind == "and":
-        yield f, range(n), ()
-        for i in range(n):
-            yield w, (i,), range(i - 1, -1, -1)
-    elif kind == "or":
-        for i in range(n):
-            yield f, (i,), range(i - 1, -1, -1)
-        yield w, range(n - 1, -1, -1), ()
-    else:  # kofn with threshold k: fails when n-k+1 replicas fail
-        for status, size in ((f, n - k + 1), (w, k)):
-            for lead in combinations(range(n), size):
-                yield status, lead, [j for j in range(lead[-1] - 1, -1, -1) if j not in lead]
+    m = _needed(gate, n)
+    working = [range(n - 1, -1, -1)] if gate.kind == "or" else combinations(range(n), n - m + 1)
+    for status, leads in ((STATUS_FAILED, combinations(range(n), m)), (STATUS_WORKING, working)):
+        for lead in leads:
+            yield status, lead, [j for j in range(lead[-1] - 1, -1, -1) if j not in lead]
 
 
 def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
@@ -198,7 +169,7 @@ def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
             heads = {STATUS_FAILED: Atom(pred, head_terms)}
         else:
             heads = {st: Atom(pred, head_terms + (st,)) for st in atoms}
-        for status, lead, trail in _split_cells(gate.kind, gate.k, len(instances)):
+        for status, lead, trail in _split_cells(gate, len(instances)):
             if status not in heads:
                 break
             same, other = atoms[status], opposite[status]

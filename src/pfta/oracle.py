@@ -1,8 +1,9 @@
 """Ground-truth reference: unfold the tree and enumerate every world.
 
 This path never touches the Horn translation or the search engine.  The
-parametric tree is unfolded to a ground AND/OR DAG (voting gates become
-a disjunction over replica subsets) and every probability is obtained by
+parametric tree is unfolded to a ground DAG with one threshold node per
+gate instance: it fails when at least m of its n inputs fail (m = n for
+AND, 1 for OR, n-k+1 for `vote(k:n)`).  Every probability is obtained by
 summing complete basic-event assignments, so it is exact, slow, and an
 independent check on everything the engine computes.
 """
@@ -15,7 +16,6 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import OracleError
-from .compile import expand_kofn
 from .graph import postorder
 from .model import (
     GroundEvent as Key,
@@ -32,10 +32,14 @@ _CHUNK_BITS = 16
 
 @dataclass(frozen=True)
 class GroundFaultTree:
-    """Ground AND/OR DAG; `nodes` are topologically ordered (inputs first)."""
+    """Ground threshold DAG; `nodes` are topologically ordered (inputs first).
+
+    Each node is (key, m, inputs): the gate instance fails when at least m
+    of its inputs fail.
+    """
 
     basics: tuple[tuple[Key, float], ...]
-    nodes: tuple[tuple[Key, str, tuple[Key, ...]], ...]
+    nodes: tuple[tuple[Key, int, tuple[Key, ...]], ...]
     top: Key
 
     @property
@@ -43,37 +47,36 @@ class GroundFaultTree:
         return tuple(k for k, _ in self.basics)
 
 
-def _gate_nodes(model: PftModel, key: Key) -> dict[Key, tuple[str, tuple[Key, ...]]]:
-    """The ground nodes a gate instance unfolds to: key -> (kind, inputs).
+def _threshold(kind: str, k: int | None, n: int) -> int:
+    """Failed inputs, of n, that fail a gate: all, one, or n-k+1 for vote(k:n)."""
+    if kind == "and":
+        return n
+    if kind == "or":
+        return 1
+    return n - k + 1
 
-    A voting gate becomes one AND node per failure subset under an OR node.
-    """
+
+def _gate_node(model: PftModel, key: Key) -> tuple[int, tuple[Key, ...]]:
+    """The threshold node of a gate instance: (m, inputs)."""
     class_name, values = key
     gate = model.gate_map[class_name]
     env = dict(zip(model.event_map[class_name].formal_params, values))
-    if gate.kind == "kofn":
-        groups = expand_kofn(model, gate, env)
-        subkeys = tuple((f"{class_name}#{i}", values) for i in range(1, len(groups) + 1))
-        nodes = {s: ("and", tuple(g)) for s, g in zip(subkeys, groups)}
-        nodes[key] = ("or", subkeys)
-        return nodes
     inputs = tuple(
         (ref.event, args) for ref in gate.inputs for args in instantiate(model, ref, env)
     )
-    return {key: (gate.kind, inputs)}
+    return _threshold(gate.kind, gate.k, len(inputs)), inputs
 
 
 def unfold(model: PftModel, t: float) -> GroundFaultTree:
     """Instantiate every replica reachable from the top event."""
     require_valid(model)
-    # ground gate node -> (kind, inputs); a voting subnode enters with its gate
-    gates: dict[Key, tuple[str, tuple[Key, ...]]] = {}
+    gates: dict[Key, tuple[int, tuple[Key, ...]]] = {}
 
     def inputs(key: Key) -> tuple[Key, ...]:
         if key not in gates:
             if model.event_map[key[0]].kind == KIND_BASIC:
                 return ()
-            gates.update(_gate_nodes(model, key))
+            gates[key] = _gate_node(model, key)
         return gates[key][1]
 
     top_key: Key = (model.top.class_name, ())
@@ -94,9 +97,8 @@ def unfold(model: PftModel, t: float) -> GroundFaultTree:
 def evaluate(tree: GroundFaultTree, failed: set[Key]) -> dict[Key, bool]:
     """Status of every node (True = failed) for one basic assignment."""
     state: dict[Key, bool] = {k: (k in failed) for k, _ in tree.basics}
-    for key, kind, inputs in tree.nodes:
-        vals = [state[i] for i in inputs]
-        state[key] = all(vals) if kind == "and" else any(vals)
+    for key, m, inputs in tree.nodes:
+        state[key] = sum(state[i] for i in inputs) >= m
     return state
 
 
@@ -114,15 +116,11 @@ def _node_columns(tree: GroundFaultTree, bits: np.ndarray) -> dict[Key, np.ndarr
     cols: dict[Key, np.ndarray] = {}
     for j, (key, _) in enumerate(tree.basics):
         cols[key] = bits[:, j]
-    for key, kind, inputs in tree.nodes:
-        acc = cols[inputs[0]].copy()
-        if kind == "and":
-            for i in inputs[1:]:
-                acc &= cols[i]
-        else:
-            for i in inputs[1:]:
-                acc |= cols[i]
-        cols[key] = acc
+    for key, m, inputs in tree.nodes:
+        failed = np.zeros(len(bits), dtype=np.int32)
+        for i in inputs:
+            failed += cols[i]
+        cols[key] = failed >= m
     return cols
 
 
@@ -203,12 +201,12 @@ def prime_implicants(
 ) -> list[frozenset[Key]]:
     """Minimal failure sets of the top event, by exhaustive enumeration.
 
-    The tree is coherent (AND/OR only), so a failing set is minimal
-    exactly when dropping any single element makes the top event work.
-    One numpy step per basic event j clears that flag on every failing
-    set with bit j whose twin without it fails too; at the 24-event bound
-    the flags and the step's temporary take about 24 MB beside the
-    failure vector.
+    Every node is a threshold of its inputs, so the tree is coherent and
+    a failing set is minimal exactly when dropping any single element
+    makes the top event work.  One numpy step per basic event j clears
+    that flag on every failing set with bit j whose twin without it fails
+    too; at the 24-event bound the flags and the step's temporary take
+    about 24 MB beside the failure vector.
     """
     n = _check_size(tree, max_events)
     failed = top_failure_vector(tree, max_events)

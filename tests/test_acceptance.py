@@ -164,10 +164,8 @@ def _world_columns(tree):
     n = len(tree.basics)
     idx = np.arange(1 << n, dtype=np.uint32)
     cols = {key: (idx >> j) & 1 == 1 for j, (key, _) in enumerate(tree.basics)}
-    for key, kind, inputs in tree.nodes:
-        stacked = [cols[k] for k in inputs]
-        cols[key] = np.logical_and.reduce(stacked) if kind == "and" \
-            else np.logical_or.reduce(stacked)
+    for key, m, inputs in tree.nodes:
+        cols[key] = np.add.reduce([cols[k] for k in inputs], dtype=np.int32) >= m
     return cols, 1 << n
 
 
@@ -225,7 +223,7 @@ def test_criterion_8_property_suite(model):
             bodies = [_body_column(c, derived, n_worlds) for c in clauses]
             assert np.add.reduce(bodies).max() <= 1, f"bodies of {head} overlap"
     for key, _, _ in tree.nodes:
-        if "#" in key[0] or key == tree.top:
+        if key == tree.top:
             continue
         f_col = derived[Atom(predicate_name(key[0]), key[1] + ("f",))]
         w_col = derived[Atom(predicate_name(key[0]), key[1] + ("w",))]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import pfta.cli
 import pfta.engine
 from conftest import DATA
 from pfta.cli import main
@@ -101,6 +102,22 @@ def test_curve_defaults_to_csv(capsys):
     assert float(rows[6][1]) == pytest.approx(0.224528, abs=1e-6)
 
 
+@pytest.mark.parametrize("stop", [("--epsilon", "1e-3"), ("--max-explanations", "3")],
+                         ids=["epsilon", "max-explanations"])
+def test_bounded_curves_bracket_the_exhaustive_curve(capsys, stop):
+    grid = ("--from", "0", "--to", "20000", "--step", "4000", "--digits", "17")
+    _, out, _ = _run(capsys, "curve", MODEL, *grid)
+    exact = [float(r[1]) for r in _rows(out)[1:]]
+    code, out, err = _run(capsys, "curve", MODEL, *grid, *stop)
+    assert code == 0, err
+    bounds = [(float(r[1]), float(r[2])) for r in _rows(out)[1:]]
+    assert len(bounds) == len(exact) == 6
+    for (lower, upper), value in zip(bounds, exact):
+        assert lower - 1e-12 <= value <= upper + 1e-12
+        if stop[0] == "--epsilon":
+            assert upper - lower <= 1e-3
+
+
 def test_outputs_are_byte_deterministic(capsys):
     _, first, _ = _run(capsys, "mcs", MODEL, "--time", "10000", "--format", "csv")
     _, second, _ = _run(capsys, "mcs", MODEL, "--time", "10000", "--format", "csv")
@@ -131,6 +148,30 @@ def test_oracle_cross_check_passes(capsys):
     assert code == 0, err
     assert "cut set agreement: yes" in out
     assert "max probability deviation" in out
+
+
+def test_oracle_disagreement_exits_2_after_the_report(capsys, monkeypatch):
+    enumerate_joints = pfta.cli.top_joint_probabilities
+
+    def perturbed(tree, *args):
+        top, joints = enumerate_joints(tree, *args)
+        return top * (1 + 1e-6), joints
+
+    monkeypatch.setattr(pfta.cli, "top_joint_probabilities", perturbed)
+    code, out, err = _run(capsys, "oracle", MODEL, "--time", "10000")
+    assert code == 2
+    assert "error: search and enumeration disagree" in err
+    assert "cut set agreement: yes" in out
+    assert "max probability deviation" in out
+
+
+def test_posterior_of_a_model_that_cannot_fail_is_an_analysis_error(capsys, tmp_path):
+    path = tmp_path / "never.pft"
+    path.write_text("basic A rate 0\nbasic B rate 0\ntop TE = or(A, B)\n")
+    code, out, err = _run(capsys, "posterior", str(path), "--time", "10000")
+    assert code == 2
+    assert out == ""
+    assert "posterior undefined: system unreliability is 0" in err
 
 
 def test_missing_file_is_an_io_error(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import DATA
 from randmodels import multiprocessor
-from pfta.compile import compile_direct, compile_disjoint, expand_kofn
+from pfta.compile import compile_direct, compile_disjoint
 from pfta.dsl import parse_model
 from pfta.errors import ModelInvalidError
 from pfta.model import EventRef
@@ -72,13 +72,17 @@ def test_and_gate_folds_the_declared_parameter(model):
     assert format_clause(dm) == "dm(I) :- d(I,1,f), d(I,2,f)."
 
 
+def _direct_bodies(model, pred):
+    return [c.body for c in compile_direct(model, T).clauses if c.head.pred == pred]
+
+
 def test_kofn_expands_to_failure_subsets(model):
-    gate = model.gate_map["SKN"]
-    groups = expand_kofn(model, gate)
-    assert groups == [
-        (("S", (1,)), ("S", (2,))),
-        (("S", (1,)), ("S", (3,))),
-        (("S", (2,)), ("S", (3,))),
+    # vote(2:3) fails when 2 of its 3 replicas fail
+    replicas = [Atom("s", (i,)) for i in (1, 2, 3)]
+    assert _direct_bodies(model, "skn") == [
+        (replicas[0], replicas[1]),
+        (replicas[0], replicas[2]),
+        (replicas[1], replicas[2]),
     ]
 
 
@@ -89,19 +93,19 @@ def test_kofn_group_count_is_n_minus_k_plus_1_choose_n():
             f"type T={{{values}}}\nbasic A(i:T) rate 1e-4\n"
             f"top TE = vote({k}:{card}) forall(i:T) A(i)"
         )
-        groups = expand_kofn(m, m.gate_map["TE"])
-        assert len(groups) == comb(card, card - k + 1)
+        replicas = [Atom("a", (i, "f")) for i in range(1, card + 1)]
+        bodies = _direct_bodies(m, "te")
+        assert bodies == list(combinations(replicas, card - k + 1))
+        assert len(bodies) == comb(card, card - k + 1)
 
 
 def test_direct_kofn_bodies_are_the_failure_groups():
-    # stage 1 builds each replica's atom once, but must list exactly the
-    # subsets `expand_kofn` gives the oracle, in the same order
+    # stage 1 builds each replica's atom once and lists every failure
+    # subset of vote(4:6), in `itertools.combinations` order
     m = multiprocessor(6, 2, 4)
-    bodies = [c.body for c in compile_direct(m, T).clauses if c.head.pred == "skn"]
-    groups = expand_kofn(m, m.gate_map["SKN"])
-    assert bodies == [
-        tuple(Atom(event.lower(), args) for event, args in group) for group in groups
-    ]
+    replicas = [Atom("s", (i,)) for i in range(1, 7)]
+    bodies = _direct_bodies(m, "skn")
+    assert bodies == list(combinations(replicas, 3))
     assert len(bodies) == comb(6, 3)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -37,3 +38,27 @@ def test_no_module_imports_another_modules_private_name():
 def test_every_exported_name_resolves():
     missing = [name for name in pfta.__all__ if not hasattr(pfta, name)]
     assert missing == []
+
+
+def _package_modules_imported(text: str) -> set[str]:
+    """Modules of the package that a source imports, by short name."""
+    paths = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            paths += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("pfta." if node.level else "") + (node.module or "")
+            paths += [f"{module.rstrip('.')}.{a.name}" for a in node.names]
+    return {p.split(".")[1] for p in paths if p.startswith("pfta.")}
+
+
+def test_the_module_scan_sees_every_import_form():
+    text = "from .a import x\nfrom . import b\nfrom pfta.c import y\nimport pfta.d\nimport numpy\n"
+    assert _package_modules_imported(text) == {"a", "b", "c", "d"}
+
+
+def test_the_oracle_shares_no_code_with_what_it_checks():
+    # the reference must reach its numbers without the translation, the
+    # search or the measures built on them
+    imported = _package_modules_imported((SRC / "oracle.py").read_text())
+    assert imported & {"compile", "engine", "measures", "pha"} == set()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from pfta.oracle import (
     exact_probability,
     prime_implicants,
     top_failure_vector,
+    top_joint_probabilities,
     unfold,
 )
 
@@ -31,13 +33,33 @@ def test_unfold_grounds_every_replica(model):
     assert classes == {"B": 1, "Mg": 1, "M": 3, "P": 3, "D": 6}
 
 
-def test_unfold_rewrites_voting_gates_to_and_or(model):
+def test_unfold_keeps_one_threshold_node_per_gate_instance(model):
     tree = unfold(model, T)
-    kinds = {key: kind for key, kind, _ in tree.nodes}
-    synthetic = sorted(key for key in kinds if "#" in key[0])
-    assert synthetic == [("SKN#1", ()), ("SKN#2", ()), ("SKN#3", ())]
-    assert all(kinds[key] == "and" for key in synthetic)
-    assert kinds[("SKN", ())] == "or"
+    nodes = {key: (m, inputs) for key, m, inputs in tree.nodes}
+    assert len(nodes) == len(tree.nodes) == 11
+    # vote(2:3) fails when 2 of its 3 replicas fail; AND needs all, OR one
+    assert nodes[("SKN", ())] == (2, (("S", (1,)), ("S", (2,)), ("S", (3,))))
+    assert nodes[("DM", (2,))] == (2, (("D", (2, 1)), ("D", (2, 2))))
+    assert nodes[("S", (3,))] == (1, (("P", (3,)), ("MM", (3,)), ("DM", (3,))))
+    assert nodes[tree.top] == (1, (("B", ()), ("SKN", ())))
+
+
+def test_a_wide_vote_is_one_node_counted_exactly():
+    # 21 events; unfolding vote(10:20) into its failure subsets would take
+    # C(20, 11) AND nodes
+    wide = parse_model(
+        "type T = {" + ", ".join(str(i) for i in range(1, 21)) + "}\n"
+        "basic A(i:T) rate 1e-4\nbasic B rate 2e-5\n"
+        "event V = vote(10:20) forall(i:T) A(i)\ntop TE = or(B, V)\n"
+    )
+    t = 5000.0
+    tree = unfold(wide, t)
+    assert [(key, m) for key, m, _ in tree.nodes] == [(("V", ()), 11), (("TE", ()), 1)]
+    p_a, p_b = failure_probability(1e-4, t), failure_probability(2e-5, t)
+    # vote(10:20) needs 10 working replicas, so fails when at least 11 fail
+    tail = sum(comb(20, j) * p_a**j * (1 - p_a) ** (20 - j) for j in range(11, 21))
+    top, _ = top_joint_probabilities(tree)
+    assert top == pytest.approx(1 - (1 - p_b) * (1 - tail), abs=1e-12)
 
 
 def test_unfold_probabilities_match_the_rates(model):
