@@ -66,8 +66,8 @@ def _needed(gate: Gate, n: int) -> int:
 def declarations(model: PftModel, t: float) -> tuple[DisjointDeclaration, ...]:
     """One declaration per ground basic event, working then failed at time `t`.
 
-    Both translations share these, in model order; they are also what an
-    evaluator of either theory is reweighted with at another time.
+    Both translations share these, in model order; at another time they
+    replace the probabilities of a stage-2 evaluator's recording.
     """
     decls = []
     for ev in model.events:

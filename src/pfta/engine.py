@@ -28,18 +28,19 @@ P(body) is the product of its atoms' probabilities when their supports
 (the declarations each atom depends on) are pairwise disjoint once the
 decided declarations are left out; otherwise the atoms sharing a
 declaration are split on it, summing P(alternative) * P(atoms | it
-holds) over its alternatives.  Hypotheses are the leaves.  Values are
-memoized per (atom, the alternatives decided within its support), and
-conditioning on hypotheses means starting with their declarations
-decided, so one memo serves P(goals) and every conditioned query.
+holds) over its alternatives.  Hypotheses are the leaves.  No step looks
+at a probability, so the decomposition is recorded once as an arithmetic
+circuit, and every query, conditioned or with other probabilities, is
+one forward pass over it.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
+import math
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import EngineError
@@ -324,36 +325,37 @@ def minimal_explanations(
 ) -> list[Explanation]:
     """Explanations no subset of which explains the goals, best first.
 
-    Emission order guarantees a subset is found before any of its strict
-    supersets only when every hypothesis probability is strictly below 1,
-    so that is required of the theory's declarations.  A new explanation
-    is then checked only against the kept ones filed under its own
-    hypotheses.
+    A strict superset is never more probable than its subset, so it is
+    emitted after it unless the two tie.  A new explanation is checked
+    against the kept ones filed under its own hypotheses, then evicts the
+    kept ones of its own probability that strictly contain it.
     """
-    for decl in theory.declarations:
-        for atom, p in decl.alternatives:
-            if p >= 1.0:
-                raise EngineError(
-                    f"hypothesis {format_atom(atom)} has probability 1; "
-                    "minimality by emission order is not meaningful"
-                )
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
-    out: list[Explanation] = []
+    kept: dict[frozenset[Atom], Explanation] = {}
     # each kept explanation is filed under one of its hypotheses, so a
     # kept subset of a new explanation sits in the bucket of one of the
-    # new explanation's own hypotheses
+    # new explanation's own hypotheses; an evicted one stays filed, as a
+    # superset of it also contains the explanation that evicted it
     buckets: dict[Atom, list[frozenset[Atom]]] = {}
+    # probability -> [size of the largest set kept, the sets kept or evicted]
+    ties: dict[float, list] = {}
     for expl in search:
         hyps = expl.hypotheses
-        if not hyps:
-            out.append(expl)
-            break  # the goals hold outright: every later explanation is a superset
         if any(any(map(hyps.issuperset, buckets.get(h, ()))) for h in hyps):
             continue
-        out.append(expl)
+        tie = ties.setdefault(expl.prob, [0, []])
+        if len(hyps) < tie[0]:
+            for other in tie[1]:
+                if hyps < other:
+                    kept.pop(other, None)
+        tie[0] = max(tie[0], len(hyps))
+        tie[1].append(hyps)
+        kept[hyps] = expl
+        if not hyps:
+            break  # the goals hold outright: every later explanation is a superset
         home = min(hyps, key=lambda h: len(buckets.get(h, ())))
         buckets.setdefault(home, []).append(hyps)
-    return out
+    return list(kept.values())
 
 
 def _require_disjoint(theory: PhaTheory) -> None:
@@ -371,8 +373,12 @@ class ExactEvaluator:
     mask of the alternatives of the declarations it depends on, and a
     context is the pair (chosen alternatives, all alternatives of the
     decided declarations).  A hypothesis is a leaf whose value the context
-    gives.  `budget` bounds the memo entries held plus the splits made
-    during one query; past it the query raises `EngineError`.
+    gives.  The constructor decomposes once, from the empty context, and
+    records the decomposition inputs first: node 0 is 0, node 1 is 1, node
+    2 + bit reads alternative `bit`, and each later node sums or multiplies
+    earlier ones, a split summing (alternative x part) products.  `budget`
+    bounds the memo entries plus the splits of that recording; past it the
+    constructor raises `EngineError`.
     """
 
     def __init__(
@@ -384,12 +390,14 @@ class ExactEvaluator:
         _require_disjoint(theory)
         self.budget = budget
         self._table = table = AtomTable(theory, _as_goal_list(goals))
-        self._probs = table.probs
         roots = table.ground(table.goals)
         self._index(roots)
-        self._roots = [(atoms, self._shared(atoms)) for atoms in roots]
-        self._memo: dict[tuple[int, int], float] = {}
+        # (sum or math.prod, getter of its input values), inputs first
+        self._nodes: list[tuple] = []
+        self._memo: dict[tuple[int, int], int] = {}
         self._splits = 0
+        self._top = self._node(sum, [self._run(atoms) for atoms in roots])
+        del self._memo
 
     def _index(self, roots: list[tuple[int, ...]]) -> None:
         """Bodies and supports of every atom the goals reach, inputs first.
@@ -432,48 +440,74 @@ class ExactEvaluator:
             seen |= self._support[a]
         return shared
 
-    def reweighted(self, declarations: Iterable[DisjointDeclaration]) -> ExactEvaluator:
-        """This evaluator with new alternative probabilities and an empty memo.
-
-        `declarations` must list the theory's alternatives in order, as
-        `compile.declarations` does for the theory's model at another
-        time; only their probabilities are read, and the grounding is
-        reused as it is.
-        """
-        pairs = [pair for decl in declarations for pair in decl.alternatives]
-        if [a for a, _ in pairs] != self._table.alternatives:
-            raise ValueError("the declarations must list the theory's alternatives in order")
-        out = copy.copy(self)
-        out._probs = [p for _, p in pairs]
-        out._memo = {}
-        out._splits = 0
-        return out
-
-    def probability(self, condition: Iterable[Atom] = ()) -> float:
+    def probability(
+        self,
+        condition: Iterable[Atom] = (),
+        declarations: Iterable[DisjointDeclaration] | None = None,
+    ) -> float:
         """P(goals | every hypothesis in `condition` holds), at most 1.
 
         0 when two of the hypotheses are alternatives of one declaration.
+        `declarations`, if given, replace the theory's probabilities; they
+        must list its alternatives in order, as `compile.declarations` does
+        for the theory's model at another time.
         """
         table = self._table
-        chosen = decided = 0
+        values = [0.0, 1.0, *table.probs]
+        if declarations is not None:
+            pairs = [pair for decl in declarations for pair in decl.alternatives]
+            if [a for a, _ in pairs] != table.alternatives:
+                raise ValueError("the declarations must list the theory's alternatives in order")
+            values[2:] = [p for _, p in pairs]
+        chosen = 0
         for atom in condition:
             bit = table.bits.get(atom)
             if bit is None:
                 raise EngineError(f"{format_atom(atom)} is not a hypothesis of the theory")
             mask = table.decl_masks[bit]
-            if decided & mask and not chosen >> bit & 1:
+            if chosen & mask & ~(1 << bit):
                 return 0.0
             chosen |= 1 << bit
-            decided |= mask
-        held = len(self._memo)
-        self._splits = 0
-        value = sum(self._run(atoms, shared, chosen, decided) for atoms, shared in self._roots)
-        # entries keyed by a conditioned alternative serve no other query
-        for key in list(islice(reversed(self._memo), len(self._memo) - held)):
-            if key[1] & chosen:
-                del self._memo[key]
+            # a declaration's alternatives hold adjacent bits
+            for other in range((mask & -mask).bit_length() - 1, mask.bit_length()):
+                values[2 + other] = float(other == bit)
+        for op, inputs in self._nodes:
+            values.append(op(inputs(values)))
         # the sum can pass 1 by rounding
-        return min(value, 1.0)
+        return min(values[self._top], 1.0)
+
+    def _node(self, op, inputs: list[int]) -> int:
+        """The node for `op` (sum or math.prod) of `inputs`, constants folded.
+
+        x + 0 and x * 1 drop the constant, x * 0 is 0 and a node of one
+        input is that input; no value of an alternative is looked at.
+        """
+        unit = int(op is math.prod)
+        if unit and 0 in inputs:
+            return 0
+        inputs = [i for i in inputs if i != unit]
+        if len(inputs) < 2:
+            return inputs[0] if inputs else unit
+        self._nodes.append((op, itemgetter(*inputs)))
+        return len(self._nodes) + len(self._table.probs) + 1
+
+    def _run(self, atoms: tuple[int, ...]) -> int:
+        """The node of P(atoms), driving the tasks below from an explicit stack.
+
+        A task is a generator that yields the tasks whose nodes it needs
+        and is sent each node in turn.
+        """
+        stack = [self._conjunction(atoms, self._shared(atoms), 0, 0)]
+        node = None
+        while True:
+            try:
+                stack.append(stack[-1].send(node))
+                node = None
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                node = done.value
 
     def _check_budget(self) -> None:
         if len(self._memo) + self._splits > self.budget:
@@ -481,85 +515,55 @@ class ExactEvaluator:
                 f"exact evaluation budget of {self.budget} memo entries and splits exceeded"
             )
 
-    def _run(self, atoms: tuple[int, ...], shared: int, chosen: int, decided: int) -> float:
-        """P(atoms | context), driving the tasks below from an explicit stack.
-
-        A task is a generator that yields the tasks whose values it needs
-        and is sent each value in turn.
-        """
-        stack = [self._conjunction(atoms, shared, chosen, decided)]
-        value = None
-        while True:
-            try:
-                stack.append(stack[-1].send(value))
-                value = None
-            except StopIteration as done:
-                stack.pop()
-                if not stack:
-                    return done.value
-                value = done.value
-
-    def _known(self, a: int, chosen: int, decided: int) -> float | None:
-        """P(atom a | context) if it is a leaf or memoized, else None."""
+    def _known(self, a: int, chosen: int, decided: int) -> int | None:
+        """The node of P(atom a | context) if it is a leaf or memoized, else None."""
         leaf = self._leaves.get(a)
         if leaf is None:
             return self._memo.get((a, chosen & self._support[a]))
         bit, mask = leaf
-        return (chosen >> bit & 1) if decided & mask else self._probs[bit]
+        return (chosen >> bit & 1) if decided & mask else 2 + bit
 
     def _atom(self, a: int, chosen: int, decided: int):
-        """Task: P(atom a | context), the sum over its bodies, memoized."""
-        total = 0.0
+        """Task: the node of P(atom a | context), the sum over its bodies, memoized."""
+        bodies = []
         for body, shared in self._bodies[a]:
-            if shared and shared & ~decided:
-                total += yield self._conjunction(body, shared, chosen, decided)
-                continue
-            value = 1.0
-            for b in body:
-                v = self._known(b, chosen, decided)
-                if v is None:
-                    v = yield self._atom(b, chosen, decided)
-                value *= v
-                if not value:
-                    break
-            total += value
-        self._memo[a, chosen & self._support[a]] = total
+            bodies.append((yield self._conjunction(body, shared, chosen, decided)))
+        node = self._memo[a, chosen & self._support[a]] = self._node(sum, bodies)
         self._check_budget()
-        return total
+        return node
 
     def _conjunction(self, atoms: tuple[int, ...], shared: int, chosen: int, decided: int):
-        """Task: P(all of atoms | context), given the alternatives they share.
+        """Task: the node of P(all of atoms | context), given the alternatives they share.
 
         Atoms whose supports overlap outside the decided declarations form
         one part, split on the declaration of the lowest alternative bit
         they share; every part is then independent of the others and the
-        product is exact.
+        product is exact.  A factor that the context makes 0 ends it.
         """
-        probs = self._probs
-        if shared and shared & ~decided:
+        if shared & ~decided:
             parts = _parts(atoms, self._support, ~decided)
         else:
             parts = [(0, a) for a in atoms]
-        value = 1.0
+        factors = []
         for part_shared, part in parts:
             if not part_shared:
-                v = self._known(part, chosen, decided)
-                if v is None:
-                    v = yield self._atom(part, chosen, decided)
+                node = self._known(part, chosen, decided)
+                if node is None:
+                    node = yield self._atom(part, chosen, decided)
             else:
                 self._splits += 1
                 self._check_budget()
                 mask = self._table.decl_masks[(part_shared & -part_shared).bit_length() - 1]
-                v = 0.0
-                # a declaration's alternatives hold adjacent bits
+                terms = []
                 for bit in range((mask & -mask).bit_length() - 1, mask.bit_length()):
-                    if probs[bit]:
-                        v += probs[bit] * (yield self._conjunction(
-                            part, part_shared, chosen | 1 << bit, decided | mask))
-            value *= v
-            if not value:
-                break
-        return value
+                    node = yield self._conjunction(
+                        part, part_shared, chosen | 1 << bit, decided | mask)
+                    terms.append(self._node(math.prod, [2 + bit, node]))
+                node = self._node(sum, terms)
+            if not node:
+                return 0
+            factors.append(node)
+        return self._node(math.prod, factors)
 
 
 def _parts(atoms: tuple[int, ...], support: dict[int, int], free: int) -> list:

@@ -3,14 +3,14 @@
 Qualitative results (minimal cut sets) come from the direct translation;
 quantitative ones (unreliability, posteriors, curves) from the
 status-complete translation, whose same-head clause bodies are mutually
-exclusive.  Every exact measure is evaluated on that theory by
-decomposition (`ExactEvaluator`), without enumerating explanations:
-P(top) directly, the posterior of failed events E1..Ek as
-P(E1..Ek) * P(top | E1..Ek failed) / P(top) from the same evaluator, and
+exclusive.  Every exact measure is one forward pass over a decomposition
+of that theory recorded once (`ExactEvaluator`), without enumerating
+explanations: P(top) directly, the posterior of failed events E1..Ek as
+P(E1..Ek) * P(top | E1..Ek failed) / P(top) from the same recording, and
 the posterior of a minimal cut set, which entails the top event, as its
 prior over P(top).  The theory's clauses do not depend on the mission
-time, so an exhaustive curve grounds them once and reweights the
-evaluator with the compiler's declarations at each time.  Bounded
+time, so an exhaustive curve records them once and replays the recording
+with the compiler's declarations at each time.  Bounded
 unreliability and curves search with their stop criteria instead.
 """
 
@@ -133,8 +133,8 @@ def minimal_cut_sets(
 class TopEvent:
     """The exact top-event probability of a model at time `t`, and its posteriors.
 
-    One evaluator of the stage-2 theory answers P(top) and every
-    conditioned query, so its memo is shared by all of them.
+    One recorded evaluation of the stage-2 theory answers P(top) and
+    every conditioned query.
     """
 
     model: PftModel
@@ -203,9 +203,9 @@ def unreliability_curve(
 ) -> list[UnreliabilityPoint]:
     """Unreliability at each requested mission time.
 
-    An exhaustive curve grounds the stage-2 theory once and evaluates it
-    exactly at each time; a bounded one searches once per time, so that the
-    stop criteria hold at every point.
+    An exhaustive curve records the stage-2 evaluation once and replays it
+    with each time's declarations; a bounded one searches once per time,
+    so that the stop criteria hold at every point.
     """
     for t in times:
         if t != 0:
@@ -214,16 +214,10 @@ def unreliability_curve(
         return [UnreliabilityPoint(t, system_unreliability(model, t, stop)) for t in times]
     if not times:
         return []
-    # the theory's clauses do not depend on the time: ground them once and
-    # only reweight the declarations at each point
     evaluator = ExactEvaluator(compile_disjoint(model, max(times)), top_atom(model))
-    points = []
-    for t in times:
-        value = 0.0
-        if t != 0:
-            value = evaluator.reweighted(declarations(model, t)).probability()
-        points.append(UnreliabilityPoint(t, ProbabilityBounds(value, value)))
-    return points
+    values = [evaluator.probability(declarations=declarations(model, t)) if t else 0.0
+              for t in times]
+    return [UnreliabilityPoint(t, ProbabilityBounds(v, v)) for t, v in zip(times, values)]
 
 
 def curve_times(t_from: float, t_to: float, step: float) -> list[float]:

@@ -138,10 +138,9 @@ class PftModel:
 
 def failure_probability(lam: float, t: float) -> float:
     """Failure probability 1 - exp(-lam*t) of an exponential component."""
-    if lam < 0:
-        raise ValueError(f"failure rate must be nonnegative, got {lam}")
-    if t < 0:
-        raise ValueError(f"mission time must be nonnegative, got {t}")
+    for name, value in (("failure rate", lam), ("mission time", t)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     return -math.expm1(-lam * t)
 
 
@@ -203,6 +202,8 @@ def validate(model: PftModel) -> list[str]:
             out.append(f"failure rate given for unknown event {r.event_class}")
         if r.lam < 0:
             out.append(f"negative failure rate for {r.event_class}")
+        elif not math.isfinite(r.lam):
+            out.append(f"non-finite failure rate for {r.event_class}")
 
     # every parameter must be declared at exactly one event node
     for p in model.params:

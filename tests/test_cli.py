@@ -237,6 +237,75 @@ def test_a_non_finite_curve_grid_exits_2_naming_the_argument(capsys, flags, mess
     assert message in err
 
 
+RATE_ZERO = "basic B rate 0\nbasic C rate 1e-4\ntop TE = or(B, C)\n"
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_a_non_finite_rate_fails_validation(capsys, tmp_path, rate):
+    path = tmp_path / "rate.pft"
+    path.write_text(RATE_ZERO.replace("rate 0", f"rate {rate}"))
+    code, out, err = _run(capsys, "validate", str(path))
+    assert (code, out, err) == (1, "", "violation: non-finite failure rate for B\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("unrel",), ("mcs",), ("posterior",), ("oracle",), ("compile", "--stage", "2"),
+], ids=["unrel", "mcs", "posterior", "oracle", "compile"])
+@pytest.mark.parametrize("time, message", [
+    ("inf", "error: mission time must be finite and nonnegative, got inf\n"),
+    ("nan", "argument --time: time must be nonnegative, got nan\n"),
+], ids=["inf", "nan"])
+def test_a_non_finite_mission_time_exits_2_naming_it(capsys, tmp_path, argv, time, message):
+    # a rate-0 event once turned --time inf into a NaN probability
+    path = tmp_path / "rate0.pft"
+    path.write_text(RATE_ZERO)
+    try:
+        code = main([argv[0], str(path), *argv[1:], "--time", time])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.endswith(message)
+
+
+def test_a_never_failing_event_is_the_last_cut_set(capsys, tmp_path):
+    path = tmp_path / "rate0.pft"
+    path.write_text(RATE_ZERO)
+    code, out, err = _run(capsys, "mcs", str(path), "--time", "1e4", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert [row[1:3] for row in _rows(out)[1:]] == [["C", "0.632121"], ["B", "0"]]
+
+
+def test_cut_sets_at_a_time_where_a_disk_surely_failed(capsys):
+    # the disks' failure probability rounds to 1 at t = 10^6
+    code, out, err = _run(capsys, "mcs", MODEL, "--time", "1000000", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert len(_rows(out)) == 29
+    code, out, err = _run(capsys, "oracle", MODEL, "--time", "1000000")
+    assert (code, err) == (0, "")
+    assert "cut sets, search:      28\n" in out
+    assert "cut set agreement: yes\n" in out
+
+
+def test_seventeen_digit_outputs_are_pinned(capsys):
+    # stdout of every exact analysis at full precision, byte for byte
+    fmt = ("--format", "csv", "--digits", "17")
+    runs = [
+        ("unrel", MODEL, "--time", "10000"),
+        ("curve", MODEL, "--from", "0", "--to", "20000", "--step", "2000"),
+        ("posterior", MODEL, "--time", "10000"),
+        ("posterior", MODEL, "--basic", "D(2,1)", "--time", "10000"),
+        ("mcs", MODEL, "--posterior", "--time", "10000"),
+        ("oracle", MODEL, "--time", "10000"),
+    ]
+    outputs = []
+    for argv in runs:
+        code, out, err = _run(capsys, *argv, *fmt)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert "".join(outputs) == (DATA / "multiprocessor_digits17.txt").read_text()
+
+
 @pytest.mark.parametrize("argv, searches", [
     (("mcs", "--posterior"), 1),
     (("mcs", "--posterior", "--max-explanations", "5"), 1),

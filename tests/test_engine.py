@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from pfta.compile import compile_direct, compile_disjoint
+from pfta.compile import compile_direct, compile_disjoint, declarations
 from pfta.dsl import parse_model
 from pfta.engine import (
     EXHAUSTIVE,
@@ -31,7 +32,7 @@ from pfta.pha import (
     format_atom,
     parse_theory,
 )
-from randmodels import multiprocessor
+from randmodels import multiprocessor, random_model
 
 T = 1e4
 TE = Atom("te", ())
@@ -151,13 +152,20 @@ def test_minimal_explanations_drop_supersets():
     assert [set(e.hypotheses) for e in result] == [{Atom("a", ())}]
 
 
-def test_minimal_explanations_require_uncertain_hypotheses():
+def test_a_superset_emitted_first_at_equal_probability_is_evicted():
+    # p(h) = 1, so {h, a} and {a} tie at 0.5 and the search emits {h, a}
+    # first: its derivation is shorter
     theory = _theory(
-        [Clause(GOAL, (Atom("a", ()),))],
-        [DisjointDeclaration(((Atom("a", ()), 1.0),))],
+        [Clause(GOAL, (Atom("h", ()), Atom("a", ()))),
+         Clause(GOAL, (Atom("x", ()),)),
+         Clause(Atom("x", ()), (Atom("y", ()),)),
+         Clause(Atom("y", ()), (Atom("a", ()),))],
+        [DisjointDeclaration(((Atom("h", ()), 1.0),)), _decl(("a", 0.5), ("n", 0.5))],
     )
-    with pytest.raises(EngineError, match="probability 1"):
-        minimal_explanations(theory, GOAL)
+    emitted = [set(e.hypotheses) for e in ExplanationSearch(theory, GOAL)]
+    assert emitted == [{Atom("h", ()), Atom("a", ())}, {Atom("a", ())}]
+    result = minimal_explanations(theory, GOAL)
+    assert [(set(e.hypotheses), e.prob) for e in result] == [({Atom("a", ())}, 0.5)]
 
 
 def test_probability_requires_the_disjoint_stage(model):
@@ -401,31 +409,57 @@ def test_conditioned_queries_match_the_oracle(model):
         evaluator.probability([Atom("skn", ("f",))])
 
 
-def test_conditioned_queries_leave_only_reusable_memo_entries(model):
+def test_later_queries_leave_the_first_value_unchanged(model):
     evaluator = ExactEvaluator(compile_disjoint(model, T), TE)
     top = evaluator.probability()
-    held = len(evaluator._memo)
     for i in (1, 2, 3):
         evaluator.probability([Atom("p", (i, "f"))])
-    assert len(evaluator._memo) == held
-    assert evaluator.probability() == top
+    evaluator.probability(declarations=compile_disjoint(model, 3 * T).declarations)
+    assert evaluator.probability().hex() == top.hex()
 
 
-def test_reweighted_evaluator_matches_a_recompiled_theory(model):
+def test_declarations_of_another_time_match_a_recompiled_theory(model):
+    for seed in range(60):
+        rand, t = random_model(seed)
+        goal = top_atom(rand)
+        evaluator = ExactEvaluator(compile_disjoint(rand, t), goal)
+        later = compile_disjoint(rand, 3 * t)
+        assert evaluator.probability(declarations=declarations(rand, 3 * t)) == (
+            ExactEvaluator(later, goal).probability()), seed
     evaluator = ExactEvaluator(compile_disjoint(model, T), TE)
-    later = compile_disjoint(model, 3 * T)
-    assert evaluator.reweighted(later.declarations).probability() == pytest.approx(
-        ExactEvaluator(later, TE).probability(), abs=1e-15)
     with pytest.raises(ValueError, match="alternative"):
-        evaluator.reweighted(later.declarations[1:])
+        evaluator.probability(declarations=compile_disjoint(model, 3 * T).declarations[1:])
+
+
+# Z never fails, so a recording that dropped its zero-probability failed
+# alternative would give 0 for P(top | Z failed), which is 1.
+NEVER_FAILS = """
+model never
+basic Z rate 0
+basic A rate 4e-5
+basic C rate 2e-5
+event G1 = or(Z, A)
+event G2 = or(Z, C)
+top TE = and(G1, G2)
+"""
+
+
+def test_the_recording_keeps_alternatives_of_probability_zero():
+    model = parse_model(NEVER_FAILS)
+    evaluator = ExactEvaluator(compile_disjoint(model, T), TE)
+    tree = unfold(model, T)
+    certain = replace(tree, basics=tuple(
+        (key, 1.0 if key == ("Z", ()) else p) for key, p in tree.basics))
+    assert evaluator.probability([Atom("z", ("f",))]) == 1.0
+    assert exact_probability(certain, {certain.top: True}) == 1.0
 
 
 def test_evaluation_budget_is_enforced(model):
     theory = compile_disjoint(model, T)
     with pytest.raises(EngineError, match="evaluation budget of 5 "):
-        ExactEvaluator(theory, TE, budget=5).probability()
+        ExactEvaluator(theory, TE, budget=5)
     with pytest.raises(EngineError, match="evaluation budget of 20 "):
-        ExactEvaluator(theory, TE, budget=20).probability()
+        ExactEvaluator(theory, TE, budget=20)
 
 
 def test_evaluator_rejects_direct_stage_and_cyclic_theories(model):

@@ -43,6 +43,14 @@ def test_failure_probability_rejects_negative_inputs():
         failure_probability(1e-5, -10.0)
 
 
+@pytest.mark.parametrize("lam, t", [
+    (math.nan, 10.0), (math.inf, 10.0), (1e-5, math.nan), (1e-5, math.inf), (0.0, math.inf),
+])
+def test_failure_probability_rejects_non_finite_inputs(lam, t):
+    with pytest.raises(ValueError, match="must be finite"):
+        failure_probability(lam, t)
+
+
 def test_fixture_model_is_valid(model):
     assert validate(model) == []
     require_valid(model)  # should not raise
@@ -64,6 +72,12 @@ def test_validate_counts_top_events():
 def test_validate_flags_negative_rate():
     m = parse_model("basic B rate -2\ntop TE = or(B)")
     assert "negative failure rate for B" in validate(m)
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_validate_flags_non_finite_rates(rate):
+    m = parse_model(f"basic B rate {rate}\nbasic C rate 1e-3\ntop TE = or(B, C)")
+    assert validate(m) == ["non-finite failure rate for B"]
 
 
 def test_validate_flags_kofn_k_out_of_range():
