@@ -131,8 +131,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_model(path: str) -> PftModel:
-    with open(path, encoding="utf-8") as handle:
-        return parse_model(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DslError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    return parse_model(text)
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -13,14 +13,16 @@ One statement per line; `--` starts a comment.  Statements:
                | vote(<k>:<n>) forall(<p>:<T>) <ref>
     ref       := <Name> | <Name>(<arg>, ...)      -- arg: parameter or integer
 
-A `forall` clause declares its parameters at the referenced input event,
-which thereby becomes a replicator.  Declarations may appear in any order.
+A parameter is declared by the one `forall` clause that quantifies it, at
+the referenced input event, which thereby becomes a replicator.
+Declarations may appear in any order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import prod
 
 from .errors import DslError
 from .model import (
@@ -121,7 +123,11 @@ class _RawGate:
 
 
 class _Builder:
-    """Collects declarations, then resolves references into a PftModel."""
+    """Collects declarations, then resolves references into a PftModel.
+
+    `finish` records every parameter's type and every `forall` before it
+    resolves any reference, so no check depends on declaration order.
+    """
 
     def __init__(self) -> None:
         self.name = ""
@@ -129,8 +135,12 @@ class _Builder:
         self.basics: list[tuple[str, list[tuple[str, str]], float, int]] = []
         self.eventdecls: list[tuple[str, list[tuple[str, str]], _RawGate, str, int]] = []
         self.seen: dict[str, int] = {}
+        self.type_map: dict[str, ParamType] = {}
+        self.params: dict[str, str] = {}  # parameter -> its one type
+        self.formals_of: dict[str, tuple[str, ...]] = {}
+        self.owner: dict[str, tuple[str, int]] = {}  # parameter -> (replicator, forall line)
 
-    def declare(self, what: str, name: str, lineno: int, column: int) -> None:
+    def declare(self, name: str, lineno: int, column: int) -> None:
         if name in self.seen:
             raise DslError(
                 f"duplicate declaration of {name} (first on line {self.seen[name]})",
@@ -139,85 +149,55 @@ class _Builder:
             )
         self.seen[name] = lineno
 
+    def note_param(self, pname: str, tname: str, lineno: int, where: str) -> None:
+        if tname not in self.type_map:
+            raise DslError(f"unknown type {tname} in {where}", lineno)
+        prev = self.params.setdefault(pname, tname)
+        if prev != tname:
+            raise DslError(
+                f"parameter {pname} used with type {tname} in {where} "
+                f"but previously with type {prev}",
+                lineno,
+            )
+
     def finish(self) -> PftModel:
-        type_map = {t.name: t for t in self.types}
-        # global parameter table: same name, same type everywhere
-        params: dict[str, str] = {}
-        owner: dict[str, tuple[str, int]] = {}
-
-        def note_param(pname: str, tname: str, lineno: int, where: str) -> None:
-            if tname not in type_map:
-                raise DslError(f"unknown type {tname} in {where}", lineno)
-            prev = params.get(pname)
-            if prev is None:
-                params[pname] = tname
-            elif prev != tname:
-                raise DslError(
-                    f"parameter {pname} used with type {tname} in {where} "
-                    f"but previously with type {prev}",
-                    lineno,
-                )
-
+        self.type_map = {t.name: t for t in self.types}
         for cname, formals, _lam, lineno in self.basics:
+            self.formals_of[cname] = tuple(p for p, _ in formals)
             for pname, tname in formals:
-                note_param(pname, tname, lineno, f"basic {cname}")
+                self.note_param(pname, tname, lineno, f"basic {cname}")
         for cname, formals, _raw, _kind, lineno in self.eventdecls:
+            self.formals_of[cname] = tuple(p for p, _ in formals)
             for pname, tname in formals:
-                note_param(pname, tname, lineno, f"event {cname}")
+                self.note_param(pname, tname, lineno, f"event {cname}")
+        for cname, _formals, raw, _kind, _lineno in self.eventdecls:
+            for pname, tname in raw.forall:
+                self.note_param(pname, tname, raw.lineno, f"forall of {cname}")
+                self.owner.setdefault(pname, (raw.refs[0][0], raw.lineno))
 
-        formals_of: dict[str, list[str]] = {}
-        for cname, formals, _lam, _lineno in self.basics:
-            formals_of[cname] = [p for p, _ in formals]
-        for cname, formals, _raw, _kind, _lineno in self.eventdecls:
-            formals_of[cname] = [p for p, _ in formals]
-
-        declares: dict[str, set[str]] = {c: set() for c in formals_of}
-        gates: list[Gate] = []
-        for cname, formals, raw, kind, lineno in self.eventdecls:
-            gates.append(self._resolve_gate(cname, raw, formals_of, params, type_map,
-                                            declares, owner, note_param))
-
-        events: list[EventNode] = []
-        rates: list[FailureRate] = []
-        for cname, formals, lam, lineno in self.basics:
-            events.append(EventNode(cname, KIND_BASIC, tuple(p for p, _ in formals),
-                                    frozenset(declares.get(cname, ())), lineno))
-            rates.append(FailureRate(cname, lam))
-        for cname, formals, _raw, kind, lineno in self.eventdecls:
-            events.append(EventNode(cname, kind, tuple(p for p, _ in formals),
-                                    frozenset(declares.get(cname, ())), lineno))
-
-        param_objs = tuple(
-            Parameter(pname, tname, owner.get(pname, (None,))[0])
-            for pname, tname in params.items()
-        )
+        gates = [self._resolve_gate(cname, raw) for cname, _f, raw, _k, _l in self.eventdecls]
+        events = [EventNode(cname, KIND_BASIC, self.formals_of[cname])
+                  for cname, _f, _lam, _l in self.basics]
+        events += [EventNode(cname, kind, self.formals_of[cname])
+                   for cname, _f, _raw, kind, _l in self.eventdecls]
         return PftModel(
             name=self.name,
             types=tuple(self.types),
-            params=param_objs,
+            params=tuple(Parameter(p, t) for p, t in self.params.items()),
             events=tuple(events),
             gates=tuple(gates),
-            rates=tuple(rates),
+            rates=tuple(FailureRate(cname, lam) for cname, _f, lam, _l in self.basics),
         )
 
-    def _resolve_gate(self, cname, raw, formals_of, params, type_map,
-                      declares, owner, note_param) -> Gate:
+    def _resolve_gate(self, cname: str, raw: _RawGate) -> Gate:
         lineno = raw.lineno
-        forall_names = []
-        for pname, tname in raw.forall:
-            note_param(pname, tname, lineno, f"forall of {cname}")
-            if pname in forall_names:
-                raise DslError(f"parameter {pname} repeated in forall", lineno)
-            forall_names.append(pname)
-        if raw.forall and len(raw.refs) != 1:
-            raise DslError("forall applies to exactly one reference", lineno)
-
-        outer = set(formals_of[cname])
+        forall = [p for p, _ in raw.forall]
+        outer = set(self.formals_of[cname])
         refs: list[EventRef] = []
         for rname, rargs, column in raw.refs:
-            if rname not in formals_of:
+            if rname not in self.formals_of:
                 raise DslError(f"unknown event {rname}", lineno, column)
-            formals = formals_of[rname]
+            formals = self.formals_of[rname]
             if len(rargs) != len(formals):
                 raise DslError(
                     f"{rname} takes {len(formals)} parameters, got {len(rargs)}",
@@ -225,33 +205,33 @@ class _Builder:
                     column,
                 )
             for arg, formal in zip(rargs, formals):
-                ftype = params[formal]
+                ftype = self.params[formal]
                 if isinstance(arg, int):
-                    if arg not in type_map[ftype].values:
+                    if arg not in self.type_map[ftype].values:
                         raise DslError(
                             f"constant {arg} is not a value of type {ftype}",
                             lineno,
                             column,
                         )
                 else:
-                    if arg not in params:
+                    if arg not in self.params:
                         raise DslError(f"unknown parameter {arg}", lineno, column)
-                    if params[arg] != ftype:
+                    if self.params[arg] != ftype:
                         raise DslError(
-                            f"parameter {arg} of type {params[arg]} passed to "
+                            f"parameter {arg} of type {self.params[arg]} passed to "
                             f"{rname} where type {ftype} is expected",
                             lineno,
                             column,
                         )
-                    if arg in forall_names and arg != formal:
+                    if arg in forall and arg != formal:
                         raise DslError(
                             f"forall parameter {arg} must match the formal "
                             f"parameter name {formal} of {rname}",
                             lineno,
                             column,
                         )
-                    if arg not in outer and arg not in forall_names \
-                            and owner.get(arg, (rname,))[0] != rname:
+                    if arg not in outer and arg not in forall \
+                            and self.owner.get(arg, (rname,))[0] != rname:
                         raise DslError(
                             f"parameter {arg} is not in scope here",
                             lineno,
@@ -259,39 +239,30 @@ class _Builder:
                         )
             refs.append(EventRef(rname, tuple(rargs)))
 
-        if raw.forall:
-            target = refs[0].event
-            for pname in forall_names:
-                if pname in owner:
-                    prev_at, prev_line = owner[pname]
-                    raise DslError(
-                        f"parameter {pname} already declared at {prev_at} "
-                        f"(line {prev_line})",
-                        lineno,
-                    )
-                if pname not in formals_of[target]:
-                    raise DslError(
-                        f"forall parameter {pname} is not a formal parameter "
-                        f"of {target}",
-                        lineno,
-                    )
-                owner[pname] = (target, lineno)
-                declares[target].add(pname)
-
-        kind = raw.kind
-        k = raw.k
-        if kind == "kofn" and raw.n is not None and raw.forall:
-            n = 1
-            for pname in forall_names:
-                n *= len(type_map[params[pname]].values)
+        for pname in forall:
+            prev_at, prev_line = self.owner[pname]
+            if prev_line != lineno:
+                raise DslError(
+                    f"parameter {pname} already declared at {prev_at} "
+                    f"(line {prev_line})",
+                    lineno,
+                )
+            if pname not in self.formals_of[refs[0].event]:
+                raise DslError(
+                    f"forall parameter {pname} is not a formal parameter "
+                    f"of {refs[0].event}",
+                    lineno,
+                )
+        if raw.kind == "kofn" and forall:
+            n = prod(len(self.type_map[self.params[p]].values) for p in forall)
             if raw.n != n:
                 raise DslError(
-                    f"vote({k}:{raw.n}) of {cname} disagrees with the "
+                    f"vote({raw.k}:{raw.n}) of {cname} disagrees with the "
                     f"{n} replicas of {refs[0].event}",
                     lineno,
                 )
-        return Gate(kind=kind, output=cname, inputs=tuple(refs), k=k,
-                    forall=tuple(forall_names), line=lineno)
+        return Gate(kind=raw.kind, output=cname, inputs=tuple(refs), k=raw.k,
+                    forall=tuple(forall))
 
 
 def _parse_params(cur: _Cursor) -> list[tuple[str, str]]:
@@ -384,7 +355,7 @@ def parse_model(text: str) -> PftModel:
             cur.done()
         elif head.text == "type":
             name = cur.ident("type name")
-            b.declare("type", name.text, lineno, name.column)
+            b.declare(name.text, lineno, name.column)
             cur.expect("=")
             cur.expect("{")
             values = [cur.integer("type value")]
@@ -398,7 +369,7 @@ def parse_model(text: str) -> PftModel:
             b.types.append(ParamType(name.text, tuple(values)))
         elif head.text == "basic":
             name = cur.ident("event name")
-            b.declare("basic", name.text, lineno, name.column)
+            b.declare(name.text, lineno, name.column)
             formals = _parse_params(cur) if cur.peek() == "(" else []
             if cur.peek() != "rate":
                 raise DslError(f"missing failure rate for {name.text}", lineno)
@@ -408,7 +379,7 @@ def parse_model(text: str) -> PftModel:
             b.basics.append((name.text, formals, lam, lineno))
         elif head.text in ("event", "top"):
             name = cur.ident("event name")
-            b.declare(head.text, name.text, lineno, name.column)
+            b.declare(name.text, lineno, name.column)
             formals = []
             if head.text == "event" and cur.peek() == "(":
                 formals = _parse_params(cur)
@@ -471,23 +442,13 @@ def serialize_model(model: PftModel) -> str:
 
 
 def _format_gate(model: PftModel, gate: Gate) -> str:
-    forall_params = list(gate.forall)
-    if gate.kind == "kofn" and not forall_params:
-        # fall back on the parameters declared at the replicator input
-        target = model.event_map[gate.inputs[0].event]
-        forall_params = [a for a in gate.inputs[0].args
-                         if isinstance(a, str) and a in target.declares]
-    if gate.kind == "kofn" and forall_params:
-        n = 1
-        for p in forall_params:
-            n *= len(model.param_values(p))
-        quant = ", ".join(f"{p}:{model.param_map[p].type_name}" for p in forall_params)
-        return f"vote({gate.k}:{n}) forall({quant}) {_format_ref(gate.inputs[0])}"
-    if gate.kind == "kofn":
-        refs = ", ".join(_format_ref(r) for r in gate.inputs)
-        return f"vote({gate.k}:{len(gate.inputs)})({refs})"
-    if gate.kind == "and" and forall_params:
-        quant = ", ".join(f"{p}:{model.param_map[p].type_name}" for p in forall_params)
-        return f"and forall({quant}) {_format_ref(gate.inputs[0])}"
     refs = ", ".join(_format_ref(r) for r in gate.inputs)
-    return f"{gate.kind}({refs})"
+    if gate.kind == "kofn" and not gate.forall:
+        return f"vote({gate.k}:{len(gate.inputs)})({refs})"
+    if gate.kind == "or" or not gate.forall:
+        return f"{gate.kind}({refs})"
+    quant = ", ".join(f"{p}:{model.param_map[p].type_name}" for p in gate.forall)
+    if gate.kind == "and":
+        return f"and forall({quant}) {_format_ref(gate.inputs[0])}"
+    n = prod(len(model.param_values(p)) for p in gate.forall)
+    return f"vote({gate.k}:{n}) forall({quant}) {_format_ref(gate.inputs[0])}"

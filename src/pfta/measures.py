@@ -41,6 +41,8 @@ from .model import (
 )
 from .pha import Atom, STATUS_FAILED
 
+MAX_CURVE_POINTS = 10**6  # largest grid `curve_times` builds
+
 
 @dataclass(frozen=True)
 class CutSet:
@@ -229,14 +231,16 @@ def curve_times(t_from: float, t_to: float, step: float) -> list[float]:
         raise AnalysisError(f"step must be positive, got {step}")
     if t_to < t_from:
         raise AnalysisError("curve end time precedes start time")
+    limit = t_to + 1e-9 * max(1.0, abs(t_to))
+    steps = (limit - t_from) / step  # the grid has floor(steps) + 1 points
+    if steps >= MAX_CURVE_POINTS:
+        raise AnalysisError(
+            f"curve grid of {steps + 1:.3g} points exceeds the limit of "
+            f"{MAX_CURVE_POINTS} points; use a larger step"
+        )
     times = []
-    i = 0
-    while True:
-        t = t_from + i * step
-        if t > t_to + 1e-9 * max(1.0, abs(t_to)):
-            break
+    while (t := t_from + len(times) * step) <= limit:
         times.append(t)
-        i += 1
     return times
 
 

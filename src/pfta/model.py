@@ -1,16 +1,17 @@
 """Parametric fault tree model: typed events, gates, replication, rates.
 
 A model is a bipartite DAG of event classes and gates.  Event classes may
-carry formal parameters ranging over finite integer types; a class that
-declares a parameter stands for one replica per value (a replicator).
-Basic event classes fail independently with exponential rates; the unique
-top event is ground.
+carry formal parameters ranging over finite integer types; a gate's
+`forall` quantifies a parameter at its input class, which then stands for
+one replica per value (a replicator).  Basic event classes fail
+independently with exponential rates; the unique top event is ground.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping
@@ -45,11 +46,10 @@ class ParamType:
 
 @dataclass(frozen=True)
 class Parameter:
-    """A named replica index; declared at exactly one event class."""
+    """A named replica index, quantified by exactly one gate (`Gate.forall`)."""
 
     name: str
     type_name: str
-    declared_at: str | None  # class name of the declaring replicator
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,6 @@ class EventNode:
     class_name: str
     kind: str  # KIND_BASIC | KIND_INTERNAL | KIND_TOP
     formal_params: tuple[str, ...] = ()
-    # names of the formal parameters declared at this node (replicator role)
-    declares: frozenset[str] = frozenset()
-    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -80,9 +77,9 @@ class Gate:
     output: str
     inputs: tuple[EventRef, ...]
     k: int | None = None  # voting threshold, kind == "kofn" only
-    # parameters this gate quantifies, i.e. declares at its single input
+    # parameters this gate quantifies at its single input; the one record
+    # of where a parameter is declared (`PftModel.declared_at`)
     forall: tuple[str, ...] = ()
-    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -124,6 +121,17 @@ class PftModel:
     def gate_map(self) -> dict[str, Gate]:
         """Gate keyed by its output class; at most one per class."""
         return {g.output: g for g in self.gates}
+
+    @cached_property
+    def declared_at(self) -> dict[str, str]:
+        """Each quantified parameter's replicator: the single input of the
+        first gate whose `forall` names it."""
+        out: dict[str, str] = {}
+        for g in self.gates:
+            if len(g.inputs) == 1:
+                for p in g.forall:
+                    out.setdefault(p, g.inputs[0].event)
+        return out
 
     @cached_property
     def top(self) -> EventNode:
@@ -205,16 +213,17 @@ def validate(model: PftModel) -> list[str]:
         elif not math.isfinite(r.lam):
             out.append(f"non-finite failure rate for {r.event_class}")
 
-    # every parameter must be declared at exactly one event node
+    # every parameter is declared by the one gate that quantifies it
+    quantifiers = Counter(p for g in model.gates for p in g.forall)
     for p in model.params:
-        declarers = [e.class_name for e in model.events if p.name in e.declares]
-        if p.declared_at is None or not declarers:
+        at = model.declared_at.get(p.name)
+        if at is None:
             out.append(f"parameter {p.name} is never declared at a replicator")
-        elif len(declarers) > 1 or declarers != [p.declared_at]:
+        elif quantifiers[p.name] > 1:
             out.append(f"parameter {p.name} is declared at multiple events")
-        elif p.name not in model.event_map[p.declared_at].formal_params:
+        elif at in classes and p.name not in model.event_map[at].formal_params:
             out.append(
-                f"parameter {p.name} declared at {p.declared_at} "
+                f"parameter {p.name} declared at {at} "
                 "is not one of its formal parameters"
             )
 
@@ -235,9 +244,10 @@ def validate(model: PftModel) -> list[str]:
 
     # scope: a parameter may only reach descendants of its declaring node
     for p in model.params:
-        if p.declared_at is None or p.declared_at not in classes:
+        at = model.declared_at.get(p.name)
+        if at not in classes:
             continue
-        scope = set(postorder([p.declared_at], inputs))
+        scope = set(postorder([at], inputs))
         holders = [e.class_name for e in model.events if p.name in e.formal_params]
         # a gate may name the parameter in the ref that introduces it (forall)
         holders.extend(
@@ -245,7 +255,7 @@ def validate(model: PftModel) -> list[str]:
             if p.name not in g.forall and any(p.name in ref.args for ref in g.inputs)
         )
         if any(name not in scope for name in holders):
-            out.append(f"parameter {p.name} used outside the scope of {p.declared_at}")
+            out.append(f"parameter {p.name} used outside the scope of {at}")
     return out
 
 
@@ -286,16 +296,16 @@ def _check_gate(model: PftModel, g: Gate, classes: set[str]) -> Iterable[str]:
                     )
                 # a parameter declared at the input itself is legal in any
                 # gate: AND/KofN fold over it, OR reads it as a disjunction
-                if arg not in outer and arg not in ev.declares:
+                if arg not in outer and model.declared_at.get(arg) != ref.event:
                     out.append(
                         f"gate {g.output} uses parameter {arg} that is neither "
                         f"a formal of {g.output} nor declared at {ref.event}"
                     )
     if g.kind == "kofn":
         ref = g.inputs[0] if len(g.inputs) == 1 else None
-        ev = model.event_map.get(ref.event) if ref is not None else None
-        declared = [] if ev is None else [
-            a for a in ref.args if isinstance(a, str) and a in ev.declares
+        declared = [] if ref is None or ref.event not in classes else [
+            a for a in ref.args
+            if isinstance(a, str) and model.declared_at.get(a) == ref.event
         ]
         if not declared:
             out.append(f"KofN gate {g.output} must have exactly one replicator input")
@@ -315,9 +325,8 @@ def _check_gate(model: PftModel, g: Gate, classes: set[str]) -> Iterable[str]:
         if len(g.inputs) != 1:
             out.append(f"gate {g.output} quantifies over a non-unique input")
         else:
-            target = model.event_map.get(g.inputs[0].event)
             for pname in g.forall:
-                if target is None or pname not in target.declares:
+                if model.declared_at.get(pname) != g.inputs[0].event:
                     out.append(
                         f"gate {g.output} quantifies {pname}, which is not "
                         f"declared at {g.inputs[0].event}"

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,22 @@ def test_unparseable_model_is_a_validation_error(capsys, tmp_path):
     code, _, err = _run(capsys, "validate", str(bad))
     assert code == 1
     assert "error:" in err
+
+
+def test_a_non_utf8_model_is_a_model_error_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "latin1.pft"
+    path.write_bytes(b"basic B rate 1e-3\ntop TE = or(B) -- \xff\n")
+    code, out, err = _run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert f"error: {path} is not UTF-8 text" in err
+
+
+def test_an_oversized_curve_grid_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "curve", MODEL, "--from", "0", "--to", "1", "--step", "1e-9")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    assert "exceeds the limit of 1000000 points" in err
 
 
 def test_zero_mission_time_is_an_analysis_error(capsys):

@@ -105,6 +105,20 @@ def test_out_of_scope_parameter_is_rejected_at_parse_time():
         )
 
 
+@pytest.mark.parametrize("e_first", [True, False], ids=["E-first", "F-first"])
+def test_scope_errors_do_not_depend_on_declaration_order(e_first):
+    quantify = "event E = and forall(i:T) A(i)\n"
+    misuse = "event F = or(C(i))\n"
+    body = quantify + misuse if e_first else misuse + quantify
+    with pytest.raises(DslError) as err:
+        parse_model(
+            "type T={1,2}\nbasic A(i:T) rate 1e-3\nbasic C(i:T) rate 1e-3\n"
+            + body + "top TE = or(E, F)"
+        )
+    line = 5 if e_first else 4
+    assert str(err.value) == f"line {line}, column 14: parameter i is not in scope here"
+
+
 def test_two_input_vote_parses_and_fails_validation_not_parsing():
     m = parse_model("basic A rate 1e-3\nbasic B rate 1e-3\ntop TE = vote(2:2)(A, B)")
     gate = m.gate_map["TE"]

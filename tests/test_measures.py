@@ -6,6 +6,7 @@ from pfta.dsl import parse_model
 from pfta.engine import StopCriteria
 from pfta.errors import AnalysisError
 from pfta.measures import (
+    MAX_CURVE_POINTS,
     attach_posteriors,
     basic_event_posteriors,
     curve_times,
@@ -79,6 +80,14 @@ def test_curve_times_builds_an_inclusive_grid():
         curve_times(0, 10, 0)
     with pytest.raises(AnalysisError, match="precedes"):
         curve_times(10, 0, 2)
+
+
+def test_curve_times_refuses_a_grid_over_the_point_limit():
+    assert len(curve_times(0, MAX_CURVE_POINTS - 1, 1)) == MAX_CURVE_POINTS
+    with pytest.raises(AnalysisError, match=f"limit of {MAX_CURVE_POINTS} points"):
+        curve_times(0, MAX_CURVE_POINTS, 1)
+    with pytest.raises(AnalysisError, match="1e\\+300 points"):
+        curve_times(0, 1, 1e-300)
 
 
 def test_unreliability_curve_is_monotone(model):

@@ -11,6 +11,7 @@ from pfta.model import (
     FailureRate,
     Gate,
     KIND_BASIC,
+    KIND_INTERNAL,
     KIND_TOP,
     Parameter,
     ParamType,
@@ -108,14 +109,66 @@ def test_validate_flags_undeclared_parameter_directly():
         types=(ParamType("T", (1, 2)),),
         params=(),
         events=(
-            EventNode("A", KIND_BASIC, ("i",), frozenset()),
-            EventNode("TE", KIND_TOP, (), frozenset()),
+            EventNode("A", KIND_BASIC, ("i",)),
+            EventNode("TE", KIND_TOP),
         ),
         gates=(Gate("or", "TE", (EventRef("A", ("i",)),)),),
         rates=(FailureRate("A", 1e-3),),
     )
     problems = validate(m)
     assert "event A uses undeclared parameter i" in problems
+
+
+def _quantified(*gates: Gate) -> PftModel:
+    """A hand-built model in which `gates` (over A(i), C(i)) feed the top."""
+    return PftModel(
+        name="declarations",
+        types=(ParamType("T", (1, 2)),),
+        params=(Parameter("i", "T"),),
+        events=(
+            EventNode("A", KIND_BASIC, ("i",)),
+            EventNode("C", KIND_BASIC, ("i",)),
+            *(EventNode(g.output, KIND_INTERNAL) for g in gates),
+            EventNode("TE", KIND_TOP),
+        ),
+        gates=(*gates, Gate("or", "TE", tuple(EventRef(g.output) for g in gates))),
+        rates=(FailureRate("A", 1e-3), FailureRate("C", 1e-3)),
+    )
+
+
+def test_validate_flags_a_parameter_no_gate_quantifies():
+    m = _quantified(Gate("or", "E", (EventRef("A", ("i",)),)))
+    assert m.declared_at == {}
+    assert validate(m) == [
+        "parameter i is never declared at a replicator",
+        "gate E uses parameter i that is neither a formal of E nor declared at A",
+    ]
+
+
+def test_validate_flags_a_parameter_two_gates_quantify():
+    m = _quantified(
+        Gate("and", "E", (EventRef("A", ("i",)),), forall=("i",)),
+        Gate("and", "F", (EventRef("A", ("i",)),), forall=("i",)),
+    )
+    assert m.declared_at == {"i": "A"}
+    assert validate(m) == [
+        "parameter i is declared at multiple events",
+        "parameter i used outside the scope of A",  # C(i) holds it too
+    ]
+
+
+def test_validate_flags_a_gate_quantifying_a_parameter_declared_elsewhere():
+    m = _quantified(
+        Gate("and", "E", (EventRef("A", ("i",)),), forall=("i",)),
+        Gate("and", "F", (EventRef("C", ("i",)),), forall=("i",)),
+    )
+    assert m.declared_at == {"i": "A"}  # the first gate that quantifies it
+    assert validate(m) == [
+        "parameter i is declared at multiple events",
+        "gate F uses parameter i that is neither a formal of F nor declared at C",
+        "gate F quantifies i, which is not declared at C",
+        "parameter i used outside the scope of A",
+    ]
 
 
 def test_require_valid_raises_with_all_violations():
@@ -158,6 +211,6 @@ def test_format_instance_renders_like_the_source_labels():
 
 
 def test_parameter_table_records_the_declaring_replicator(model):
-    by_name = {p.name: p for p in model.params}
-    assert by_name["i"] == Parameter("i", "T1", "S")
-    assert by_name["j"] == Parameter("j", "T2", "D")
+    assert model.param_map["i"] == Parameter("i", "T1")
+    assert model.param_map["j"] == Parameter("j", "T2")
+    assert model.declared_at == {"j": "D", "i": "S"}
