@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_model(path: str) -> PftModel:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise DslError(f"{path} is not UTF-8 text ({exc.reason})") from None

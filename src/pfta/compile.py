@@ -5,9 +5,8 @@ Two translations share the same disjoint declarations, `declarations`
 time), and differ in clause discipline.  Both take each gate's inputs in
 the order the model declares them:
 
-* `compile_direct` emits one clause per disjunct, keeping parameters as
-  clause variables wherever possible.  Same-head bodies may overlap, so
-  explanation probabilities may double-count.
+* `compile_direct` emits one clause per disjunct.  Same-head bodies may
+  overlap, so explanation probabilities may double-count.
 * `compile_disjoint` defines every non-top event as a status-carrying
   predicate whose clauses split the input status space into disjoint
   cells (an ordered expansion with early termination), making explanation
@@ -16,6 +15,8 @@ the order the model declares them:
 
 Both read every gate as one rule: it fails when at least m of its n
 inputs fail, with m = n for AND, 1 for OR and n-k+1 for `vote(k:n)`.
+Both walk the gates through `_gates`: an output's parameters stay clause
+variables, and every gate kind expands the input it quantifies into replicas.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ from .pha import (
 
 def predicate_name(class_name: str) -> str:
     return class_name.lower()
-
-
-def _head_terms(model: PftModel, class_name: str) -> tuple:
-    ev = model.event_map[class_name]
-    return tuple(Var(p.upper()) for p in ev.formal_params)
 
 
 def _needed(gate: Gate, n: int) -> int:
@@ -95,32 +91,31 @@ def _direct_atom(model: PftModel, event: str, args: tuple) -> Atom:
     return Atom(predicate_name(event), args)
 
 
-def compile_direct(model: PftModel, t: float) -> PhaTheory:
-    """Direct clause translation (stage 1): cut set oriented."""
-    require_valid(model)
-    clauses: list[Clause] = []
+def _gates(model: PftModel) -> Iterator[tuple]:
+    """Each gate in model order as (output event, gate, head terms, inputs):
+    the output's parameters as clause variables, and the (class name,
+    arguments) of every instance `instantiate` gives of each input."""
     for ev in model.events:
         if ev.kind == KIND_BASIC:
             continue
         gate = model.gate_map[ev.class_name]
-        head = Atom(predicate_name(ev.class_name), _head_terms(model, ev.class_name))
-        outer = {p: v for p, v in zip(ev.formal_params, head.args)}
-        if gate.kind == "or":
-            # one input per reference: its replica indices stay clause variables
-            inputs = [
-                _direct_atom(model, ref.event,
-                             tuple(a if isinstance(a, int) else Var(a.upper()) for a in ref.args))
-                for ref in gate.inputs
-            ]
-        else:
-            # each replica's atom is built once and shared by every clause
-            inputs = [
-                _direct_atom(model, ref.event, args)
-                for ref in gate.inputs
-                for args in instantiate(model, ref, outer)
-            ]
+        head_terms = tuple(Var(p.upper()) for p in ev.formal_params)
+        outer = dict(zip(ev.formal_params, head_terms))
+        yield ev, gate, head_terms, [
+            (ref.event, args) for ref in gate.inputs for args in instantiate(model, ref, outer)
+        ]
+
+
+def compile_direct(model: PftModel, t: float) -> PhaTheory:
+    """Direct clause translation (stage 1): cut set oriented."""
+    require_valid(model)
+    clauses: list[Clause] = []
+    for ev, gate, head_terms, inputs in _gates(model):
+        head = Atom(predicate_name(ev.class_name), head_terms)
+        # each replica's atom is built once and shared by every clause
+        atoms = [_direct_atom(model, event, args) for event, args in inputs]
         clauses.extend(Clause(head, body)
-                       for body in combinations(inputs, _needed(gate, len(inputs))))
+                       for body in combinations(atoms, _needed(gate, len(atoms))))
     return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DIRECT)
 
 
@@ -148,19 +143,9 @@ def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
     """Status-complete translation (stage 2): probability oriented."""
     require_valid(model)
     clauses: list[Clause] = []
-    for ev in model.events:
-        if ev.kind == KIND_BASIC:
-            continue
-        gate = model.gate_map[ev.class_name]
-        head_terms = _head_terms(model, ev.class_name)
-        outer = {p: v for p, v in zip(ev.formal_params, head_terms)}
-        instances = [
-            (predicate_name(ref.event), args)
-            for ref in gate.inputs
-            for args in instantiate(model, ref, outer)
-        ]
+    for ev, gate, head_terms, inputs in _gates(model):
         # each expanded input's atom at each status, built once and shared by every cell
-        atoms = {st: [Atom(pred, args + (st,)) for pred, args in instances]
+        atoms = {st: [Atom(predicate_name(event), args + (st,)) for event, args in inputs]
                  for st in (STATUS_WORKING, STATUS_FAILED)}
         opposite = {STATUS_WORKING: atoms[STATUS_FAILED], STATUS_FAILED: atoms[STATUS_WORKING]}
         pred = predicate_name(ev.class_name)
@@ -169,7 +154,7 @@ def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
             heads = {STATUS_FAILED: Atom(pred, head_terms)}
         else:
             heads = {st: Atom(pred, head_terms + (st,)) for st in atoms}
-        for status, lead, trail in _split_cells(gate, len(instances)):
+        for status, lead, trail in _split_cells(gate, len(inputs)):
             if status not in heads:
                 break
             same, other = atoms[status], opposite[status]

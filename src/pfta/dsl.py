@@ -10,11 +10,13 @@ One statement per line; `--` starts a comment.  Statements:
 
     gate-expr := and(<ref>, ...) | or(<ref>, ...)
                | and forall(<p>:<T>, ...) <ref>
+               | or forall(<p>:<T>, ...) <ref>
                | vote(<k>:<n>) forall(<p>:<T>) <ref>
     ref       := <Name> | <Name>(<arg>, ...)      -- arg: parameter or integer
 
 A parameter is declared by the one `forall` clause that quantifies it, at
-the referenced input event, which thereby becomes a replicator.
+the referenced input event, which thereby becomes a replicator; every
+gate kind reads it as its replicas (`or forall` fails like `vote(n:n)`).
 Declarations may appear in any order.
 """
 
@@ -317,28 +319,22 @@ def _parse_ref_list(cur: _Cursor) -> list[tuple[str, list[int | str], int]]:
 
 def _parse_gate_expr(cur: _Cursor) -> _RawGate:
     tok = cur.ident("gate kind")
-    kind = tok.text
-    if kind in ("and", "or"):
-        if kind == "and" and cur.peek() == "forall":
-            cur.next()
-            forall = _parse_params(cur)
-            ref = _parse_ref(cur)
-            return _RawGate("and", None, None, forall, [ref], cur.lineno)
-        return _RawGate(kind, None, None, [], _parse_ref_list(cur), cur.lineno)
+    kind, k, n = tok.text, None, None
     if kind == "vote":
         cur.expect("(")
         k = cur.integer("k")
         cur.expect(":")
         n = cur.integer("n")
         cur.expect(")")
-        if cur.peek() == "forall":
-            cur.next()
-            forall = _parse_params(cur)
-            ref = _parse_ref(cur)
-            return _RawGate("kofn", k, n, forall, [ref], cur.lineno)
-        # bare reference list; structural checks are left to the validator
-        return _RawGate("kofn", k, n, [], _parse_ref_list(cur), cur.lineno)
-    raise DslError(f"expected and/or/vote, got {kind!r}", cur.lineno, tok.column)
+        kind = "kofn"
+    elif kind not in ("and", "or"):
+        raise DslError(f"expected and/or/vote, got {kind!r}", cur.lineno, tok.column)
+    if cur.peek() == "forall":
+        cur.next()
+        forall = _parse_params(cur)
+        return _RawGate(kind, k, n, forall, [_parse_ref(cur)], cur.lineno)
+    # bare reference list; structural checks are left to the validator
+    return _RawGate(kind, k, n, [], _parse_ref_list(cur), cur.lineno)
 
 
 def parse_model(text: str) -> PftModel:
@@ -442,13 +438,12 @@ def serialize_model(model: PftModel) -> str:
 
 
 def _format_gate(model: PftModel, gate: Gate) -> str:
-    refs = ", ".join(_format_ref(r) for r in gate.inputs)
-    if gate.kind == "kofn" and not gate.forall:
-        return f"vote({gate.k}:{len(gate.inputs)})({refs})"
-    if gate.kind == "or" or not gate.forall:
-        return f"{gate.kind}({refs})"
-    quant = ", ".join(f"{p}:{model.param_map[p].type_name}" for p in gate.forall)
-    if gate.kind == "and":
-        return f"and forall({quant}) {_format_ref(gate.inputs[0])}"
-    n = prod(len(model.param_values(p)) for p in gate.forall)
-    return f"vote({gate.k}:{n}) forall({quant}) {_format_ref(gate.inputs[0])}"
+    if gate.forall:
+        quant = ", ".join(f"{p}:{model.param_map[p].type_name}" for p in gate.forall)
+        rest = f" forall({quant}) {_format_ref(gate.inputs[0])}"
+    else:
+        rest = "(" + ", ".join(_format_ref(r) for r in gate.inputs) + ")"
+    if gate.kind != "kofn":
+        return gate.kind + rest
+    n = prod(len(model.param_values(p)) for p in gate.forall) if gate.forall else len(gate.inputs)
+    return f"vote({gate.k}:{n}){rest}"

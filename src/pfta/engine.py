@@ -16,18 +16,18 @@ the state priority.  States come off the frontier in nonincreasing
 priority order, so complete explanations are emitted most probable
 first, and the sum of frontier priorities bounds the probability mass
 still unaccounted for.  That upper bound is probabilistically valid only
-for theories whose same-head clause bodies are disjoint (stage
-"disjoint"); for direct-stage theories it is reported as raw search mass
-(`sound` is False).  Atoms turn back into `Atom`s only in emitted
-explanations.
+for ground goals on theories whose same-head clause bodies are disjoint
+(stage "disjoint"); otherwise it is reported as raw search mass (`sound`
+is False), as a goal's instances need not be mutually exclusive.  Atoms
+turn back into `Atom`s only in emitted explanations.
 
 `ExactEvaluator` applies the same probability rule without enumerating
-explanations, on disjoint-stage theories.  Same-head bodies are
-mutually exclusive, so P(head) is the sum of P(body) over its bodies.
-P(body) is the product of its atoms' probabilities when their supports
-(the declarations each atom depends on) are pairwise disjoint once the
-decided declarations are left out; otherwise the atoms sharing a
-declaration are split on it, summing P(alternative) * P(atoms | it
+explanations, to ground goals on disjoint-stage theories.  Same-head
+bodies are mutually exclusive, so P(head) is the sum of P(body) over its
+bodies.  P(body) is the product of its atoms' probabilities when their
+supports (the declarations each atom depends on) are pairwise disjoint
+once the decided declarations are left out; otherwise the atoms sharing
+a declaration are split on it, summing P(alternative) * P(atoms | it
 holds) over its alternatives.  Hypotheses are the leaves.  No step looks
 at a probability, so the decomposition is recorded once as an arithmetic
 circuit, and every query, conditioned or with other probabilities, is
@@ -216,7 +216,7 @@ class ExplanationSearch(Iterator[Explanation]):
         self.goals = _as_goal_list(goals)
         self.stop = stop
         self.frontier_budget = frontier_budget
-        self.sound = theory.stage == STAGE_DISJOINT
+        self.sound = theory.stage == STAGE_DISJOINT and all(g.is_ground() for g in self.goals)
 
         self._table = table = AtomTable(theory, self.goals)
         self._expansions = table.expansions
@@ -358,16 +358,20 @@ def minimal_explanations(
     return list(kept.values())
 
 
-def _require_disjoint(theory: PhaTheory) -> None:
+def _require_exact(theory: PhaTheory, goals: tuple[Atom, ...]) -> None:
+    """Refuse a theory or goals outside the probability rule."""
     if theory.stage != STAGE_DISJOINT:
         raise EngineError(
             "probability requires a disjoint-stage theory; "
             "recompile with the status-complete translation"
         )
+    for g in goals:
+        if not g.is_ground():
+            raise EngineError(f"probability requires ground goals; {format_atom(g)} has variables")
 
 
 class ExactEvaluator:
-    """Exact probability of `goals` on a disjoint-stage theory, by decomposition.
+    """Exact probability of ground `goals` on a disjoint-stage theory.
 
     Alternatives are the bits of the `AtomTable`; an atom's support is the
     mask of the alternatives of the declarations it depends on, and a
@@ -387,19 +391,20 @@ class ExactEvaluator:
         goals: Atom | Iterable[Atom],
         budget: int = DEFAULT_EVALUATION_BUDGET,
     ):
-        _require_disjoint(theory)
+        goals = _as_goal_list(goals)
+        _require_exact(theory, goals)
         self.budget = budget
-        self._table = table = AtomTable(theory, _as_goal_list(goals))
-        roots = table.ground(table.goals)
+        self._table = table = AtomTable(theory, goals)
+        roots = tuple(map(table.intern, goals))
         self._index(roots)
         # (sum or math.prod, getter of its input values), inputs first
         self._nodes: list[tuple] = []
         self._memo: dict[tuple[int, int], int] = {}
         self._splits = 0
-        self._top = self._node(sum, [self._run(atoms) for atoms in roots])
+        self._top = self._run(roots)
         del self._memo
 
-    def _index(self, roots: list[tuple[int, ...]]) -> None:
+    def _index(self, roots: tuple[int, ...]) -> None:
         """Bodies and supports of every atom the goals reach, inputs first.
 
         Each body is kept with the alternatives its atoms share: a body
@@ -416,7 +421,7 @@ class ExactEvaluator:
             return (b for body in bodies for b in body)
 
         try:
-            for a in postorder((a for atoms in roots for a in atoms), children):
+            for a in postorder(roots, children):
                 bodies, bit = table.expansions[a]
                 self._bodies[a] = tuple((body, self._shared(body)) for body in bodies)
                 mask = 0
@@ -591,12 +596,14 @@ def probability(
 ) -> ProbabilityBounds:
     """Bounds on the probability of the goal conjunction.
 
-    Only meaningful for disjoint-stage theories, where explanations are
-    mutually exclusive events.  Exhaustive stop criteria give the exact
-    value of `ExactEvaluator` as a point interval; bounded ones search,
-    and the frontier mass is a sound bound on what remains.
+    Only meaningful for ground goals on disjoint-stage theories, where
+    explanations are mutually exclusive events; others raise `EngineError`.
+    Exhaustive stop criteria give the exact value of `ExactEvaluator` as a
+    point interval; bounded ones search, and the frontier mass is a sound
+    bound on what remains.
     """
-    _require_disjoint(theory)
+    goals = _as_goal_list(goals)
+    _require_exact(theory, goals)
     if stop.exhaustive:
         p = ExactEvaluator(theory, goals).probability()
         return ProbabilityBounds(p, p)

@@ -295,7 +295,7 @@ def _check_gate(model: PftModel, g: Gate, classes: set[str]) -> Iterable[str]:
                         f"passed where {ref.event} expects {ftype}"
                     )
                 # a parameter declared at the input itself is legal in any
-                # gate: AND/KofN fold over it, OR reads it as a disjunction
+                # gate: every gate kind expands the input it quantifies
                 if arg not in outer and model.declared_at.get(arg) != ref.event:
                     out.append(
                         f"gate {g.output} uses parameter {arg} that is neither "

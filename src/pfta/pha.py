@@ -242,7 +242,7 @@ class _ItemParser:
 
     def __init__(self, text: str, lineno: int):
         self.tokens = re.findall(
-            r"\d+\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*"
+            r"-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*"
             r"|:-|[()\[\],:.]|\S",
             text,
         )
@@ -269,7 +269,7 @@ class _ItemParser:
 
     def term(self):
         tok = self.next()
-        if re.fullmatch(r"\d+", tok):
+        if re.fullmatch(r"-?\d+", tok):
             return int(tok)
         if _VAR_RE.match(tok):
             return Var(tok)

@@ -81,3 +81,21 @@ event S(i:T1) = or(P(i), MM(i), DM(i))
 event SKN = vote({k}:{n}) forall(i:T1) S(i)
 top TE = or(B, SKN)
 """)
+
+
+QUANTIFIED_OR = """
+model quantified_or
+type T = {1, 2, 3}
+basic A(i:T) rate 4e-5
+basic B rate 2e-5
+basic C(j:T) rate 9e-5
+event W(i:T) = and(A(i), B)
+event E = or forall(i:T) W(i)
+event F = or forall(j:T) C(j)
+top TE = and(E, F)
+"""
+
+
+def quantified_or() -> PftModel:
+    """Two OR gates over quantified inputs, one a replicated AND module."""
+    return parse_model(QUANTIFIED_OR)

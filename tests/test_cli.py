@@ -197,6 +197,12 @@ def test_a_non_utf8_model_is_a_model_error_naming_the_file(capsys, tmp_path):
     assert f"error: {path} is not UTF-8 text" in err
 
 
+def test_a_model_saved_with_a_byte_order_mark_validates(capsys, tmp_path):
+    path = tmp_path / "bom.pft"
+    path.write_bytes(b"\xef\xbb\xbf" + (DATA / "multiprocessor.pft").read_bytes())
+    assert _run(capsys, "validate", str(path)) == (0, "OK\n", "")
+
+
 def test_an_oversized_curve_grid_exits_2_at_once(capsys):
     start = time.perf_counter()
     code, out, err = _run(capsys, "curve", MODEL, "--from", "0", "--to", "1", "--step", "1e-9")

@@ -6,12 +6,21 @@ from math import comb
 import pytest
 
 from conftest import DATA
-from randmodels import multiprocessor
+from randmodels import multiprocessor, quantified_or
 from pfta.compile import compile_direct, compile_disjoint
 from pfta.dsl import parse_model
 from pfta.errors import ModelInvalidError
+from pfta.measures import minimal_cut_sets, system_unreliability
 from pfta.model import EventRef
-from pfta.pha import STAGE_DIRECT, STAGE_DISJOINT, Atom, format_clause, serialize
+from pfta.oracle import exact_probability, prime_implicants, unfold
+from pfta.pha import (
+    STAGE_DIRECT,
+    STAGE_DISJOINT,
+    Atom,
+    format_clause,
+    parse_theory,
+    serialize,
+)
 
 T = 1e4
 
@@ -156,3 +165,33 @@ def test_unreplicated_vote_input_is_rejected_at_compile_time():
     m = parse_model("basic A rate 1e-3\nbasic B rate 1e-3\ntop TE = vote(2:2)(A, B)")
     with pytest.raises(ModelInvalidError, match="exactly one replicator input"):
         compile_direct(m, T)
+
+
+def test_a_quantified_or_input_is_expanded_into_its_replicas():
+    m = parse_model("type T = {1, 2, 3}\nbasic A(i:T) rate 1e-4\ntop E = or forall(i:T) A(i)")
+    assert [format_clause(c) for c in compile_direct(m, T).clauses] == [
+        "e :- a(1,f).",
+        "e :- a(2,f).",
+        "e :- a(3,f).",
+    ]
+
+
+def test_quantified_or_gates_agree_with_the_oracle():
+    m = quantified_or()
+    tree = unfold(m, T)
+    assert {c.events for c in minimal_cut_sets(m, T)} == set(prime_implicants(tree))
+    bounds = system_unreliability(m, T)
+    exact = exact_probability(tree, {tree.top: True})
+    assert bounds.lower == pytest.approx(exact, abs=1e-12)
+    assert bounds.upper == pytest.approx(exact, abs=1e-12)
+
+
+def test_negative_replica_indices_round_trip_through_theory_text():
+    m = parse_model(
+        "type T = {-1, 2}\nbasic A(i:T) rate 1e-3\nbasic B rate 2e-3\n"
+        "event W(i:T) = or(A(i), B)\ntop TE = vote(1:2) forall(i:T) W(i)"
+    )
+    for theory in (compile_direct(m, T), compile_disjoint(m, T)):
+        text = serialize(theory)
+        assert "a(-1,f)" in text
+        assert parse_theory(text, theory.stage) == theory

@@ -4,7 +4,18 @@ import pytest
 
 from pfta.dsl import parse_model, serialize_model
 from pfta.errors import DslError
-from pfta.model import EventRef, KIND_BASIC, KIND_INTERNAL, KIND_TOP
+from pfta.model import (
+    EventNode,
+    EventRef,
+    FailureRate,
+    Gate,
+    KIND_BASIC,
+    KIND_INTERNAL,
+    KIND_TOP,
+    Parameter,
+    ParamType,
+    PftModel,
+)
 
 
 def test_parse_fixture_structure(model):
@@ -140,3 +151,28 @@ def test_serialize_round_trips_generated_models():
     for seed in range(20):
         m, _ = random_model(seed)
         assert parse_model(serialize_model(m)) == m
+
+
+def test_or_forall_parses_and_round_trips():
+    from randmodels import QUANTIFIED_OR
+
+    m = parse_model(QUANTIFIED_OR)
+    assert m.gate_map["E"] == Gate("or", "E", (EventRef("W", ("i",)),), forall=("i",))
+    assert m.declared_at == {"i": "W", "j": "C"}
+    text = serialize_model(m)
+    assert "event E = or forall(i:T) W(i)\n" in text
+    assert parse_model(text) == m
+
+
+def test_a_hand_built_quantified_or_gate_round_trips():
+    m = PftModel(
+        name="q",
+        types=(ParamType("T", (1, 2, 3)),),
+        params=(Parameter("i", "T"),),
+        events=(EventNode("A", KIND_BASIC, ("i",)), EventNode("E", KIND_TOP)),
+        gates=(Gate("or", "E", (EventRef("A", ("i",)),), forall=("i",)),),
+        rates=(FailureRate("A", 1e-4),),
+    )
+    text = serialize_model(m)
+    assert text.endswith("top E = or forall(i:T) A(i)\n")
+    assert parse_model(text) == m

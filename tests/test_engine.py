@@ -329,6 +329,33 @@ def test_non_ground_bodies_and_goals_are_pinned(goals, expected):
     assert found == pytest.approx(expected, rel=1e-12)
 
 
+# Two instances of c(Z), each of probability 0.5, that are not mutually
+# exclusive: P(exists Z. c(Z)) is 0.75, not their sum.
+OVERLAPPING_INSTANCES = parse_theory(
+    "disjoint([a(1):0.5,na(1):0.5]).\n"
+    "disjoint([a(2):0.5,na(2):0.5]).\n"
+    "c(X) :- a(X).\n",
+    STAGE_DISJOINT,
+)
+
+
+@pytest.mark.parametrize("stop", [EXHAUSTIVE, StopCriteria(epsilon=0.1)])
+def test_probability_refuses_a_goal_with_variables(stop):
+    goal = Atom("c", (Z,))
+    with pytest.raises(EngineError, match=r"c\(Z\) has variables"):
+        probability(OVERLAPPING_INSTANCES, goal, stop)
+    with pytest.raises(EngineError, match=r"c\(Z\) has variables"):
+        ExactEvaluator(OVERLAPPING_INSTANCES, [Atom("c", (1,)), goal])
+    assert probability(OVERLAPPING_INSTANCES, Atom("c", (1,)), stop) == ProbabilityBounds(0.5, 0.5)
+
+
+def test_a_search_for_a_goal_with_variables_is_not_sound():
+    result = explain(OVERLAPPING_INSTANCES, Atom("c", (Z,)))
+    assert sorted(e.prob for e in result.explanations) == [0.5, 0.5]
+    assert result.sound is False
+    assert explain(OVERLAPPING_INSTANCES, Atom("c", (2,))).sound is True
+
+
 def test_a_goal_that_holds_outright_is_the_only_minimal_explanation():
     theory = _theory(
         [Clause(GOAL, ()), Clause(GOAL, (Atom("a", ()),))],

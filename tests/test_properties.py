@@ -5,13 +5,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from randmodels import random_model
-from pfta.compile import compile_disjoint
+from randmodels import quantified_or, random_model
+from pfta.compile import compile_direct, compile_disjoint
 from pfta.engine import EXHAUSTIVE, ExactEvaluator, ExplanationSearch, explain
 from pfta.measures import minimal_cut_sets, system_unreliability, top_atom
 from pfta.model import failure_probability
 from pfta.oracle import exact_probability, prime_implicants, unfold
-from pfta.pha import Atom, check_assumptions
+from pfta.pha import Atom, Var, check_assumptions
 
 AGREEMENT_TOL = 1e-9
 BATTERY_SEEDS = range(60)
@@ -92,3 +92,17 @@ def test_anytime_bounds_always_bracket_the_exact_value(seed):
         bounds = search.bounds
         assert bounds.lower <= exact + 1e-12
         assert min(bounds.upper, 1.0) >= exact - 1e-12
+
+
+def _variables(atom):
+    return {a for a in atom.args if isinstance(a, Var)}
+
+
+@pytest.mark.parametrize("seed", [*BATTERY_SEEDS, "quantified_or"])
+def test_no_clause_has_a_variable_outside_its_head(seed):
+    # every quantified input is expanded into replicas, whatever the gate kind
+    model, t = (quantified_or(), 1e4) if seed == "quantified_or" else random_model(seed)
+    for theory in (compile_direct(model, t), compile_disjoint(model, t)):
+        for clause in theory.clauses:
+            body_vars = set().union(*map(_variables, clause.body))
+            assert body_vars <= _variables(clause.head), clause
