@@ -12,14 +12,18 @@ rule assumes none does, and both procedures rest on that rule.
 `ExplanationSearch` is a best-first abductive search.  A search state is
 a partial SLD derivation: a tuple of remaining goal ids, a bitmask of the
 assumed alternatives, and their probability product, which serves as
-the state priority.  States come off the frontier in nonincreasing
-priority order, so complete explanations are emitted most probable
-first, and the sum of frontier priorities bounds the probability mass
-still unaccounted for.  That upper bound is probabilistically valid only
-for ground goals on theories whose same-head clause bodies are disjoint
-(stage "disjoint"); otherwise it is reported as raw search mass (`sound`
-is False), as a goal's instances need not be mutually exclusive.  Atoms
-turn back into `Atom`s only in emitted explanations.
+the state priority.  The frontier is kept as priority levels, one FIFO
+queue of states per distinct priority (replicas share their rates, so a
+parametric model has few), and the highest level is served first: states
+leave in nonincreasing priority, first pushed first within a priority,
+so complete explanations are emitted most probable first.  The sum of
+frontier priorities, taken with `math.fsum` and so correctly rounded,
+bounds the probability mass still unaccounted for.  That upper bound is
+probabilistically valid only for ground goals on theories whose
+same-head clause bodies are disjoint (stage "disjoint"); otherwise it is
+reported as raw search mass (`sound` is False), as a goal's instances
+need not be mutually exclusive.  Atoms turn back into `Atom`s only in
+emitted explanations.
 
 `ExactEvaluator` applies the same probability rule without enumerating
 explanations, to ground goals on disjoint-stage theories.  Same-head
@@ -31,16 +35,19 @@ a declaration are split on it, summing P(alternative) * P(atoms | it
 holds) over its alternatives.  Hypotheses are the leaves.  No step looks
 at a probability, so the decomposition is recorded once as an arithmetic
 circuit, and every query, conditioned or with other probabilities, is
-one forward pass over it.
+one forward pass over it.  Its sums add left to right, so a result has
+the same digits on every Python version.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
-from itertools import count
-from operator import itemgetter
+from functools import partial, reduce
+from itertools import chain, count, repeat
+from operator import add, itemgetter
 from typing import Iterable, Iterator
 
 from .errors import EngineError
@@ -60,6 +67,10 @@ from .pha import (
 
 DEFAULT_FRONTIER_BUDGET = 10**6
 DEFAULT_EVALUATION_BUDGET = 10**6
+
+# adds floats left to right on every Python: from 3.12 the builtin `sum`
+# compensates, which changes the last digits of an exact result
+_sum = partial(reduce, add)
 
 
 @dataclass(frozen=True)
@@ -202,8 +213,39 @@ class AtomTable:
         return entry
 
 
+@dataclass(frozen=True)
+class SearchStats:
+    """Work of one search so far, counted in states.
+
+    `popped` counts every state taken off the frontier, duplicates
+    included; `duplicates` the complete states skipped because their
+    hypothesis set was already emitted; `inconsistent` the hypothesis
+    steps not pushed because another alternative of the declaration was
+    assumed; `peak_frontier` the most states the frontier held at once.
+    """
+
+    popped: int = 0
+    pushed: int = 0
+    duplicates: int = 0
+    inconsistent: int = 0
+    peak_frontier: int = 0
+
+
 class ExplanationSearch(Iterator[Explanation]):
-    """Iterator over explanations of `goals`, most probable first."""
+    """Iterator over explanations of `goals`, most probable first.
+
+    The frontier is kept as priority levels: a dict from priority to a
+    deque of (goal ids, assumed mask) in push order, and a heap of the
+    distinct priorities, entries (-priority, creation index, deque), so
+    the heap never compares deques.  A state pops from the front of the
+    highest level and its children join the back of theirs, so states
+    leave in nonincreasing priority, first pushed first within a priority:
+    the order of one heap of states tie-broken by push order.  A level
+    leaves the heap once it is found empty at the top.  `bounds` adds the
+    `math.fsum` of every frontier state's priority to the emitted mass,
+    a sum that does not depend on the frontier's layout.  `stats` counts
+    the work done so far.
+    """
 
     def __init__(
         self,
@@ -219,32 +261,36 @@ class ExplanationSearch(Iterator[Explanation]):
         self.sound = theory.stage == STAGE_DISJOINT and all(g.is_ground() for g in self.goals)
 
         self._table = table = AtomTable(theory, self.goals)
-        self._expansions = table.expansions
-
-        self._seq = count()
         self._emitted_probs_sum = 0.0
         self._emitted_count = 0
         self._seen: set[int] = set()
-        # running sum of frontier priorities; `bounds` recomputes it exactly
-        self._mass = 0.0
-        # heap entries: (-priority, tiebreak, goal ids, mask of assumed alternatives)
-        self._frontier: list = []
-        for goals in table.ground(self.goals):
-            self._push(1.0, goals, 0)
+        self._levels: dict[float, deque] = {}
+        self._order: list = []
+        self._created = count()
+        initial = table.ground(self.goals)
+        if len(initial) > frontier_budget:
+            raise EngineError(f"frontier memory budget of {frontier_budget} states exceeded")
+        if initial:
+            self._levels[1.0] = deque((goals, 0) for goals in initial)
+            heapq.heappush(self._order, (-1.0, next(self._created), self._levels[1.0]))
+        # states on the frontier and the running sum of their priorities,
+        # in push and pop order; `bounds` sums the frontier afresh
+        self._size = len(initial)
+        self._mass = float(len(initial))
+        # popped, duplicates, inconsistent, peak frontier; pushed is popped + size
+        self._counts = (0, 0, 0, self._size)
 
-    def _push(self, priority: float, goals: tuple[int, ...], assumed: int) -> None:
-        if len(self._frontier) >= self.frontier_budget:
-            raise EngineError(
-                f"frontier memory budget of {self.frontier_budget} states exceeded"
-            )
-        heapq.heappush(self._frontier, (-priority, next(self._seq), goals, assumed))
-        self._mass += priority
+    @property
+    def stats(self) -> SearchStats:
+        popped, duplicates, inconsistent, peak = self._counts
+        return SearchStats(popped, popped + self._size, duplicates, inconsistent, peak)
 
     @property
     def bounds(self) -> ProbabilityBounds:
-        mass = -sum(entry[0] for entry in self._frontier)
         lower = self._emitted_probs_sum
-        return ProbabilityBounds(lower, lower + max(mass, 0.0))
+        mass = math.fsum(chain.from_iterable(
+            repeat(priority, len(states)) for priority, states in self._levels.items()))
+        return ProbabilityBounds(lower, lower + mass)
 
     def _stopped(self) -> bool:
         stop = self.stop
@@ -256,7 +302,7 @@ class ExplanationSearch(Iterator[Explanation]):
         if stop.epsilon is None:
             return False
         # the running mass drifts from the exact frontier sum only by
-        # rounding, so far from epsilon it decides without summing the heap
+        # rounding, so far from epsilon it decides without summing the levels
         if self._mass > stop.epsilon + 1e-9 * max(1.0, self._mass):
             return False
         return self.bounds.width <= stop.epsilon
@@ -265,44 +311,83 @@ class ExplanationSearch(Iterator[Explanation]):
         if self._stopped():
             raise StopIteration
         table = self._table
-        while self._frontier:
-            neg_priority, _, goals, assumed = heapq.heappop(self._frontier)
-            priority = -neg_priority
-            self._mass -= priority
-            if not goals:
-                if assumed in self._seen:
+        expansions, expand = table.expansions, table.expand
+        probs, decl_masks = table.probs, table.decl_masks
+        levels, order, seen, created = self._levels, self._order, self._seen, self._created
+        # looked up per call, so a stand-in for the module can watch the levels
+        heappush, heappop = heapq.heappush, heapq.heappop
+        budget = self.frontier_budget
+        size, mass = self._size, self._mass
+        popped, duplicates, inconsistent, peak = self._counts
+        try:
+            while order:
+                neg_priority, _, level = order[0]
+                if not level:
+                    heappop(order)
+                    del levels[-neg_priority]
                     continue
-                self._seen.add(assumed)
-                self._emitted_probs_sum += priority
-                self._emitted_count += 1
-                hypotheses = []
-                while assumed:
-                    low = assumed & -assumed
-                    hypotheses.append(table.alternatives[low.bit_length() - 1])
-                    assumed ^= low
-                return Explanation(frozenset(hypotheses), priority)
-            # clause bodies in clause order: with the tie-break this order
-            # fixes which equal-priority state pops first, hence the
-            # emission order and every sum over it
-            goal, rest = goals[0], goals[1:]
-            bodies, bit = self._expansions.get(goal) or table.expand(goal)
-            for body in bodies:
-                self._push(priority, body + rest, assumed)
-            if bit is not None:
-                if assumed >> bit & 1:
-                    self._push(priority, rest, assumed)
-                elif not assumed & table.decl_masks[bit]:
-                    self._push(priority * table.probs[bit], rest, assumed | 1 << bit)
-        raise StopIteration
+                goals, assumed = level.popleft()
+                priority = -neg_priority
+                size -= 1
+                popped += 1
+                mass -= priority
+                if not goals:
+                    if assumed in seen:
+                        duplicates += 1
+                        continue
+                    seen.add(assumed)
+                    self._emitted_probs_sum += priority
+                    self._emitted_count += 1
+                    hypotheses = []
+                    while assumed:
+                        low = assumed & -assumed
+                        hypotheses.append(table.alternatives[low.bit_length() - 1])
+                        assumed ^= low
+                    return Explanation(frozenset(hypotheses), priority)
+                # children in clause order join the back of their level: that
+                # order fixes which equal-priority state pops first, hence
+                # the emission order and every sum over it
+                goal, rest = goals[0], goals[1:]
+                bodies, bit = expansions.get(goal) or expand(goal)
+                for body in bodies:
+                    level.append((body + rest, assumed))
+                    mass += priority
+                size += len(bodies)
+                if bit is not None:
+                    if assumed >> bit & 1:
+                        level.append((rest, assumed))
+                        mass += priority
+                    elif assumed & decl_masks[bit]:
+                        inconsistent += 1
+                        continue
+                    else:
+                        child = priority * probs[bit]
+                        target = levels.get(child)
+                        if target is None:
+                            target = levels[child] = deque()
+                            heappush(order, (-child, next(created), target))
+                        target.append((rest, assumed | 1 << bit))
+                        mass += child
+                    size += 1
+                if size > peak:
+                    if size > budget:
+                        raise EngineError(
+                            f"frontier memory budget of {budget} states exceeded")
+                    peak = size
+            raise StopIteration
+        finally:
+            self._size, self._mass = size, mass
+            self._counts = (popped, duplicates, inconsistent, peak)
 
 
 @dataclass(frozen=True)
 class ExplainResult:
-    """Explanations found before the stop criterion, with final bounds."""
+    """Explanations found before the stop criterion, with final bounds and work done."""
 
     explanations: tuple[Explanation, ...]
     bounds: ProbabilityBounds
     sound: bool
+    stats: SearchStats
 
 
 def explain(
@@ -314,7 +399,7 @@ def explain(
     """Collect explanations of `goals`, most probable first."""
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
     explanations = tuple(search)
-    return ExplainResult(explanations, search.bounds, search.sound)
+    return ExplainResult(explanations, search.bounds, search.sound, search.stats)
 
 
 def minimal_explanations(
@@ -397,7 +482,7 @@ class ExactEvaluator:
         self._table = table = AtomTable(theory, goals)
         roots = tuple(map(table.intern, goals))
         self._index(roots)
-        # (sum or math.prod, getter of its input values), inputs first
+        # (_sum or math.prod, getter of its input values), inputs first
         self._nodes: list[tuple] = []
         self._memo: dict[tuple[int, int], int] = {}
         self._splits = 0
@@ -482,7 +567,7 @@ class ExactEvaluator:
         return min(values[self._top], 1.0)
 
     def _node(self, op, inputs: list[int]) -> int:
-        """The node for `op` (sum or math.prod) of `inputs`, constants folded.
+        """The node for `op` (_sum or math.prod) of `inputs`, constants folded.
 
         x + 0 and x * 1 drop the constant, x * 0 is 0 and a node of one
         input is that input; no value of an alternative is looked at.
@@ -533,7 +618,7 @@ class ExactEvaluator:
         bodies = []
         for body, shared in self._bodies[a]:
             bodies.append((yield self._conjunction(body, shared, chosen, decided)))
-        node = self._memo[a, chosen & self._support[a]] = self._node(sum, bodies)
+        node = self._memo[a, chosen & self._support[a]] = self._node(_sum, bodies)
         self._check_budget()
         return node
 
@@ -564,7 +649,7 @@ class ExactEvaluator:
                     node = yield self._conjunction(
                         part, part_shared, chosen | 1 << bit, decided | mask)
                     terms.append(self._node(math.prod, [2 + bit, node]))
-                node = self._node(sum, terms)
+                node = self._node(_sum, terms)
             if not node:
                 return 0
             factors.append(node)

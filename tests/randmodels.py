@@ -64,9 +64,9 @@ def random_model(seed: int) -> tuple[PftModel, float]:
     return model, t
 
 
-def multiprocessor(n: int, m: int, k: int) -> PftModel:
+def multiprocessor_text(n: int, m: int, k: int) -> str:
     """The shipped multiprocessor template with n subsystems of m disks, vote(k:n)."""
-    return parse_model(f"""
+    return f"""\
 model mp_{n}_{m}_{k}
 type T1 = {{{", ".join(str(i) for i in range(1, n + 1))}}}
 type T2 = {{{", ".join(str(j) for j in range(1, m + 1))}}}
@@ -80,7 +80,23 @@ event DM(i:T1) = and forall(j:T2) D(i,j)
 event S(i:T1) = or(P(i), MM(i), DM(i))
 event SKN = vote({k}:{n}) forall(i:T1) S(i)
 top TE = or(B, SKN)
-""")
+"""
+
+
+def multiprocessor(n: int, m: int, k: int) -> PftModel:
+    return parse_model(multiprocessor_text(n, m, k))
+
+
+def chain(depth: int) -> PftModel:
+    """A depth-level OR chain over A, X1..Xdepth, rates 1e-7 * (1 + i % 7)."""
+    lines = [f"model chain_{depth}", "basic A rate 1e-7"]
+    lines += [f"basic X{i} rate {1e-7 * (1 + i % 7)!r}" for i in range(1, depth + 1)]
+    prev = "A"
+    for i in range(1, depth):
+        lines.append(f"event C{i} = or({prev}, X{i})")
+        prev = f"C{i}"
+    lines.append(f"top C{depth} = or({prev}, X{depth})")
+    return parse_model("\n".join(lines) + "\n")
 
 
 QUANTIFIED_OR = """

@@ -15,6 +15,7 @@ import pfta.cli
 import pfta.engine
 from conftest import DATA
 from pfta.cli import main
+from randmodels import multiprocessor_text
 
 MODEL = str(DATA / "multiprocessor.pft")
 BROKEN = str(DATA / "two_input_vote.pft")
@@ -327,6 +328,24 @@ def test_seventeen_digit_outputs_are_pinned(capsys):
         assert (code, err) == (0, "")
         outputs.append(out)
     assert "".join(outputs) == (DATA / "multiprocessor_digits17.txt").read_text()
+
+
+def test_bounded_outputs_on_wide_models_are_pinned(capsys, tmp_path):
+    # stdout of the benchmark's bounded searches at default digits, byte for byte
+    runs = [
+        ((7, 3, 5), ("unrel", "--epsilon", "1e-2")),
+        ((10, 2, 6), ("unrel", "--max-explanations", "20")),
+        ((10, 2, 6), ("mcs", "--max-explanations", "20")),
+        ((11, 2, 7), ("mcs", "--max-explanations", "5")),
+    ]
+    outputs = []
+    for spec, (command, *options) in runs:
+        path = tmp_path / ("mp_%d_%d_%d.pft" % spec)
+        path.write_text(multiprocessor_text(*spec))
+        code, out, err = _run(capsys, command, str(path), *options, "--time", "10000")
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert "".join(outputs) == (DATA / "anytime_wide_t1e4.txt").read_text()
 
 
 @pytest.mark.parametrize("argv, searches", [

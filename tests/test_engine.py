@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import replace
+from itertools import count
 
 import pytest
 
@@ -9,10 +11,12 @@ from pfta.compile import compile_direct, compile_disjoint, declarations
 from pfta.dsl import parse_model
 from pfta.engine import (
     EXHAUSTIVE,
+    AtomTable,
     ExactEvaluator,
     Explanation,
     ExplanationSearch,
     ProbabilityBounds,
+    SearchStats,
     StopCriteria,
     explain,
     minimal_explanations,
@@ -32,7 +36,7 @@ from pfta.pha import (
     format_atom,
     parse_theory,
 )
-from randmodels import multiprocessor, random_model
+from randmodels import chain, multiprocessor, random_model
 
 T = 1e4
 TE = Atom("te", ())
@@ -573,3 +577,110 @@ def test_minimal_explanations_match_a_brute_force_filter():
         assert minimal_explanations(theory, TE) == _brute_force_minimal(theory, TE)
     emitted = list(ExplanationSearch(theory, TE))
     assert len(_brute_force_minimal(theory, TE)) < len(emitted)  # supersets were dropped
+
+
+def test_a_sum_node_adds_left_to_right():
+    # the builtin `sum` compensates from Python 3.12 and returns 0.6 here
+    theory = _theory(
+        [Clause(GOAL, (Atom("a", ()),)), Clause(GOAL, (Atom("b", ()),)),
+         Clause(GOAL, (Atom("c", ()),))],
+        [_decl(("a", 0.1), ("b", 0.2), ("c", 0.3), ("x", 0.4))],
+        STAGE_DISJOINT,
+    )
+    assert ExactEvaluator(theory, GOAL).probability() == 0.1 + 0.2 + 0.3
+
+
+def _reference_search(theory, goals, stop):
+    """(hypotheses, prob) list, final bounds and states popped of one heap of
+    (-priority, push index, goal ids, assumed mask) over `AtomTable`."""
+    table = AtomTable(theory, goals)
+    heap, seq, seen, emitted, lower, popped = [], count(), set(), [], 0.0, 0
+    for ids in table.ground(goals):
+        heapq.heappush(heap, (-1.0, next(seq), ids, 0))
+
+    def stopped():
+        if stop.max_explanations is not None and len(emitted) >= stop.max_explanations:
+            return True
+        mass = -sum(e[0] for e in heap)
+        return stop.epsilon is not None and (lower + mass) - lower <= stop.epsilon
+
+    check = True
+    while heap and not (check and stopped()):
+        neg, _, ids, assumed = heapq.heappop(heap)
+        popped, check = popped + 1, False
+        if not ids:
+            if assumed not in seen:
+                seen.add(assumed)
+                hyps = frozenset(a for i, a in enumerate(table.alternatives) if assumed >> i & 1)
+                emitted.append((hyps, -neg))
+                lower, check = lower - neg, True
+            continue
+        bodies, bit = table.expansions.get(ids[0]) or table.expand(ids[0])
+        children = [(neg, body + ids[1:], assumed) for body in bodies]
+        if bit is not None and assumed >> bit & 1:
+            children.append((neg, ids[1:], assumed))
+        elif bit is not None and not assumed & table.decl_masks[bit]:
+            children.append((neg * table.probs[bit], ids[1:], assumed | 1 << bit))
+        for child_neg, child_ids, child_assumed in children:
+            heapq.heappush(heap, (child_neg, next(seq), child_ids, child_assumed))
+    return emitted, ProbabilityBounds(lower, lower + max(-sum(e[0] for e in heap), 0.0)), popped
+
+
+REFERENCE_STOPS = [StopCriteria(max_explanations=n) for n in (1, 5, 20)] + [
+    StopCriteria(epsilon=e) for e in (1e-1, 1e-2, 1e-3)]
+
+
+def _reference_cases():
+    for seed in range(60):
+        model, t = random_model(seed)
+        yield f"rand{seed}", model, t
+    for n, m, k in ((5, 3, 3), (7, 3, 5)):
+        yield f"mp({n},{m},{k})", multiprocessor(n, m, k), T
+
+
+@pytest.mark.parametrize("stage", [compile_direct, compile_disjoint])
+def test_priority_levels_pop_in_the_reference_heap_order(stage):
+    for name, model, t in _reference_cases():
+        theory = stage(model, t)
+        goals = (top_atom(model),)
+        for stop in REFERENCE_STOPS:
+            search = ExplanationSearch(theory, goals, stop)
+            emitted = [(e.hypotheses, e.prob) for e in search]
+            expected, bounds, popped = _reference_search(theory, goals, stop)
+            case = (name, stop)
+            assert emitted == expected, case
+            assert search.bounds.lower == bounds.lower, case
+            assert search.stats.popped == popped, case
+            assert search.bounds.upper == pytest.approx(bounds.upper, rel=1e-12, abs=0), case
+
+
+@pytest.mark.parametrize("model, stop, popped", [
+    (multiprocessor(3, 2, 2), EXHAUSTIVE, 127),
+    (multiprocessor(3, 2, 2), StopCriteria(max_explanations=5), 71),
+    (multiprocessor(4, 2, 2), EXHAUSTIVE, 528),
+    (chain(12), EXHAUSTIVE, 38),
+], ids=["mp(3,2,2)", "mp(3,2,2)-max5", "mp(4,2,2)", "chain(12)"])
+def test_search_stats_count_states(model, stop, popped):
+    # the stage-1 cut set searches of the benchmark's tiny workloads, popped
+    # counts as a heap of single states counted them
+    result = explain(compile_direct(model, T), top_atom(model), stop)
+    stats = result.stats
+    assert stats.popped == popped
+    assert stats.duplicates == stats.inconsistent == 0  # stage 1 only assumes failures
+    if stop.exhaustive:
+        assert stats.pushed == stats.popped  # the frontier ran empty
+    assert 1 <= stats.peak_frontier <= stats.pushed
+
+
+def test_search_stats_count_duplicates_and_inconsistent_steps():
+    theory = _theory(
+        [Clause(GOAL, (Atom("a", ()),)), Clause(GOAL, (Atom("a", ()), Atom("a", ()))),
+         Clause(GOAL, (Atom("a", ()), Atom("x", ())))],
+        [_decl(("a", 0.3), ("x", 0.7))],
+    )
+    search = ExplanationSearch(theory, GOAL)
+    assert [e.prob for e in search] == [0.3]
+    # g, its three bodies, then (), (a) and (x) with a assumed: (a) finds
+    # a assumed and completes {a} again, a duplicate; x contradicts a
+    assert search.stats == SearchStats(
+        popped=8, pushed=8, duplicates=1, inconsistent=1, peak_frontier=3)
