@@ -17,14 +17,18 @@ Both read every gate as one rule: it fails when at least m of its n
 inputs fail, with m = n for AND, 1 for OR and n-k+1 for `vote(k:n)`.
 Both walk the gates through `_gates`: an output's parameters stay clause
 variables, and every gate kind expands the input it quantifies into replicas.
+A gate over `MAX_GATE_CELLS` clauses is refused before any clause is built.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Iterator, Sequence
+from itertools import combinations, product, repeat
+from math import comb
+from typing import Sequence
 
+from .errors import TheoryError
 from .model import (
+    EventNode,
     Gate,
     KIND_BASIC,
     KIND_TOP,
@@ -44,6 +48,9 @@ from .pha import (
     STATUS_WORKING,
     Var,
 )
+
+# the most clauses a translation emits for one gate, the engine budgets' figure
+MAX_GATE_CELLS = 10**6
 
 
 def predicate_name(class_name: str) -> str:
@@ -91,73 +98,123 @@ def _direct_atom(model: PftModel, event: str, args: tuple) -> Atom:
     return Atom(predicate_name(event), args)
 
 
-def _gates(model: PftModel) -> Iterator[tuple]:
+def _cell_count(event: EventNode, gate: Gate, n: int, stage: str) -> int:
+    """How many clauses a translation emits for a gate over n inputs."""
+    m = _needed(gate, n)
+    cells = comb(n, m)
+    if stage == STAGE_DISJOINT and event.kind != KIND_TOP:
+        cells += 1 if gate.kind == "or" else comb(n, n - m + 1)
+    return cells
+
+
+def _gates(model: PftModel, stage: str) -> list[tuple]:
     """Each gate in model order as (output event, gate, head terms, inputs):
     the output's parameters as clause variables, and the (class name,
-    arguments) of every instance `instantiate` gives of each input."""
+    arguments) of every instance `instantiate` gives of each input.
+
+    Every gate's clauses are counted first, so a gate over
+    `MAX_GATE_CELLS` is refused before any clause is built.
+    """
+    gates = []
     for ev in model.events:
         if ev.kind == KIND_BASIC:
             continue
         gate = model.gate_map[ev.class_name]
         head_terms = tuple(Var(p.upper()) for p in ev.formal_params)
         outer = dict(zip(ev.formal_params, head_terms))
-        yield ev, gate, head_terms, [
+        inputs = [
             (ref.event, args) for ref in gate.inputs for args in instantiate(model, ref, outer)
         ]
+        cells = _cell_count(ev, gate, len(inputs), stage)
+        if cells > MAX_GATE_CELLS:
+            raise TheoryError(
+                f"gate {ev.class_name} needs {cells} clauses in the {stage} translation, "
+                f"over the limit of {MAX_GATE_CELLS} per gate"
+            )
+        gates.append((ev, gate, head_terms, inputs))
+    return gates
 
 
 def compile_direct(model: PftModel, t: float) -> PhaTheory:
-    """Direct clause translation (stage 1): cut set oriented."""
+    """Direct clause translation (stage 1): cut set oriented.
+
+    A gate needing m failures gets one clause per m-subset of its inputs,
+    in `itertools.combinations` order.  Raises `TheoryError` for a gate
+    over `MAX_GATE_CELLS` clauses.
+    """
     require_valid(model)
     clauses: list[Clause] = []
-    for ev, gate, head_terms, inputs in _gates(model):
+    for ev, gate, head_terms, inputs in _gates(model, STAGE_DIRECT):
         head = Atom(predicate_name(ev.class_name), head_terms)
         # each replica's atom is built once and shared by every clause
         atoms = [_direct_atom(model, event, args) for event, args in inputs]
-        clauses.extend(Clause(head, body)
-                       for body in combinations(atoms, _needed(gate, len(atoms))))
+        clauses.extend(map(Clause, repeat(head), combinations(atoms, _needed(gate, len(atoms)))))
     return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DIRECT)
 
 
-def _split_cells(gate: Gate, n: int) -> Iterator[tuple[str, Sequence[int], Sequence[int]]]:
-    """Disjoint decision cells of a gate over n ordered inputs.
+def _cell_bodies(same: Sequence[Atom], other: Sequence[Atom], m: int) -> list[tuple[Atom, ...]]:
+    """The bodies of the cells led by the m-subsets of the inputs.
 
-    Each cell is (gate status, lead, trail): the lead inputs, at the gate's
-    status, settle its value; the trail inputs, at the opposite status,
-    are those before the last lead input and outside the lead, in reverse
-    positional order.  A gate needing m failures has a failure cell per
-    m-subset of its inputs and a working cell per (n-m+1)-subset, each
-    lead in positional order, except that an OR's one working cell scans
-    its inputs from the last.  Together the cells partition the joint
-    status space of the inputs; the failure cells, which come first,
-    alone cover exactly the failing region.
+    `same` and `other` hold the inputs' atoms at the cell's status and at
+    the opposite one.  A cell's body is its lead, the subset's `same`
+    atoms in positional order, then its trail: the `other` atoms of the
+    positions before the lead's last that are outside the lead, in
+    reverse positional order.  Bodies come in `itertools.combinations`
+    order of their leads.
+
+    The leads grow one position per level, in that order, and each level
+    keeps (last position, lead, trail) per prefix, so a prefix's tuples
+    are built once and shared by all its extensions.  Extending a prefix
+    ending at l by a position p adds `same[p]` to the lead and the gap
+    l+1..p-1, from p-1 down, in front of the trail: one slice of `other`
+    reversed.  No step walks the body slot by slot in Python.
     """
-    m = _needed(gate, n)
-    working = [range(n - 1, -1, -1)] if gate.kind == "or" else combinations(range(n), n - m + 1)
-    for status, leads in ((STATUS_FAILED, combinations(range(n), m)), (STATUS_WORKING, working)):
-        for lead in leads:
-            yield status, lead, [j for j in range(lead[-1] - 1, -1, -1) if j not in lead]
+    n = len(same)
+    reverse = tuple(reversed(other))  # other[j] is reverse[n - 1 - j]
+    level = [(-1, (), ())]
+    for depth in range(m - 1):
+        top = n - m + depth  # the last position a lead's depth-th input can take
+        level = [
+            (p, lead + (same[p],), reverse[n - p:n - 1 - last] + trail)
+            for last, lead, trail in level
+            for p in range(last + 1, top + 1)
+        ]
+    return [
+        lead + (same[p],) + reverse[n - p:n - 1 - last] + trail
+        for last, lead, trail in level
+        for p in range(last + 1, n)
+    ]
 
 
 def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
-    """Status-complete translation (stage 2): probability oriented."""
+    """Status-complete translation (stage 2): probability oriented.
+
+    A gate needing m of its n inputs to fail gets a failure cell per
+    m-subset lead, then a working cell per (n-m+1)-subset lead, except
+    that an OR has one working cell, which reads every input working from
+    the last and has no trail (`_cell_bodies` gives leads and trails).
+    Together the cells partition the joint status space of the inputs;
+    the failure cells alone cover exactly the failing region.  The top
+    event keeps only its failure cells.  Raises `TheoryError` for a gate
+    over `MAX_GATE_CELLS` clauses.
+    """
     require_valid(model)
     clauses: list[Clause] = []
-    for ev, gate, head_terms, inputs in _gates(model):
+    for ev, gate, head_terms, inputs in _gates(model, STAGE_DISJOINT):
         # each expanded input's atom at each status, built once and shared by every cell
-        atoms = {st: [Atom(predicate_name(event), args + (st,)) for event, args in inputs]
-                 for st in (STATUS_WORKING, STATUS_FAILED)}
-        opposite = {STATUS_WORKING: atoms[STATUS_FAILED], STATUS_FAILED: atoms[STATUS_WORKING]}
+        failed = [Atom(predicate_name(event), args + (STATUS_FAILED,)) for event, args in inputs]
+        working = [Atom(predicate_name(event), args + (STATUS_WORKING,)) for event, args in inputs]
         pred = predicate_name(ev.class_name)
+        m = _needed(gate, len(inputs))
+        failure = _cell_bodies(failed, working, m)
         if ev.kind == KIND_TOP:
             # the top event keeps only its failure cells, under a plain head
-            heads = {STATUS_FAILED: Atom(pred, head_terms)}
+            clauses.extend(map(Clause, repeat(Atom(pred, head_terms)), failure))
+            continue
+        if gate.kind == "or":
+            success = [tuple(reversed(working))]
         else:
-            heads = {st: Atom(pred, head_terms + (st,)) for st in atoms}
-        for status, lead, trail in _split_cells(gate, len(inputs)):
-            if status not in heads:
-                break
-            same, other = atoms[status], opposite[status]
-            body = [same[i] for i in lead] + [other[i] for i in trail]
-            clauses.append(Clause(heads[status], tuple(body)))
+            success = _cell_bodies(working, failed, len(inputs) - m + 1)
+        clauses.extend(map(Clause, repeat(Atom(pred, head_terms + (STATUS_FAILED,))), failure))
+        clauses.extend(map(Clause, repeat(Atom(pred, head_terms + (STATUS_WORKING,))), success))
     return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DISJOINT)

@@ -47,13 +47,14 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, count, repeat
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 from .errors import EngineError
 from .graph import CycleError, postorder
 from .pha import (
     Atom,
+    Clause,
     DisjointDeclaration,
     PhaTheory,
     STAGE_DISJOINT,
@@ -134,6 +135,13 @@ def _as_goal_list(goals: Atom | Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(goals)
 
 
+def _closed(clause: Clause) -> bool:
+    """True when every variable of the body occurs in the head, so that
+    the body is ground once the head is."""
+    terms = set(chain.from_iterable(map(attrgetter("args"), clause.body)))
+    return not any(map(isinstance, terms.difference(clause.head.args), repeat(Var)))
+
+
 class AtomTable:
     """The ground atoms met while proving `goals`, interned as integers.
 
@@ -144,8 +152,9 @@ class AtomTable:
     expanded: its clause bodies (found by unifying it with each clause
     head of its predicate as written, since every expanded atom is ground)
     and its bit, if it is an alternative, are kept for every later use.
-    Bodies or goals that keep variables are grounded over the theory's and
-    the goals' constants.
+    A clause whose body variables all occur in its head gives a ground
+    body as it is unified; other bodies, and goals that keep variables,
+    are grounded over the theory's and the goals' constants.
     """
 
     def __init__(self, theory: PhaTheory, goals: tuple[Atom, ...]):
@@ -171,6 +180,7 @@ class AtomTable:
         # atom id -> (clause bodies as id tuples, its bit or None)
         self.expansions: dict[int, tuple] = {}
         self._constants: list | None = None
+        self._clauses: dict[str, tuple[tuple[Clause, bool], ...]] = {}
 
     def intern(self, atom: Atom) -> int:
         i = self.ids.get(atom)
@@ -193,16 +203,30 @@ class AtomTable:
             for inst in ground_instances(atoms, self._constants)
         ]
 
+    def _rules(self, pred: str) -> tuple[tuple[Clause, bool], ...]:
+        """The clauses for `pred`, each with `_closed` of it."""
+        rules = self._clauses.get(pred)
+        if rules is None:
+            clauses = self.theory.clause_index.get(pred, ())
+            rules = self._clauses[pred] = tuple(zip(clauses, map(_closed, clauses)))
+        return rules
+
     def expand(self, goal: int) -> tuple:
         atom = self.atoms[goal]
         bodies: list[tuple[int, ...]] = []
-        # the goal is ground, so a clause needs no renaming apart
-        for clause in self.theory.clause_index.get(atom.pred, ()):
+        # the goal is ground, so a clause needs no renaming apart, and
+        # unifying binds every variable of the head to a constant
+        for clause, closed in self._rules(atom.pred):
             subst = unify(atom, clause.head)
-            if subst is not None:
-                bodies.extend(
-                    self.ground(tuple(apply_substitution(b, subst) for b in clause.body))
-                )
+            if subst is None:
+                continue
+            body = clause.body
+            if subst:
+                body = tuple(apply_substitution(b, subst) for b in body)
+            if closed:
+                bodies.append(tuple(map(self.intern, body)))
+            else:
+                bodies.extend(self.ground(body))
         bit = self.bits.get(atom)
         if bit is not None and bodies:
             raise EngineError(

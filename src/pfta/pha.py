@@ -12,8 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
-from typing import Iterator
+from itertools import chain, product
+from operator import attrgetter
+from typing import Callable, Iterator
 
 from .errors import TheoryError
 from .graph import CycleError, postorder
@@ -37,12 +38,30 @@ class Var:
 Term = "Var | int | str"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Atom:
-    """A predicate applied to variables, integers, or symbolic constants."""
+    """A predicate applied to variables, integers, or symbolic constants.
+
+    The hash, that of the field tuple, is computed once at construction,
+    since atoms key the renderer's, the search's and the interning tables.
+    `str` hashes are salted per process, so an atom pickles as its fields
+    alone and hashes afresh when it is rebuilt.
+    """
 
     pred: str
     args: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, pred: str, args: tuple = ()):
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash((pred, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Atom, (self.pred, self.args)
 
     def is_ground(self) -> bool:
         return not any(isinstance(a, Var) for a in self.args)
@@ -96,15 +115,17 @@ class PhaTheory:
                         f"hypothesis {format_atom(atom)} appears in two declarations"
                     )
                 seen[atom] = i
-        head_preds = {c.head.pred for c in self.clauses}
-        hyp_preds = {a.pred for a in seen}
-        for c in self.clauses:
-            for b in c.body:
-                if b.pred not in head_preds and b.pred not in hyp_preds:
-                    raise TheoryError(
-                        f"dangling predicate {b.pred} in the body of "
-                        f"{format_atom(c.head)}"
-                    )
+        known = {c.head.pred for c in self.clauses} | {a.pred for a in seen}
+        # the body predicates are collected in C; only a failure looks for where
+        body_atoms = chain.from_iterable(map(attrgetter("body"), self.clauses))
+        if not known.issuperset(map(attrgetter("pred"), body_atoms)):
+            for c in self.clauses:
+                for b in c.body:
+                    if b.pred not in known:
+                        raise TheoryError(
+                            f"dangling predicate {b.pred} in the body of "
+                            f"{format_atom(c.head)}"
+                        )
 
     @cached_property
     def hypothesis_index(self) -> dict[Atom, tuple[int, float]]:
@@ -195,15 +216,15 @@ def _format_probability(p: float, precision: int | None) -> str:
         digits += 1
 
 
-def _clause_line(texts: list[str]) -> str:
-    """A clause from its rendered head and body atoms, in that order."""
-    if len(texts) == 1:
-        return texts[0] + "."
-    return f"{texts[0]} :- {', '.join(texts[1:])}."
+def _clause_line(clause: Clause, text: Callable[[Atom], str]) -> str:
+    """`clause` on one line, each of its atoms rendered by `text`."""
+    if not clause.body:
+        return text(clause.head) + "."
+    return f"{text(clause.head)} :- {', '.join(map(text, clause.body))}."
 
 
 def format_clause(clause: Clause) -> str:
-    return _clause_line([format_atom(a) for a in (clause.head, *clause.body)])
+    return _clause_line(clause, format_atom)
 
 
 def format_declaration(decl: DisjointDeclaration, precision: int | None = None) -> str:
@@ -214,6 +235,14 @@ def format_declaration(decl: DisjointDeclaration, precision: int | None = None) 
     return f"disjoint([{alts}])."
 
 
+class _AtomTexts(dict):
+    """Atom -> its `format_atom` text, rendered the first time it is looked up."""
+
+    def __missing__(self, atom: Atom) -> str:
+        text = self[atom] = format_atom(atom)
+        return text
+
+
 def serialize(theory: PhaTheory, precision: int | None = None) -> str:
     """One declaration or clause per line, declarations first.
 
@@ -222,18 +251,12 @@ def serialize(theory: PhaTheory, precision: int | None = None) -> str:
     they round-trip exactly.  Clauses read as `format_clause` renders
     them, but a stage-2 vote gate repeats a few hundred distinct atoms
     across a hundred thousand body slots, so each distinct atom is
-    rendered once per call.
+    rendered once per call, and a body is joined from those texts by a
+    `map` over it, with no Python loop per slot.
     """
     lines = [format_declaration(d, precision) for d in theory.declarations]
-    rendered: dict[Atom, str] = {}
-    for c in theory.clauses:
-        texts = []
-        for atom in (c.head, *c.body):
-            text = rendered.get(atom)
-            if text is None:
-                text = rendered[atom] = format_atom(atom)
-            texts.append(text)
-        lines.append(_clause_line(texts))
+    text = _AtomTexts().__getitem__
+    lines.extend(_clause_line(c, text) for c in theory.clauses)
     return "\n".join(lines) + "\n"
 
 

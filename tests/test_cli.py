@@ -212,6 +212,44 @@ def test_an_oversized_curve_grid_exits_2_at_once(capsys):
     assert "exceeds the limit of 1000000 points" in err
 
 
+WIDE_VOTE = ("type T = {" + ", ".join(str(i) for i in range(1, 41)) + "}\n"
+             "basic A(i:T) rate 1e-4\ntop TE = vote(20:40) forall(i:T) A(i)\n")
+
+
+@pytest.mark.parametrize("argv, translation", [
+    (("compile", "--stage", "1", "--time", "1e3"), "direct"),
+    (("compile", "--stage", "2", "--time", "1e3"), "disjoint"),
+    (("mcs", "--time", "1e3"), "direct"),
+    (("mcs", "--time", "1e3", "--max-explanations", "1"), "direct"),
+    (("unrel", "--time", "1e3"), "disjoint"),
+    (("unrel", "--time", "1e3", "--epsilon", "0.1"), "disjoint"),
+    (("curve", "--from", "0", "--to", "10", "--step", "5"), "disjoint"),
+    (("posterior", "--time", "1e3"), "disjoint"),
+], ids=["compile-1", "compile-2", "mcs", "mcs-bounded", "unrel", "unrel-bounded", "curve",
+        "posterior"])
+def test_a_gate_over_the_cell_limit_exits_2_at_once(capsys, tmp_path, argv, translation):
+    # vote(20:40) needs C(40,21) = 131282408400 clauses in either translation:
+    # as the top event it keeps no working cells
+    path = tmp_path / "wide.pft"
+    path.write_text(WIDE_VOTE)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: gate TE needs 131282408400 clauses in the {translation} translation, "
+                   "over the limit of 1000000 per gate\n")
+
+
+def test_the_oracle_refuses_the_widest_votes_on_its_own_bound(capsys, tmp_path):
+    path = tmp_path / "wide.pft"
+    path.write_text(WIDE_VOTE)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "oracle", str(path), "--time", "1e3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: 40 ground basic events exceed the enumeration bound 24\n"
+
+
 def test_zero_mission_time_is_an_analysis_error(capsys):
     code, _, err = _run(capsys, "mcs", MODEL, "--time", "0")
     assert code == 2

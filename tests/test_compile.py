@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from itertools import combinations
+import time
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -9,7 +10,7 @@ from conftest import DATA
 from randmodels import multiprocessor, quantified_or
 from pfta.compile import compile_direct, compile_disjoint
 from pfta.dsl import parse_model
-from pfta.errors import ModelInvalidError
+from pfta.errors import ModelInvalidError, TheoryError
 from pfta.measures import minimal_cut_sets, system_unreliability
 from pfta.model import EventRef
 from pfta.oracle import exact_probability, prime_implicants, unfold
@@ -195,3 +196,86 @@ def test_negative_replica_indices_round_trip_through_theory_text():
         text = serialize(theory)
         assert "a(-1,f)" in text
         assert parse_theory(text, theory.stage) == theory
+
+
+def _gate_model(kind: str, n: int) -> str:
+    """A gate G of `kind` over n replicas A(1..n), under an OR top so that
+    it keeps its working cells."""
+    values = ", ".join(str(i) for i in range(1, n + 1))
+    return (f"type T = {{{values}}}\nbasic A(i:T) rate 1e-3\nbasic B rate 1e-3\n"
+            f"event G = {kind} forall(i:T) A(i)\ntop TE = or(G, B)\n")
+
+
+def _spec_cells(kind: str, n: int, m: int) -> list[tuple]:
+    """(status, lead, trail) of every cell by definition: the trail holds the
+    positions before the lead's last that are outside the lead, descending."""
+    def trail(lead):
+        return tuple(j for j in range(lead[-1] - 1, -1, -1) if j not in lead)
+
+    working = [tuple(range(n - 1, -1, -1))] if kind == "or" else combinations(range(n), n - m + 1)
+    return ([("f", lead, trail(lead)) for lead in combinations(range(n), m)]
+            + [("w", lead, () if kind == "or" else trail(lead)) for lead in working])
+
+
+GATE_CASES = ([("and", n, n) for n in range(1, 9)] + [("or", n, 1) for n in range(1, 9)]
+              + [(f"vote({k}:{n})", n, n - k + 1) for n in range(1, 9) for k in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("kind, n, m", GATE_CASES, ids=[f"{c[0]}-{c[1]}" for c in GATE_CASES])
+def test_stage_two_cells_match_their_definition(kind, n, m):
+    clauses = [c for c in compile_disjoint(parse_model(_gate_model(kind, n)), T).clauses
+               if c.head.pred == "g"]
+    cells = []
+    for c in clauses:
+        status = c.head.args[-1]
+        positions = [a.args[0] - 1 for a in c.body]
+        statuses = [a.args[-1] for a in c.body]
+        size = statuses.count(status)
+        # the lead, at the head's status, comes before the trail, at the other
+        assert statuses == [status] * size + [{"f": "w", "w": "f"}[status]] * (len(c.body) - size)
+        cells.append((status, tuple(positions[:size]), tuple(positions[size:])))
+    assert cells == _spec_cells(kind.split("(")[0], n, m)
+
+    # the cells partition the status space; the failure cells cover the failing region
+    for world in product("wf", repeat=n):
+        holding = [c.head.args[-1] for c in clauses
+                   if all(world[a.args[0] - 1] == a.args[-1] for a in c.body)]
+        assert holding == ["f" if world.count("f") >= m else "w"], world
+
+
+@pytest.mark.parametrize("compile_theory, translation, cells", [
+    (compile_direct, "direct", comb(40, 21)),
+    (compile_disjoint, "disjoint", comb(40, 21) + comb(40, 20)),
+], ids=["direct", "disjoint"])
+def test_a_gate_over_the_cell_limit_is_refused_before_any_clause(compile_theory, translation,
+                                                                 cells):
+    m = parse_model(_gate_model("vote(20:40)", 40))
+    start = time.perf_counter()
+    with pytest.raises(TheoryError) as info:
+        compile_theory(m, T)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == (f"gate G needs {cells} clauses in the {translation} "
+                               f"translation, over the limit of 1000000 per gate")
+
+
+@pytest.mark.parametrize("text, pred, direct, disjoint", [
+    # the wide vote: 167,960 stage-1 clauses, and 352,716 stage-2 cells under the limit
+    (_gate_model("vote(10:20)", 20), "g", comb(20, 11), comb(20, 11) + comb(20, 10)),
+    (_gate_model("vote(3:7)", 7), "g", comb(7, 5), comb(7, 5) + comb(7, 3)),
+    # the top event keeps only its failure cells; an OR has one working cell
+    ("type T = {1, 2, 3, 4, 5}\nbasic A(i:T) rate 1e-4\ntop TE = vote(2:5) forall(i:T) A(i)\n",
+     "te", comb(5, 4), comb(5, 4)),
+    (_gate_model("or", 6), "g", 6, 7),
+], ids=["vote(10:20)", "vote(3:7)", "top-vote(2:5)", "or-6"])
+def test_the_cell_limit_counts_each_gates_clauses_exactly(monkeypatch, text, pred, direct,
+                                                          disjoint):
+    m = parse_model(text)
+    for compile_theory, cells in ((compile_direct, direct), (compile_disjoint, disjoint)):
+        monkeypatch.setattr("pfta.compile.MAX_GATE_CELLS", cells - 1)
+        with pytest.raises(TheoryError, match=f"gate {pred.upper()} needs {cells} clauses"):
+            compile_theory(m, T)
+        if cells < 1000:
+            # at the limit the gate compiles, to that many clauses
+            monkeypatch.setattr("pfta.compile.MAX_GATE_CELLS", cells)
+            heads = [c.head.pred for c in compile_theory(m, T).clauses]
+            assert heads.count(pred) == cells

@@ -33,8 +33,12 @@ from pfta.pha import (
     STAGE_DIRECT,
     STAGE_DISJOINT,
     Var,
+    apply_substitution,
     format_atom,
+    ground_instances,
     parse_theory,
+    theory_constants,
+    unify,
 )
 from randmodels import chain, multiprocessor, random_model
 
@@ -331,6 +335,75 @@ def test_non_ground_bodies_and_goals_are_pinned(goals, expected):
     }
     assert len(found) == len(result.explanations)
     assert found == pytest.approx(expected, rel=1e-12)
+
+
+# A stage-1 OR whose clause leaves its replica variable free: `s` holds
+# when any replica of `a` fails, so its body is grounded over the constants.
+FREE_REPLICA = parse_theory(
+    "disjoint([a(1,w):0.9,a(1,f):0.1]).\n"
+    "disjoint([a(2,w):0.7,a(2,f):0.3]).\n"
+    "disjoint([a(3,w):0.8,a(3,f):0.2]).\n"
+    "s :- a(I,f).\n"
+    "t(J) :- s, a(J,w).\n"
+)
+
+
+def test_a_free_replica_variable_is_grounded_over_the_constants():
+    table = AtomTable(FREE_REPLICA, (Atom("s"),))
+    bodies, bit = table.expand(table.intern(Atom("s")))
+    # every constant, in `repr` order, stands for the variable
+    assert [[table.atoms[i] for i in body] for body in bodies] == [
+        [Atom("a", (c, "f"))] for c in ("f", "w", 1, 2, 3)]
+    assert bit is None
+    found = [(format_atom(a), e.prob) for e in explain(FREE_REPLICA, Atom("s")).explanations
+             for a in e.sorted_atoms()]
+    assert found == [("a(2,f)", 0.3), ("a(3,f)", 0.2), ("a(1,f)", 0.1)]
+    found = [(" ".join(map(format_atom, e.sorted_atoms())), e.prob)
+             for e in explain(FREE_REPLICA, Atom("t", (2,))).explanations]
+    assert found == [("a(2,w) a(3,f)", 0.7 * 0.2), ("a(1,f) a(2,w)", 0.7 * 0.1)]
+
+
+def _reference_expansion(table, atom):
+    """The bodies of the ground `atom`, each body atom substituted and
+    every body grounded over the table's constants (a ground body is its
+    own only instance), whatever its clause's variables."""
+    constants = theory_constants(table.theory)
+    for g in table.goals:
+        constants.update(a for a in g.args if not isinstance(a, Var))
+    constants = sorted(constants, key=repr)
+    bodies = []
+    for clause in table.theory.clause_index.get(atom.pred, ()):
+        subst = unify(atom, clause.head)
+        if subst is not None:
+            body = tuple(apply_substitution(b, subst) for b in clause.body)
+            bodies.extend(ground_instances(body, constants))
+    return bodies
+
+
+def _expansion_cases():
+    for seed in range(60):
+        model, t = random_model(seed)
+        for compile_theory in (compile_direct, compile_disjoint):
+            yield compile_theory(model, t), (top_atom(model),)
+    for compile_theory in (compile_direct, compile_disjoint):
+        yield compile_theory(multiprocessor(5, 2, 3), T), (TE,)
+    yield NON_GROUND, (Atom("g", ()),)
+    yield NON_GROUND, (Atom("c", (Z,)),)
+    yield FREE_REPLICA, (Atom("t", (2,)),)
+
+
+def test_every_expansion_matches_grounding_each_body_atom():
+    for theory, goals in _expansion_cases():
+        table = AtomTable(theory, goals)
+        todo = [i for ids in table.ground(goals) for i in ids]
+        while todo:
+            i = todo.pop()
+            if i in table.expansions:
+                continue
+            bodies, _ = table.expand(i)
+            assert [tuple(table.atoms[j] for j in body) for body in bodies] == (
+                _reference_expansion(table, table.atoms[i])), format_atom(table.atoms[i])
+            todo.extend(j for body in bodies for j in body)
 
 
 # Two instances of c(Z), each of probability 0.5, that are not mutually

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,59 @@ def test_format_atom_is_compact():
 def test_format_clause_is_one_line():
     c = Clause(Atom("g", (Var("I"),)), (Atom("a", (Var("I"), "f")), Atom("b", ())))
     assert format_clause(c) == "g(I) :- a(I,f), b."
+
+
+def _atoms(theory):
+    return [a for c in theory.clauses for a in (c.head, *c.body)] + [
+        a for d in theory.declarations for a, _ in d.alternatives]
+
+
+def test_equal_atoms_built_apart_hash_equal_and_dedupe(model):
+    compiled = compile_disjoint(model, T)
+    parsed = parse_theory(serialize(compiled), STAGE_DISJOINT)
+    for mine, theirs in zip(_atoms(compiled), _atoms(parsed)):
+        assert mine == theirs and mine is not theirs
+        assert hash(mine) == hash(theirs) == hash((theirs.pred, theirs.args))
+    assert set(_atoms(compiled)) == set(_atoms(parsed))
+
+    # a substitution builds the atom afresh from the clause's variable form
+    s_head = next(c.head for c in compiled.clauses if c.head.pred == "s")
+    ground = apply_substitution(s_head, {Var("I"): 2})
+    assert ground == Atom("s", (2, "f")) and hash(ground) == hash(Atom("s", (2, "f")))
+    assert len({ground, Atom("s", (2, "f"))}) == 1
+
+
+def test_atom_equality_and_repr_ignore_the_stored_hash():
+    atom = Atom("p", (1, "f"))
+    assert repr(atom) == "Atom(pred='p', args=(1, 'f'))"
+    assert atom == Atom("p", (1, "f"))
+    assert atom != Atom("p", (1, "w")) and atom != Atom("q", (1, "f"))
+    assert atom != ("p", (1, "f"))
+    assert Atom("p") == Atom("p", ())
+
+
+def test_an_unpickled_atom_hashes_in_its_own_process():
+    # str hashes are salted per process, so a stored hash must not travel
+    atoms = [Atom("p", (1, "f")), Atom("te"), Atom("s", (Var("I"), "w"))]
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    script = (
+        "import pickle, sys\n"
+        "from pfta.pha import Atom, Var\n"
+        "atoms = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = [Atom('p', (1, 'f')), Atom('te'), Atom('s', (Var('I'), 'w'))]\n"
+        "assert atoms == fresh\n"
+        "assert [hash(a) for a in atoms] == [hash(a) for a in fresh]\n"
+        "assert set(atoms) == set(fresh) and all(a in set(fresh) for a in atoms)\n"
+        "print(hash('te'))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(atoms), env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    # the other process did salt its hashes differently
+    assert int(done.stdout) != hash("te")
 
 
 def test_serialize_parse_round_trip(model):
