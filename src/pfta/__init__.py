@@ -11,11 +11,14 @@ from .compile import compile_direct, compile_disjoint
 from .dsl import parse_model, serialize_model
 from .engine import (
     EXHAUSTIVE,
+    AssumptionReport,
     ExactEvaluator,
     Explanation,
     ExplanationSearch,
     ProbabilityBounds,
     StopCriteria,
+    check_assumptions,
+    entails,
     explain,
     minimal_explanations,
     probability,
@@ -66,13 +69,10 @@ from .oracle import (
 )
 from .pha import (
     Atom,
-    AssumptionReport,
     Clause,
     DisjointDeclaration,
     PhaTheory,
     Var,
-    check_assumptions,
-    entails,
     parse_theory,
     serialize,
     unify,

@@ -1,13 +1,14 @@
-"""Explanations and exact probabilities of a goal conjunction.
+"""Explanations, exact probabilities and entailment of a goal conjunction,
+and the check of the assumptions of the probability rule.
 
-Both procedures below read one grounder, `AtomTable`: it interns the
+Every procedure below reads one grounder, `AtomTable`: it interns the
 ground atoms it meets as integers and grounds each atom once, the first
-time it is expanded, so neither unifies more than once per atom.
+time it is expanded, so none unifies more than once per atom.
 
 `AtomTable` also numbers every declaration alternative once, in
 declaration order, so the alternatives of one declaration hold adjacent
 bits.  It rejects a hypothesis that heads a clause: the PHA probability
-rule assumes none does, and both procedures rest on that rule.
+rule assumes none does, and every procedure rests on that rule.
 
 `ExplanationSearch` is a best-first abductive search.  A search state is
 a partial SLD derivation: a tuple of remaining goal ids, a bitmask of the
@@ -37,6 +38,10 @@ at a probability, so the decomposition is recorded once as an arithmetic
 circuit, and every query, conditioned or with other probabilities, is
 one forward pass over it.  Its sums add left to right, so a result has
 the same digits on every Python version.
+
+`entails` and `check_assumptions` close a set of atoms over the rules
+(head id, body-id mask) of the atoms their roots reach: in one pass over
+acyclic rules ordered inputs first, else in passes until nothing changes.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain, count, repeat
-from operator import add, attrgetter, itemgetter
+from itertools import chain, count, product, repeat
+from operator import add, and_, attrgetter, itemgetter, or_
 from typing import Iterable, Iterator
 
 from .errors import EngineError
@@ -61,6 +66,7 @@ from .pha import (
     Var,
     apply_substitution,
     format_atom,
+    format_clause,
     ground_instances,
     theory_constants,
     unify,
@@ -434,37 +440,32 @@ def minimal_explanations(
 ) -> list[Explanation]:
     """Explanations no subset of which explains the goals, best first.
 
-    A strict superset is never more probable than its subset, so it is
-    emitted after it unless the two tie.  A new explanation is checked
-    against the kept ones filed under its own hypotheses, then evicts the
-    kept ones of its own probability that strictly contain it.
+    Kept explanation i holds bit i of `holding[h]` for each of its
+    hypotheses h, and of `alive` until a subset evicts it.  A new
+    explanation is dropped when an alive one assumes nothing outside it;
+    otherwise it evicts the alive ones that assume all of it.  A strict
+    superset is never more probable than its subset, so one kept earlier
+    can only have tied with it.
     """
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
-    kept: dict[frozenset[Atom], Explanation] = {}
-    # each kept explanation is filed under one of its hypotheses, so a
-    # kept subset of a new explanation sits in the bucket of one of the
-    # new explanation's own hypotheses; an evicted one stays filed, as a
-    # superset of it also contains the explanation that evicted it
-    buckets: dict[Atom, list[frozenset[Atom]]] = {}
-    # probability -> [size of the largest set kept, the sets kept or evicted]
-    ties: dict[float, list] = {}
+    kept: list[Explanation] = []
+    holding: dict[Atom, int] = {}
+    alive = 0
     for expl in search:
         hyps = expl.hypotheses
-        if any(any(map(hyps.issuperset, buckets.get(h, ()))) for h in hyps):
+        outside = reduce(or_, [m for h, m in holding.items() if h not in hyps], 0)
+        if alive & ~outside:
             continue
-        tie = ties.setdefault(expl.prob, [0, []])
-        if len(hyps) < tie[0]:
-            for other in tie[1]:
-                if hyps < other:
-                    kept.pop(other, None)
-        tie[0] = max(tie[0], len(hyps))
-        tie[1].append(hyps)
-        kept[hyps] = expl
+        alive &= ~reduce(and_, [holding.get(h, 0) for h in hyps], alive)
+        bit = 1 << len(kept)
+        for h in hyps:
+            holding[h] = holding.get(h, 0) | bit
+        alive |= bit
+        kept.append(expl)
         if not hyps:
             break  # the goals hold outright: every later explanation is a superset
-        home = min(hyps, key=lambda h: len(buckets.get(h, ())))
-        buckets.setdefault(home, []).append(hyps)
-    return list(kept.values())
+    # the bits of `alive`, lowest first
+    return [e for e, flag in zip(kept, bin(alive)[:1:-1]) if flag == "1"]
 
 
 def _require_exact(theory: PhaTheory, goals: tuple[Atom, ...]) -> None:
@@ -723,3 +724,108 @@ def probability(
     if b.upper > 1.0:
         b = ProbabilityBounds(min(b.lower, 1.0), 1.0)
     return b
+
+
+# ---------------------------------------------------------------------------
+# entailment and the assumptions of the probability rule
+
+
+def _ground_rules(table: AtomTable, roots: Iterable[int]) -> tuple[list[tuple[int, int]], bool]:
+    """The (head id, body-id mask) rules of every atom `roots` reach, and
+    whether those atoms are acyclic: then the rules come inputs first, so
+    one pass closes a set of atoms, else in the order their heads are reached.
+    """
+
+    def children(a: int) -> list[int]:
+        bodies = (table.expansions.get(a) or table.expand(a))[0]
+        return [b for body in bodies for b in body]
+
+    try:
+        atoms, acyclic = list(postorder(roots, children)), True
+    except CycleError:
+        # the table holds the atoms the roots reach, in the order reached,
+        # and expanding each interns the atoms it reaches behind it
+        for a, _ in enumerate(table.atoms):
+            children(a)
+        atoms, acyclic = range(len(table.atoms)), False
+    rules = [(a, reduce(or_, [1 << b for b in body], 0))
+             for a in atoms for body in table.expansions[a][0]]
+    return rules, acyclic
+
+
+def _closure(rules: list[tuple[int, int]], acyclic: bool, mask: int) -> int:
+    """`mask` with every head the rules derive from it: one pass over
+    acyclic rules, repeated on cyclic ones until nothing changes."""
+    while True:
+        before = mask
+        for head, body in rules:
+            if not body & ~mask:
+                mask |= 1 << head
+        if acyclic or mask == before:
+            return mask
+
+
+def entails(theory: PhaTheory, hypotheses: Iterable[Atom], goals: Iterable[Atom]) -> bool:
+    """True when the ground `goals` all follow from `hypotheses` alone.
+
+    False for a goal with variables or with a predicate the theory does
+    not know.  Raises `EngineError`, as the search does, when an atom the
+    goals reach is a hypothesis that heads a clause.
+    """
+    goals = tuple(goals)
+    if not all(g.is_ground() for g in goals):
+        return False
+    try:
+        table = AtomTable(theory, goals)
+    except EngineError:  # a goal's predicate is unknown
+        return False
+    roots = [table.intern(g) for g in goals]
+    rules, acyclic = _ground_rules(table, roots)
+    facts = reduce(or_, [1 << table.ids[h] for h in hypotheses if h in table.ids], 0)
+    mask = _closure(rules, acyclic, facts)
+    return all(mask >> g & 1 for g in roots)
+
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    """Outcome of checking the two preconditions of the probability rule."""
+
+    assumption1: bool  # no clause head unifies with any hypothesis
+    assumption2: bool | None  # ground same-head bodies mutually exclusive
+    joint_states: int
+    counterexample: str | None = None
+
+
+def check_assumptions(theory: PhaTheory, max_joint_states: int = 2**20) -> AssumptionReport:
+    """Verify the well-formedness assumptions behind the probability rule.
+
+    The first is syntactic.  The second is checked on the ground rules of
+    every clause head instance, by closing every joint assignment of the
+    declarations; it is skipped (reported as None) when the first fails,
+    as the grounder refuses a hypothesis that heads a clause, or when
+    there are more than `max_joint_states` assignments.
+    """
+    hypotheses = [a for decl in theory.declarations for a, _ in decl.alternatives]
+    # hypotheses are ground, so a head needs no renaming apart
+    assumption1 = not any(
+        unify(c.head, h) is not None for c in theory.clauses for h in hypotheses)
+    joint = math.prod(len(decl.alternatives) for decl in theory.declarations)
+    if not assumption1 or joint > max_joint_states:
+        return AssumptionReport(assumption1, None, joint)
+
+    table = AtomTable(theory, ())
+    heads = [i for c in theory.clauses for (i,) in table.ground((c.head,))]
+    rules, acyclic = _ground_rules(table, heads)
+    choices = [[1 << table.intern(a) for a, _ in decl.alternatives]
+               for decl in theory.declarations]
+    for world in product(*choices):
+        mask = _closure(rules, acyclic, reduce(or_, world, 0))
+        first: dict[int, int] = {}
+        for head, body in rules:
+            if not body & ~mask and first.setdefault(head, body) != body:
+                pair = [Clause(table.atoms[head], tuple(
+                    a for i, a in enumerate(table.atoms) if b >> i & 1))
+                    for b in (first[head], body)]
+                example = " and ".join(map(format_clause, pair)) + " both hold"
+                return AssumptionReport(True, False, joint, example)
+    return AssumptionReport(True, True, joint)

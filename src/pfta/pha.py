@@ -5,6 +5,10 @@ with disjoint declarations.  Each declaration lists ground hypothesis
 atoms with probabilities summing to one; exactly one alternative of each
 declaration holds.  Explanations are consistent hypothesis sets whose
 probability is the product of the chosen alternatives.
+
+Theories, unification and their text format live here, with the ground
+instances of atoms over given constants; the grounder built on those and
+every procedure that reads a grounded theory live in `engine`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from operator import attrgetter
 from typing import Callable, Iterator
 
 from .errors import TheoryError
-from .graph import CycleError, postorder
 
 STATUS_WORKING = "w"
 STATUS_FAILED = "f"
@@ -126,15 +129,6 @@ class PhaTheory:
                             f"dangling predicate {b.pred} in the body of "
                             f"{format_atom(c.head)}"
                         )
-
-    @cached_property
-    def hypothesis_index(self) -> dict[Atom, tuple[int, float]]:
-        """Ground hypothesis atom -> (declaration index, probability)."""
-        out: dict[Atom, tuple[int, float]] = {}
-        for i, decl in enumerate(self.declarations):
-            for atom, p in decl.alternatives:
-                out[atom] = (i, p)
-        return out
 
     @cached_property
     def clause_index(self) -> dict[str, tuple[Clause, ...]]:
@@ -380,7 +374,7 @@ def parse_theory(text: str, stage: str = STAGE_DIRECT) -> PhaTheory:
 
 
 # ---------------------------------------------------------------------------
-# grounding and the two abduction assumptions
+# grounding
 
 
 def theory_constants(theory: PhaTheory) -> set:
@@ -408,166 +402,3 @@ def ground_instances(atoms: tuple[Atom, ...], constants: list) -> Iterator[tuple
     for combo in product(constants, repeat=len(vs)):
         s = dict(zip(vs, combo))
         yield tuple(apply_substitution(a, s) for a in atoms)
-
-
-def ground_clauses(theory: PhaTheory) -> list[Clause]:
-    """All ground instances of the clauses over the theory's constants."""
-    constants = sorted(theory_constants(theory), key=repr)
-    return [
-        Clause(atoms[0], atoms[1:])
-        for c in theory.clauses
-        for atoms in ground_instances((c.head, *c.body), constants)
-    ]
-
-
-def _relevant_ground_clauses(theory: PhaTheory) -> list[Clause]:
-    """Ground instances whose bodies can possibly hold in some world."""
-    possible: set[Atom] = set(theory.hypothesis_index)
-    clauses = ground_clauses(theory)
-    changed = True
-    live: list[Clause] = []
-    while changed:
-        changed = False
-        remaining = []
-        for c in clauses:
-            if all(b in possible for b in c.body):
-                live.append(c)
-                if c.head not in possible:
-                    possible.add(c.head)
-                    changed = True
-            else:
-                remaining.append(c)
-        clauses = remaining
-    return live
-
-
-class GroundProgram:
-    """Grounded theory compiled to bitmask rules for fast world evaluation.
-
-    Rules whose bodies can never hold are dropped.  When the clause graph
-    is acyclic the rest are ordered bodies first, so one pass over them
-    computes the forward-chaining closure; a cyclic theory keeps its rules
-    as given and the closure repeats that pass until nothing changes.
-    """
-
-    def __init__(self, theory: PhaTheory):
-        live = _relevant_ground_clauses(theory)
-        atom_set = {a for c in live for a in (c.head, *c.body)}
-        atom_set.update(theory.hypothesis_index)
-        self.atoms: list[Atom] = sorted(atom_set, key=format_atom)
-        self.index: dict[Atom, int] = {a: i for i, a in enumerate(self.atoms)}
-        seen_instances: set[tuple[int, tuple[int, ...]]] = set()
-        rules: list[tuple[int, int, tuple[int, ...], Clause]] = []
-        for c in live:
-            head_i = self.index[c.head]
-            body_i = tuple(sorted(self.index[b] for b in c.body))
-            if (head_i, body_i) in seen_instances:
-                continue  # identical ground instance from another clause
-            seen_instances.add((head_i, body_i))
-            body_mask = 0
-            for b in body_i:
-                body_mask |= 1 << b
-            rules.append((head_i, body_mask, body_i, c))
-        self.rules = rules
-        self.ordered, self.acyclic = self._order_rules()
-
-    def _order_rules(self) -> tuple[list[tuple[int, int, tuple[int, ...], Clause]], bool]:
-        deps: dict[int, set[int]] = {}
-        for head_i, _, body_i, _ in self.rules:
-            deps.setdefault(head_i, set()).update(body_i)
-        order = postorder(range(len(self.atoms)), lambda a: deps.get(a, ()))
-        try:
-            rank = {a: r for r, a in enumerate(order)}
-        except CycleError:
-            return self.rules, False
-        return sorted(self.rules, key=lambda r: rank[r[0]]), True
-
-    def fact_mask(self, facts: set[Atom]) -> int:
-        mask = 0
-        for a in facts:
-            i = self.index.get(a)
-            if i is not None:
-                mask |= 1 << i
-        return mask
-
-    def closure_mask(self, mask: int) -> int:
-        while True:
-            before = mask
-            for head_i, body_mask, _, _ in self.ordered:
-                if body_mask & ~mask == 0:
-                    mask |= 1 << head_i
-            if self.acyclic or mask == before:
-                return mask
-
-    def derives(self, facts: set[Atom], goals: list[Atom]) -> bool:
-        if any(g not in self.index for g in goals):
-            return False
-        mask = self.closure_mask(self.fact_mask(facts))
-        return all(mask & (1 << self.index[g]) for g in goals)
-
-    def same_head_conflict(self, mask: int) -> tuple[Clause, Clause] | None:
-        """Two same-head rules whose bodies both hold in the closed world."""
-        mask = self.closure_mask(mask)
-        first: dict[int, tuple[int, Clause]] = {}
-        for head_i, body_mask, _, clause in self.rules:
-            if body_mask & ~mask == 0:
-                prev = first.get(head_i)
-                if prev is not None and prev[0] != body_mask:
-                    return prev[1], clause
-                first[head_i] = (body_mask, clause)
-        return None
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Outcome of checking the two preconditions of the probability rule."""
-
-    assumption1: bool  # no clause head unifies with any hypothesis
-    assumption2: bool | None  # ground same-head bodies mutually exclusive
-    joint_states: int
-    counterexample: str | None = None
-
-
-def check_assumptions(theory: PhaTheory, max_joint_states: int = 2**20) -> AssumptionReport:
-    """Verify the well-formedness assumptions behind the probability rule.
-
-    The first is syntactic.  The second is checked by enumerating every
-    joint truth assignment of the declarations on the grounded theory and
-    is skipped (reported as None) when there are more than
-    `max_joint_states` assignments.
-    """
-    assumption1 = True
-    for c in theory.clauses:
-        # hypotheses are ground, so a head needs no renaming apart
-        if any(unify(c.head, hyp) is not None for hyp in theory.hypothesis_index):
-            assumption1 = False
-            break
-
-    joint = 1
-    for decl in theory.declarations:
-        joint *= len(decl.alternatives)
-    if joint > max_joint_states:
-        return AssumptionReport(assumption1, None, joint)
-
-    program = GroundProgram(theory)
-    choices = [
-        tuple(1 << program.index[a] for a, _ in d.alternatives)
-        for d in theory.declarations
-    ]
-    for world in product(*choices):
-        mask = 0
-        for bit in world:
-            mask |= bit
-        conflict = program.same_head_conflict(mask)
-        if conflict is not None:
-            example = (
-                f"{format_clause(conflict[0])} and "
-                f"{format_clause(conflict[1])} both hold"
-            )
-            return AssumptionReport(assumption1, False, joint, example)
-    return AssumptionReport(assumption1, True, joint)
-
-
-def entails(theory: PhaTheory, hypotheses: set[Atom], goals: list[Atom]) -> bool:
-    """True when the ground `goals` all follow from `hypotheses` alone."""
-    return GroundProgram(theory).derives(set(hypotheses), list(goals))

@@ -27,7 +27,7 @@ from pfta.measures import (
     unreliability_curve,
 )
 from pfta.oracle import exact_probability, prime_implicants, unfold
-from pfta.pha import Atom, ground_clauses, serialize
+from pfta.pha import Atom, Clause, ground_instances, serialize, theory_constants
 
 T = 1e4
 
@@ -169,6 +169,14 @@ def _world_columns(tree):
     return cols, 1 << n
 
 
+def _ground_clauses(theory):
+    """Every clause instance over the theory's constants, grounded here
+    rather than by the engine that the suite checks."""
+    constants = sorted(theory_constants(theory), key=repr)
+    return [Clause(atoms[0], atoms[1:]) for c in theory.clauses
+            for atoms in ground_instances((c.head, *c.body), constants)]
+
+
 def _hypothesis_columns(model, theory, node_cols):
     classes = {predicate_name(e.class_name): e.class_name for e in model.events}
     out = {}
@@ -210,7 +218,7 @@ def test_criterion_8_property_suite(model):
     exact = exact_probability(tree, {tree.top: True})
     disjoint = compile_disjoint(model, T)
     hyp_cols = _hypothesis_columns(model, disjoint, node_cols)
-    grounded = ground_clauses(disjoint)
+    grounded = _ground_clauses(disjoint)
     derived = _derived_columns(grounded, hyp_cols, n_worlds)
 
     # (a) per-head exclusivity and exhaustiveness of the disjoint translation
@@ -254,7 +262,7 @@ def test_criterion_8_property_suite(model):
     # (e) both translations derive the top event in exactly the same worlds
     direct = compile_direct(model, T)
     direct_cols = _derived_columns(
-        ground_clauses(direct), _hypothesis_columns(model, direct, node_cols), n_worlds
+        _ground_clauses(direct), _hypothesis_columns(model, direct, node_cols), n_worlds
     )
     te = Atom("te", ())
     assert bool(np.array_equal(direct_cols[te], derived[te]))

@@ -256,6 +256,30 @@ def test_zero_mission_time_is_an_analysis_error(capsys):
     assert "mission time must be positive" in err
 
 
+CYCLIC = "basic B rate 1e-3\nevent A = or(C)\nevent C = or(A)\ntop TE = or(B, A)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("unrel", "--time", "0"),
+    ("unrel", "--time", "0", "--max-explanations", "3"),
+    ("curve", "--from", "0", "--to", "0", "--step", "1"),
+    ("curve", "--from", "0", "--to", "0", "--step", "1", "--max-explanations", "3"),
+], ids=["unrel", "unrel-bounded", "curve", "curve-bounded"])
+def test_an_invalid_model_is_refused_at_time_zero(capsys, tmp_path, argv):
+    # the unreliability at t = 0 is 0 for every valid model, and was once
+    # printed for an invalid one without validating it
+    path = tmp_path / "cyclic.pft"
+    path.write_text(CYCLIC)
+    code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: invalid model: event graph contains a cycle\n"
+
+
+def test_a_valid_model_at_time_zero_has_unreliability_zero(capsys):
+    code, out, err = _run(capsys, "unrel", MODEL, "--time", "0", "--max-explanations", "3")
+    assert (code, out, err) == (0, "time_hours  lower  upper\n0           0      0\n", "")
+
+
 def test_bad_flags_exit_through_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["compile", MODEL, "--stage", "3", "--time", "10"])

@@ -652,6 +652,24 @@ def test_minimal_explanations_match_a_brute_force_filter():
     assert len(_brute_force_minimal(theory, TE)) < len(emitted)  # supersets were dropped
 
 
+@pytest.mark.parametrize("stop", [
+    EXHAUSTIVE,
+    StopCriteria(max_explanations=1),
+    StopCriteria(max_explanations=5),
+    StopCriteria(max_explanations=20),
+    StopCriteria(epsilon=1e-3),
+], ids=["exhaustive", "max1", "max5", "max20", "epsilon"])
+def test_minimal_explanations_are_the_emitted_sets_with_no_strict_subset(model, stop):
+    cases = [(model, T), (multiprocessor(5, 2, 3), T), (parse_model(ABSORBED), T)]
+    cases += [random_model(seed) for seed in range(60)]
+    for case, t in cases:
+        theory, goal = compile_direct(case, t), top_atom(case)
+        emitted = list(ExplanationSearch(theory, goal, stop))
+        expected = [e for e in emitted
+                    if not any(o.hypotheses < e.hypotheses for o in emitted)]
+        assert minimal_explanations(theory, goal, stop) == expected
+
+
 def test_a_sum_node_adds_left_to_right():
     # the builtin `sum` compensates from Python 3.12 and returns 0.6 here
     theory = _theory(

@@ -62,3 +62,9 @@ def test_the_oracle_shares_no_code_with_what_it_checks():
     # search or the measures built on them
     imported = _package_modules_imported((SRC / "oracle.py").read_text())
     assert imported & {"compile", "engine", "measures", "pha"} == set()
+
+
+def test_theories_import_nothing_of_the_package_but_its_errors():
+    # theories and their text format live in `pha`; every procedure that
+    # grounds them lives in `engine`
+    assert _package_modules_imported((SRC / "pha.py").read_text()) == {"errors"}

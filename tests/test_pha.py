@@ -10,19 +10,17 @@ import pytest
 
 from randmodels import multiprocessor
 from pfta.compile import compile_direct, compile_disjoint
-from pfta.errors import TheoryError
+from pfta.engine import AssumptionReport, check_assumptions, entails
+from pfta.errors import EngineError, TheoryError
 from pfta.pha import (
     Atom,
     Clause,
     DisjointDeclaration,
-    GroundProgram,
     PhaTheory,
     STAGE_DIRECT,
     STAGE_DISJOINT,
     Var,
     apply_substitution,
-    check_assumptions,
-    entails,
     format_atom,
     format_clause,
     format_declaration,
@@ -225,6 +223,25 @@ def test_head_unifying_with_hypothesis_breaks_assumption_one():
     )
     report = check_assumptions(theory)
     assert report.assumption1 is False
+    # the ground rules of a hypothesis that heads a clause are refused, so
+    # exclusivity is not checked once the first assumption fails
+    assert report.assumption2 is None
+    assert report.joint_states == 2
+    with pytest.raises(EngineError, match="hypothesis a heads a clause"):
+        entails(theory, {Atom("b", ())}, [Atom("a", ())])
+
+
+def test_assumption_two_is_checked_on_a_cyclic_theory():
+    # g and h depend on each other; h's bodies (g, b) and (y) never hold
+    # together, while (g) and (b) do once a and b hold
+    a, b, g, h, y = (Atom(n, ()) for n in "abghy")
+    decls = (_decl(("a", 0.5), ("x", 0.5)), _decl(("b", 0.5), ("y", 0.5)))
+    exclusive = PhaTheory((Clause(g, (a, h)), Clause(h, (g, b)), Clause(h, (y,))), decls)
+    assert check_assumptions(exclusive) == AssumptionReport(True, True, 4)
+    overlapping = PhaTheory((Clause(g, (a, h)), Clause(h, (g,)), Clause(h, (b,))), decls)
+    report = check_assumptions(overlapping)
+    assert (report.assumption1, report.assumption2) == (True, False)
+    assert report.counterexample == "h :- g. and h :- b. both hold"
 
 
 def test_entails_follows_clauses(model):
@@ -239,9 +256,18 @@ def test_entails_follows_clauses(model):
     assert not entails(theory, all_working, [te])
 
 
+def test_entails_is_false_for_an_unknown_predicate_or_a_goal_with_variables(model):
+    theory = compile_disjoint(model, T)
+    bus_only = {Atom("b", ("f",))}
+    assert not entails(theory, bus_only, [Atom("nowhere", ())])
+    assert not entails(theory, bus_only, [Atom("te", ()), Atom("nowhere", ())])
+    assert not entails(theory, bus_only, [Atom("b", (Var("S"),))])
+    assert entails(theory, bus_only, [Atom("b", ("f",))])
+
+
 def test_entails_on_a_chain_deeper_than_the_recursion_limit():
-    # e00000 :- e00001, ..., e0NNNN :- a: the names sort top-first, so the
-    # walk that orders the rules starts at the top and descends the chain
+    # e00000 :- e00001, ..., e0NNNN :- a: the walk that orders the rules
+    # starts at the top and descends the chain
     depth = 2 * sys.getrecursionlimit()
     names = [f"e{i:05d}" for i in range(depth)] + ["a"]
     clauses = [Clause(Atom(h, ()), (Atom(b, ()),)) for h, b in zip(names, names[1:])]
@@ -255,7 +281,7 @@ def test_entails_on_a_chain_deeper_than_the_recursion_limit():
     assert not entails(theory, {Atom("x", ())}, [top])
 
 
-def test_ground_program_closure_is_monotone():
+def test_entails_needs_every_body_atom():
     theory = PhaTheory(
         clauses=(
             Clause(Atom("g", ()), (Atom("a", ()), Atom("h", ()))),
@@ -264,12 +290,11 @@ def test_ground_program_closure_is_monotone():
         declarations=(_decl(("a", 0.5), ("x", 0.5)), _decl(("b", 0.5), ("y", 0.5))),
         stage=STAGE_DIRECT,
     )
-    program = GroundProgram(theory)
-    assert program.derives({Atom("a", ()), Atom("b", ())}, [Atom("g", ())])
-    assert not program.derives({Atom("a", ())}, [Atom("g", ())])
+    assert entails(theory, {Atom("a", ()), Atom("b", ())}, [Atom("g", ())])
+    assert not entails(theory, {Atom("a", ())}, [Atom("g", ())])
 
 
-def test_ground_program_closure_on_a_cyclic_theory():
+def test_entails_on_a_cyclic_theory():
     # g and h depend on each other
     a, b, g, h = (Atom(n, ()) for n in "abgh")
     theory = PhaTheory(
@@ -277,24 +302,21 @@ def test_ground_program_closure_on_a_cyclic_theory():
         declarations=(_decl(("a", 0.5), ("x", 0.5)), _decl(("b", 0.5), ("y", 0.5))),
         stage=STAGE_DIRECT,
     )
-    assert GroundProgram(theory).acyclic is False
     assert entails(theory, {a, b}, [g])
     assert not entails(theory, {a}, [g])
     assert entails(theory, {b}, [h])
 
 
-def test_ground_program_closure_repeats_its_pass_on_a_cyclic_theory():
-    # a cyclic theory keeps its live rules in the order they became live:
-    # h :- b, g :- a h, h :- g, k :- c, h :- k; from {a, c} one pass
-    # derives k and h after g's rule has been tried, so g needs a second
+def test_entails_repeats_its_pass_on_a_cyclic_theory():
+    # a cyclic theory keeps its rules in the order their heads are reached:
+    # g :- a h, h :- b, h :- g, h :- k, k :- c; from {a, c} one pass
+    # derives k, a second h after g's rule has been tried, so g needs a third
     theory = parse_theory(
         "disjoint([a:0.5,x:0.5]).\ndisjoint([b:0.5,y:0.5]).\ndisjoint([c:0.5,z:0.5]).\n"
         "h :- b.\ng :- a, h.\nh :- g.\nh :- k.\nk :- c.\n"
     )
-    program = GroundProgram(theory)
-    assert program.acyclic is False
-    assert program.derives({Atom("a", ()), Atom("c", ())}, [Atom("g", ())])
-    assert not program.derives({Atom("c", ())}, [Atom("g", ())])
+    assert entails(theory, {Atom("a", ()), Atom("c", ())}, [Atom("g", ())])
+    assert not entails(theory, {Atom("c", ())}, [Atom("g", ())])
 
 
 def test_parse_theory_reports_line_numbers():

@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from randmodels import quantified_or, random_model
 from pfta.compile import compile_direct, compile_disjoint
-from pfta.engine import EXHAUSTIVE, ExactEvaluator, ExplanationSearch, explain
+from pfta.engine import EXHAUSTIVE, ExactEvaluator, ExplanationSearch, check_assumptions, explain
 from pfta.measures import minimal_cut_sets, system_unreliability, top_atom
 from pfta.model import failure_probability
 from pfta.oracle import exact_probability, prime_implicants, unfold
-from pfta.pha import Atom, Var, check_assumptions
+from pfta.pha import Atom, Var
 
 AGREEMENT_TOL = 1e-9
 BATTERY_SEEDS = range(60)
