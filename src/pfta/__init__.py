@@ -56,8 +56,6 @@ from .model import (
     failure_probability,
     format_instance,
     instantiate,
-    require_valid,
-    validate,
 )
 from .oracle import (
     GroundFaultTree,
@@ -131,7 +129,6 @@ __all__ = [
     "parse_theory",
     "prime_implicants",
     "probability",
-    "require_valid",
     "serialize",
     "serialize_model",
     "system_unreliability",
@@ -140,5 +137,4 @@ __all__ = [
     "unfold",
     "unify",
     "unreliability_curve",
-    "validate",
 ]

@@ -25,7 +25,7 @@ from .measures import (
     top_event,
     unreliability_curve,
 )
-from .model import PftModel, validate
+from .model import PftModel
 from .oracle import prime_implicants, top_joint_probabilities, unfold
 from .pha import serialize
 
@@ -172,10 +172,10 @@ def _stop(args) -> StopCriteria:
 
 
 def _cmd_validate(args) -> int:
-    model = _load_model(args.model)
-    violations = validate(model)
-    if violations:
-        for v in violations:
+    try:
+        _load_model(args.model)
+    except ModelInvalidError as exc:
+        for v in exc.violations:
             print(f"violation: {v}", file=sys.stderr)
         return 1
     print("OK")

@@ -35,7 +35,6 @@ from .model import (
     PftModel,
     failure_probability,
     instantiate,
-    require_valid,
 )
 from .pha import (
     Atom,
@@ -142,7 +141,6 @@ def compile_direct(model: PftModel, t: float) -> PhaTheory:
     in `itertools.combinations` order.  Raises `TheoryError` for a gate
     over `MAX_GATE_CELLS` clauses.
     """
-    require_valid(model)
     clauses: list[Clause] = []
     for ev, gate, head_terms, inputs in _gates(model, STAGE_DIRECT):
         head = Atom(predicate_name(ev.class_name), head_terms)
@@ -198,7 +196,6 @@ def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
     event keeps only its failure cells.  Raises `TheoryError` for a gate
     over `MAX_GATE_CELLS` clauses.
     """
-    require_valid(model)
     clauses: list[Clause] = []
     for ev, gate, head_terms, inputs in _gates(model, STAGE_DISJOINT):
         # each expanded input's atom at each status, built once and shared by every cell

@@ -333,12 +333,16 @@ def _parse_gate_expr(cur: _Cursor) -> _RawGate:
         cur.next()
         forall = _parse_params(cur)
         return _RawGate(kind, k, n, forall, [_parse_ref(cur)], cur.lineno)
-    # bare reference list; structural checks are left to the validator
+    # bare reference list; structural checks are left to the model
     return _RawGate(kind, k, n, [], _parse_ref_list(cur), cur.lineno)
 
 
 def parse_model(text: str) -> PftModel:
-    """Parse a fault tree document into a PftModel."""
+    """Parse a fault tree document into a PftModel.
+
+    Raises `DslError` for text it cannot read and `ModelInvalidError` for
+    a model that is not well formed.
+    """
     b = _Builder()
     for lineno, line in enumerate(text.splitlines(), start=1):
         toks = _tokenize(line, lineno)

@@ -23,7 +23,8 @@ class DslError(PftaError):
 
 
 class ModelInvalidError(PftaError):
-    """Raised by operations that require a structurally valid model."""
+    """A `PftModel` was built with structural violations; `violations`
+    lists every one, in the order the model check finds them."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)

@@ -38,7 +38,6 @@ from .model import (
     PftModel,
     failure_probability,
     format_instance,
-    require_valid,
 )
 from .pha import Atom, STATUS_FAILED
 
@@ -196,7 +195,6 @@ def system_unreliability(
 ) -> ProbabilityBounds:
     """Bounds on the probability that the top event occurs by time t."""
     if t == 0:
-        require_valid(model)
         return ProbabilityBounds(0.0, 0.0)
     _require_positive_time(t)
     return probability(compile_disjoint(model, t), top_atom(model), stop)

@@ -92,7 +92,11 @@ class FailureRate:
 
 @dataclass(frozen=True)
 class PftModel:
-    """Immutable parametric fault tree."""
+    """Immutable parametric fault tree, well-formed by construction.
+
+    Building one checks its structure and raises `ModelInvalidError`
+    listing every violation, so each analysis may take a model as valid.
+    """
 
     name: str
     types: tuple[ParamType, ...]
@@ -100,6 +104,11 @@ class PftModel:
     events: tuple[EventNode, ...]
     gates: tuple[Gate, ...]
     rates: tuple[FailureRate, ...]
+
+    def __post_init__(self) -> None:
+        violations = _violations(self)
+        if violations:
+            raise ModelInvalidError(violations)
 
     @cached_property
     def type_map(self) -> dict[str, ParamType]:
@@ -135,10 +144,7 @@ class PftModel:
 
     @cached_property
     def top(self) -> EventNode:
-        tops = [e for e in self.events if e.kind == KIND_TOP]
-        if len(tops) != 1:
-            raise ModelInvalidError([f"model has {len(tops)} top events, expected 1"])
-        return tops[0]
+        return next(e for e in self.events if e.kind == KIND_TOP)
 
     def param_values(self, param_name: str) -> tuple[int, ...]:
         return self.type_map[self.param_map[param_name].type_name].values
@@ -152,8 +158,9 @@ def failure_probability(lam: float, t: float) -> float:
     return -math.expm1(-lam * t)
 
 
-def validate(model: PftModel) -> list[str]:
-    """Check structural well-formedness; returns human-readable violations."""
+def _violations(model: PftModel) -> list[str]:
+    """Structural well-formedness of a model under construction, as
+    human-readable violations."""
     out: list[str] = []
     classes = {e.class_name for e in model.events}
 
@@ -279,7 +286,7 @@ def _check_gate(model: PftModel, g: Gate, classes: set[str]) -> Iterable[str]:
         for pos, (arg, formal) in enumerate(zip(ref.args, ev.formal_params)):
             ftype = model.param_map[formal].type_name if formal in model.param_map else None
             if isinstance(arg, int):
-                if ftype is not None and arg not in model.type_map[ftype].values:
+                if ftype in model.type_map and arg not in model.type_map[ftype].values:
                     out.append(
                         f"gate {g.output}: constant {arg} is not a value of "
                         f"type {ftype} (position {pos + 1} of {ref.event})"
@@ -334,13 +341,6 @@ def _check_gate(model: PftModel, g: Gate, classes: set[str]) -> Iterable[str]:
     if not g.inputs:
         out.append(f"gate {g.output} has no inputs")
     return out
-
-
-def require_valid(model: PftModel) -> None:
-    """Raise ModelInvalidError when `validate` reports violations."""
-    violations = validate(model)
-    if violations:
-        raise ModelInvalidError(violations)
 
 
 def instantiate(

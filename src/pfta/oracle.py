@@ -23,7 +23,6 @@ from .model import (
     PftModel,
     failure_probability,
     instantiate,
-    require_valid,
 )
 
 DEFAULT_MAX_EVENTS = 24
@@ -69,7 +68,6 @@ def _gate_node(model: PftModel, key: Key) -> tuple[int, tuple[Key, ...]]:
 
 def unfold(model: PftModel, t: float) -> GroundFaultTree:
     """Instantiate every replica reachable from the top event."""
-    require_valid(model)
     gates: dict[Key, tuple[int, tuple[Key, ...]]] = {}
 
     def inputs(key: Key) -> tuple[Key, ...]:

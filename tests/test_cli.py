@@ -43,6 +43,21 @@ def test_validate_reports_violations_on_stderr(capsys):
     assert "KofN gate TE must have exactly one replicator input" in err
 
 
+@pytest.mark.parametrize("text, violations", [
+    ("basic A rate 1e-3\nbasic a rate 1e-3\ntop TE = or(A, a)\n",
+     ["event classes A and a collide case-insensitively"]),
+    ("basic B rate 1e-3\ntop TE = or(B)\nevent E = or(TE)\n",
+     ["top event TE is an input of a gate"]),
+    ("basic B rate -2\n",
+     ["model has 0 top events, expected exactly 1", "negative failure rate for B"]),
+], ids=["case-collision", "top-as-input", "two-violations"])
+def test_validate_prints_each_violation_on_its_own_line(capsys, tmp_path, text, violations):
+    path = tmp_path / "model.pft"
+    path.write_text(text)
+    err = "".join(f"violation: {v}\n" for v in violations)
+    assert _run(capsys, "validate", str(path)) == (1, "", err)
+
+
 def test_compile_stage_two_writes_theory_text(capsys, tmp_path):
     target = tmp_path / "theory.pha"
     code, out, _ = _run(capsys, "compile", MODEL, "--stage", "2",
@@ -50,6 +65,16 @@ def test_compile_stage_two_writes_theory_text(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == (DATA / "theory_stage2.pha").read_text()
+
+
+def test_compile_at_time_zero_prints_exact_certainties_at_any_precision(capsys):
+    code, out, err = _run(capsys, "compile", MODEL, "--stage", "1", "--time", "0",
+                          "--precision", "3")
+    assert (code, err) == (0, "")
+    declarations = [l for l in out.splitlines() if l.startswith("disjoint(")]
+    assert declarations[0] == "disjoint([b(w):1.0,b(f):0.0])."
+    assert len(declarations) == 14
+    assert all(l.count(":1.0,") == 1 and l.endswith(":0.0]).") for l in declarations)
 
 
 def test_compile_stage_one_counts(capsys):
@@ -275,6 +300,21 @@ def test_an_invalid_model_is_refused_at_time_zero(capsys, tmp_path, argv):
     assert err == "error: invalid model: event graph contains a cycle\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("mcs", "--time", "0"),
+    ("posterior", "--time", "0"),
+    ("posterior", "--time", "1e4", "--basic", "ZZ(9)"),
+    ("curve", "--from", "5", "--to", "1", "--step", "1"),
+], ids=["mcs-time-zero", "posterior-time-zero", "posterior-unknown-event", "curve-reversed"])
+def test_a_model_error_comes_before_an_analysis_error(capsys, tmp_path, argv):
+    # the model is checked as it is read, before any argument reaches an analysis
+    path = tmp_path / "cyclic.pft"
+    path.write_text(CYCLIC)
+    code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: invalid model: event graph contains a cycle\n"
+
+
 def test_a_valid_model_at_time_zero_has_unreliability_zero(capsys):
     code, out, err = _run(capsys, "unrel", MODEL, "--time", "0", "--max-explanations", "3")
     assert (code, out, err) == (0, "time_hours  lower  upper\n0           0      0\n", "")
@@ -288,13 +328,14 @@ def test_bad_flags_exit_through_argparse(capsys):
 @pytest.mark.parametrize("argv, option", [
     (("compile", MODEL, "--stage", "2", "--time", "1e4", "--precision", "-1"), "--precision"),
     (("unrel", MODEL, "--time", "1e4", "--digits", "-1"), "--digits"),
-], ids=["precision", "digits"])
+    (("unrel", MODEL, "--time", "1e4", "--digits", "abc"), "--digits"),
+], ids=["precision", "digits", "digits-not-a-number"])
 def test_negative_digit_counts_are_usage_errors(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert f"argument {option}: expected a nonnegative integer, got -1" in err
+    assert f"argument {option}: expected a nonnegative integer, got {argv[-1]}" in err
 
 
 def test_nan_epsilon_is_an_analysis_error(capsys):

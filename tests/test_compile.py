@@ -148,11 +148,10 @@ def test_disjoint_same_head_bodies_differ(model):
 
 
 def test_compile_rejects_invalid_models():
-    broken = parse_model("basic B rate -2\ntop TE = or(B)")
-    with pytest.raises(ModelInvalidError):
-        compile_direct(broken, T)
-    with pytest.raises(ModelInvalidError):
-        compile_disjoint(broken, T)
+    # an invalid model never reaches a translation: building it raises
+    with pytest.raises(ModelInvalidError) as err:
+        parse_model("basic B rate -2\ntop TE = or(B)")
+    assert err.value.violations == ["negative failure rate for B"]
 
 
 def test_reordered_gate_inputs_only_reorder_clauses(model, listing_model):
@@ -163,9 +162,10 @@ def test_reordered_gate_inputs_only_reorder_clauses(model, listing_model):
 
 
 def test_unreplicated_vote_input_is_rejected_at_compile_time():
-    m = parse_model("basic A rate 1e-3\nbasic B rate 1e-3\ntop TE = vote(2:2)(A, B)")
-    with pytest.raises(ModelInvalidError, match="exactly one replicator input"):
-        compile_direct(m, T)
+    # rejected before any translation, when the model is built
+    with pytest.raises(ModelInvalidError) as err:
+        parse_model("basic A rate 1e-3\nbasic B rate 1e-3\ntop TE = vote(2:2)(A, B)")
+    assert err.value.violations == ["KofN gate TE must have exactly one replicator input"]
 
 
 def test_a_quantified_or_input_is_expanded_into_its_replicas():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from pfta.dsl import parse_model, serialize_model
-from pfta.errors import DslError
+from pfta.errors import DslError, ModelInvalidError
 from pfta.model import (
     EventNode,
     EventRef,
@@ -130,11 +130,29 @@ def test_scope_errors_do_not_depend_on_declaration_order(e_first):
     assert str(err.value) == f"line {line}, column 14: parameter i is not in scope here"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("type T={1}\ntype U={1}\nbasic A(i:T) rate 1\nbasic C(i:U) rate 1\ntop TE = or(A(1), C(1))",
+     "line 4: parameter i used with type U in basic C but previously with type T"),
+    ("type T={1,2}\nbasic A(i:T) rate 1e-3\ntop TE = or(A)",
+     "line 3, column 13: A takes 1 parameters, got 0"),
+    ("type T={1,2}\nbasic A(i:T) rate 1e-3\ntop TE = and forall(j:T) A(j)",
+     "line 3, column 26: forall parameter j must match the formal parameter name i of A"),
+    ("type T={1,2}\nbasic A(i:T, i:T) rate 1e-3\ntop TE = or(A(1,1))",
+     "line 2: parameter i repeated"),
+    ("type T={1,1}\nbasic A rate 1e-3\ntop TE = or(A)", "line 1: type T has repeated values"),
+], ids=["parameter-with-two-types", "arity", "forall-argument-not-the-formal",
+        "repeated-formal", "repeated-type-values"])
+def test_malformed_declarations_are_rejected_with_their_position(text, message):
+    with pytest.raises(DslError) as err:
+        parse_model(text)
+    assert str(err.value) == message
+
+
 def test_two_input_vote_parses_and_fails_validation_not_parsing():
-    m = parse_model("basic A rate 1e-3\nbasic B rate 1e-3\ntop TE = vote(2:2)(A, B)")
-    gate = m.gate_map["TE"]
-    assert gate.kind == "kofn"
-    assert len(gate.inputs) == 2
+    # the text is well formed, so the error is the model's, not a DslError
+    with pytest.raises(ModelInvalidError) as err:
+        parse_model("basic A rate 1e-3\nbasic B rate 1e-3\ntop TE = vote(2:2)(A, B)")
+    assert err.value.violations == ["KofN gate TE must have exactly one replicator input"]
 
 
 def test_serialize_round_trips_the_fixture(model, model_text):

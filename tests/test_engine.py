@@ -337,6 +337,12 @@ def test_non_ground_bodies_and_goals_are_pinned(goals, expected):
     assert found == pytest.approx(expected, rel=1e-12)
 
 
+def test_a_goal_with_more_instances_than_the_frontier_budget_is_refused_at_once():
+    # c(Z) grounds to four goals, all on the frontier before the first pop
+    with pytest.raises(EngineError, match="frontier memory budget of 3 states exceeded"):
+        ExplanationSearch(NON_GROUND, Atom("c", (Z,)), EXHAUSTIVE, frontier_budget=3)
+
+
 # A stage-1 OR whose clause leaves its replica variable free: `s` holds
 # when any replica of `a` fails, so its body is grounded over the constants.
 FREE_REPLICA = parse_theory(

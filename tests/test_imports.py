@@ -68,3 +68,26 @@ def test_theories_import_nothing_of_the_package_but_its_errors():
     # theories and their text format live in `pha`; every procedure that
     # grounds them lives in `engine`
     assert _package_modules_imported((SRC / "pha.py").read_text()) == {"errors"}
+
+
+def _names_imported_from(text: str, module: str) -> set[str]:
+    """Names a source imports from one module of the package."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"pfta.{module}")
+        for alias in node.names
+    }
+
+
+def test_the_scan_sees_names_imported_from_a_module():
+    text = "from .model import a, b as c\nfrom pfta.model import d\nfrom .dsl import e\n"
+    assert _names_imported_from(text, "model") == {"a", "b", "d"}
+
+
+def test_only_the_model_checks_a_model():
+    # a PftModel checks itself when built, so no analysis validates it again
+    for name in ("compile", "oracle", "measures", "engine", "cli"):
+        imported = _names_imported_from((SRC / f"{name}.py").read_text(), "model")
+        assert {n for n in imported if "valid" in n or "violation" in n} == set(), name
+    assert {"validate", "require_valid"} & set(pfta.__all__) == set()

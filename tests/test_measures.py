@@ -107,6 +107,8 @@ def test_parse_instance_accepts_source_style_labels(model):
 def test_parse_instance_rejects_bad_labels(model):
     with pytest.raises(AnalysisError, match="cannot parse"):
         parse_instance(model, "D(1,")
+    with pytest.raises(AnalysisError, match=r"cannot parse event 'D\(a,b\)'"):
+        parse_instance(model, "D(a,b)")
     with pytest.raises(AnalysisError, match="not a basic event class"):
         parse_instance(model, "S(1)")
     with pytest.raises(AnalysisError):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,8 +20,6 @@ from pfta.model import (
     failure_probability,
     format_instance,
     instantiate,
-    require_valid,
-    validate,
 )
 from pfta.errors import ModelInvalidError
 from pfta.pha import Var
@@ -52,59 +51,74 @@ def test_failure_probability_rejects_non_finite_inputs(lam, t):
         failure_probability(lam, t)
 
 
+def _rejected(build, *args, **kwargs) -> list[str]:
+    """The violations that `build(*args, **kwargs)` raises."""
+    with pytest.raises(ModelInvalidError) as err:
+        build(*args, **kwargs)
+    return err.value.violations
+
+
 def test_fixture_model_is_valid(model):
-    assert validate(model) == []
-    require_valid(model)  # should not raise
+    # building it again from its fields runs the model check again
+    assert replace(model) == model
 
 
 def test_validate_flags_cycle():
-    m = parse_model(
+    assert _rejected(
+        parse_model,
         "type T={1}\nbasic B rate 1e-3\n"
-        "event A = or(C)\nevent C = or(A)\ntop TE = or(B, A)"
-    )
-    assert validate(m) == ["event graph contains a cycle"]
+        "event A = or(C)\nevent C = or(A)\ntop TE = or(B, A)",
+    ) == ["event graph contains a cycle"]
 
 
 def test_validate_counts_top_events():
-    none = parse_model("basic B rate 1e-3")
-    assert "model has 0 top events, expected exactly 1" in validate(none)
+    assert _rejected(parse_model, "basic B rate 1e-3") == [
+        "model has 0 top events, expected exactly 1",
+    ]
+    assert _rejected(parse_model, "basic B rate 1e-3\ntop TE = or(B)\ntop TF = or(B)") == [
+        "model has 2 top events, expected exactly 1",
+    ]
 
 
 def test_validate_flags_negative_rate():
-    m = parse_model("basic B rate -2\ntop TE = or(B)")
-    assert "negative failure rate for B" in validate(m)
+    assert _rejected(parse_model, "basic B rate -2\ntop TE = or(B)") == [
+        "negative failure rate for B",
+    ]
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_validate_flags_non_finite_rates(rate):
-    m = parse_model(f"basic B rate {rate}\nbasic C rate 1e-3\ntop TE = or(B, C)")
-    assert validate(m) == ["non-finite failure rate for B"]
+    assert _rejected(
+        parse_model, f"basic B rate {rate}\nbasic C rate 1e-3\ntop TE = or(B, C)"
+    ) == ["non-finite failure rate for B"]
 
 
 def test_validate_flags_kofn_k_out_of_range():
-    m = parse_model(
+    assert _rejected(
+        parse_model,
         "type T={1,2,3}\nbasic A(i:T) rate 1e-3\n"
-        "top TE = vote(4:3) forall(i:T) A(i)"
-    )
-    assert validate(m) == ["KofN gate TE: k=4 outside 1..3"]
+        "top TE = vote(4:3) forall(i:T) A(i)",
+    ) == ["KofN gate TE: k=4 outside 1..3"]
 
 
 def test_validate_flags_two_input_kofn():
-    m = parse_model("basic A rate 1e-3\nbasic B rate 1e-3\ntop TE = vote(2:2)(A, B)")
-    assert validate(m) == ["KofN gate TE must have exactly one replicator input"]
+    assert _rejected(
+        parse_model, "basic A rate 1e-3\nbasic B rate 1e-3\ntop TE = vote(2:2)(A, B)"
+    ) == ["KofN gate TE must have exactly one replicator input"]
 
 
 def test_validate_flags_parameter_used_outside_scope():
-    m = parse_model(
+    assert _rejected(
+        parse_model,
         "type T={1,2}\nbasic A(i:T) rate 1e-3\n"
-        "event E = and forall(i:T) A(i)\nevent F = or(A(i))\ntop TE = or(E, F)"
-    )
-    assert validate(m) == ["parameter i used outside the scope of A"]
+        "event E = and forall(i:T) A(i)\nevent F = or(A(i))\ntop TE = or(E, F)",
+    ) == ["parameter i used outside the scope of A"]
 
 
 def test_validate_flags_undeclared_parameter_directly():
     # built by hand: the text parser would reject this earlier
-    m = PftModel(
+    assert _rejected(
+        PftModel,
         name="broken",
         types=(ParamType("T", (1, 2)),),
         params=(),
@@ -114,14 +128,16 @@ def test_validate_flags_undeclared_parameter_directly():
         ),
         gates=(Gate("or", "TE", (EventRef("A", ("i",)),)),),
         rates=(FailureRate("A", 1e-3),),
-    )
-    problems = validate(m)
-    assert "event A uses undeclared parameter i" in problems
+    ) == [
+        "event A uses undeclared parameter i",
+        "gate TE uses undeclared parameter i",
+    ]
 
 
-def _quantified(*gates: Gate) -> PftModel:
-    """A hand-built model in which `gates` (over A(i), C(i)) feed the top."""
-    return PftModel(
+def _quantified(*gates: Gate) -> dict:
+    """The fields of a hand-built model in which `gates` (over A(i), C(i))
+    feed the top."""
+    return dict(
         name="declarations",
         types=(ParamType("T", (1, 2)),),
         params=(Parameter("i", "T"),),
@@ -137,33 +153,28 @@ def _quantified(*gates: Gate) -> PftModel:
 
 
 def test_validate_flags_a_parameter_no_gate_quantifies():
-    m = _quantified(Gate("or", "E", (EventRef("A", ("i",)),)))
-    assert m.declared_at == {}
-    assert validate(m) == [
+    assert _rejected(PftModel, **_quantified(Gate("or", "E", (EventRef("A", ("i",)),)))) == [
         "parameter i is never declared at a replicator",
         "gate E uses parameter i that is neither a formal of E nor declared at A",
     ]
 
 
 def test_validate_flags_a_parameter_two_gates_quantify():
-    m = _quantified(
+    assert _rejected(PftModel, **_quantified(
         Gate("and", "E", (EventRef("A", ("i",)),), forall=("i",)),
         Gate("and", "F", (EventRef("A", ("i",)),), forall=("i",)),
-    )
-    assert m.declared_at == {"i": "A"}
-    assert validate(m) == [
+    )) == [
         "parameter i is declared at multiple events",
         "parameter i used outside the scope of A",  # C(i) holds it too
     ]
 
 
 def test_validate_flags_a_gate_quantifying_a_parameter_declared_elsewhere():
-    m = _quantified(
+    # i is declared at A, by the first gate that quantifies it
+    assert _rejected(PftModel, **_quantified(
         Gate("and", "E", (EventRef("A", ("i",)),), forall=("i",)),
         Gate("and", "F", (EventRef("C", ("i",)),), forall=("i",)),
-    )
-    assert m.declared_at == {"i": "A"}  # the first gate that quantifies it
-    assert validate(m) == [
+    )) == [
         "parameter i is declared at multiple events",
         "gate F uses parameter i that is neither a formal of F nor declared at C",
         "gate F quantifies i, which is not declared at C",
@@ -171,12 +182,114 @@ def test_validate_flags_a_gate_quantifying_a_parameter_declared_elsewhere():
     ]
 
 
-def test_require_valid_raises_with_all_violations():
-    m = parse_model("basic B rate -2")
+def test_building_an_invalid_model_raises_with_all_violations():
     with pytest.raises(ModelInvalidError) as err:
-        require_valid(m)
-    assert "negative failure rate for B" in err.value.violations
-    assert "model has 0 top events, expected exactly 1" in err.value.violations
+        parse_model("basic B rate -2")
+    assert err.value.violations == [
+        "model has 0 top events, expected exactly 1",
+        "negative failure rate for B",
+    ]
+    assert str(err.value) == (
+        "invalid model: model has 0 top events, expected exactly 1; negative failure rate for B"
+    )
+
+
+# A valid hand-built model: E = and forall(i:T) A(i), TE = or(E, B).
+# Each case below replaces some of its fields to plant one defect.
+_TYPE = ParamType("T", (1, 2))
+_I = Parameter("i", "T")
+_A, _B = EventNode("A", KIND_BASIC, ("i",)), EventNode("B", KIND_BASIC)
+_E, _TE = EventNode("E", KIND_INTERNAL), EventNode("TE", KIND_TOP)
+_GATE_E = Gate("and", "E", (EventRef("A", ("i",)),), forall=("i",))
+_GATE_TE = Gate("or", "TE", (EventRef("E"), EventRef("B")))
+_RATES = (FailureRate("A", 1e-3), FailureRate("B", 1e-3))
+_VALID = dict(
+    name="planted",
+    types=(_TYPE,),
+    params=(_I,),
+    events=(_A, _B, _E, _TE),
+    gates=(_GATE_E, _GATE_TE),
+    rates=_RATES,
+)
+
+
+def _top_over(*refs: EventRef, **kwargs) -> Gate:
+    return Gate("or", "TE", (EventRef("E"), EventRef("B"), *refs), **kwargs)
+
+
+@pytest.mark.parametrize("defect, violations", [
+    (dict(types=(_TYPE, ParamType("U", ()))), ["type U is empty"]),
+    (dict(types=(_TYPE, ParamType("U", (1, 1)))), ["type U has repeated values"]),
+    (dict(params=(_I, Parameter("j", "U"))), [
+        "parameter j has unknown type U",
+        "parameter j is never declared at a replicator",
+    ]),
+    (dict(gates=(_GATE_E, _GATE_TE, Gate("or", "E", (EventRef("B"),)))),
+     ["multiple gates share an output: E"]),
+    (dict(gates=(_GATE_E, _GATE_TE, Gate("or", "B", (EventRef("E"),)))),
+     ["basic event B is the output of a gate"]),
+    (dict(rates=_RATES[:1]), ["missing failure rate for B"]),
+    (dict(events=(_A, _B, _E, _TE, EventNode("F", KIND_INTERNAL))),
+     ["event F is not the output of any gate"]),
+    (dict(rates=(*_RATES, FailureRate("E", 1e-3))), ["non-basic event E has a failure rate"]),
+    (dict(rates=(*_RATES, FailureRate("Z", 1e-3))),
+     ["failure rate given for unknown event Z"]),
+    (dict(events=(_A, _B, _E, EventNode("TE", KIND_TOP, ("i",)))), [
+        "top event TE must be ground",
+        "parameter i used outside the scope of A",
+    ]),
+    (dict(gates=(Gate("and", "E", (EventRef("B"),), forall=("i",)), _GATE_TE)), [
+        "parameter i declared at B is not one of its formal parameters",
+        "parameter i used outside the scope of B",
+    ]),
+    (dict(gates=(_GATE_E, _GATE_TE, Gate("or", "X", (EventRef("B"),)))),
+     ["gate output X is not a declared event"]),
+    (dict(gates=(_GATE_E, _top_over(EventRef("Z")))), ["gate TE references unknown event Z"]),
+    (dict(gates=(_GATE_E, _top_over(EventRef("A")))), ["gate TE: A takes 1 parameters, got 0"]),
+    (dict(gates=(_GATE_E, _top_over(EventRef("A", (9,))))),
+     ["gate TE: constant 9 is not a value of type T (position 1 of A)"]),
+    (dict(
+        types=(_TYPE, ParamType("U", (1, 2))),
+        params=(_I, Parameter("j", "U")),
+        events=(_A, _B, _E, EventNode("F", KIND_INTERNAL, ("j",)),
+                EventNode("G", KIND_INTERNAL), _TE),
+        gates=(_GATE_E, Gate("or", "F", (EventRef("A", ("j",)),)),
+               Gate("and", "G", (EventRef("F", ("j",)),), forall=("j",)),
+               _top_over(EventRef("G"))),
+    ), ["gate F: parameter j of type U passed where A expects T"]),
+    (dict(params=(Parameter("i", "U"),), gates=(_GATE_E, _top_over(EventRef("A", (1,))))),
+     ["parameter i has unknown type U"]),
+    (dict(params=(Parameter("i", "U"),),
+          gates=(Gate("kofn", "E", (EventRef("A", ("i",)),), k=1, forall=("i",)), _GATE_TE)),
+     ["parameter i has unknown type U"]),
+    (dict(gates=(_GATE_E, _top_over(k=1))), ["gate TE (or) must not carry a voting threshold"]),
+    (dict(gates=(Gate("and", "E", (EventRef("A", ("i",)), EventRef("B")), forall=("i",)),
+                 _GATE_TE)), [
+        "parameter i is never declared at a replicator",
+        "gate E uses parameter i that is neither a formal of E nor declared at A",
+        "gate E quantifies over a non-unique input",
+    ]),
+    (dict(events=(_A, _B, _E, EventNode("F", KIND_INTERNAL), _TE),
+          gates=(_GATE_E, Gate("or", "F", ()), _top_over(EventRef("F")))),
+     ["gate F has no inputs"]),
+], ids=[
+    "empty-type", "repeated-type-values", "parameter-of-unknown-type",
+    "two-gates-on-one-output", "basic-event-as-gate-output", "missing-rate",
+    "event-with-no-gate", "rate-on-non-basic-event", "rate-for-unknown-event",
+    "parameterized-top", "declared-parameter-not-a-formal", "undeclared-gate-output",
+    "unknown-input", "arity-mismatch", "constant-outside-its-type",
+    "parameter-type-mismatch", "constant-for-a-parameter-of-unknown-type",
+    "vote-over-a-parameter-of-unknown-type", "k-on-non-vote-gate", "forall-over-several-inputs",
+    "gate-with-no-inputs",
+])
+def test_each_planted_defect_is_reported_at_construction(defect, violations):
+    assert _rejected(PftModel, **{**_VALID, **defect}) == violations
+
+
+def test_the_planted_defects_start_from_a_valid_model():
+    m = PftModel(**_VALID)
+    assert m.top == _TE
+    assert m.declared_at == {"i": "A"}
 
 
 def test_instantiate_passes_ground_refs_through(model):

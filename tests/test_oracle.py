@@ -70,9 +70,10 @@ def test_unfold_probabilities_match_the_rates(model):
 
 
 def test_unfold_rejects_invalid_models():
-    broken = parse_model("basic B rate -2\ntop TE = or(B)")
-    with pytest.raises(ModelInvalidError):
-        unfold(broken, T)
+    # an invalid model never reaches the oracle: building it raises
+    with pytest.raises(ModelInvalidError) as err:
+        parse_model("basic B rate -2\ntop TE = or(B)")
+    assert err.value.violations == ["negative failure rate for B"]
 
 
 def test_evaluate_propagates_statuses(model):

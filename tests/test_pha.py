@@ -68,6 +68,16 @@ def test_declaration_alternatives_must_be_distinct():
         _decl(("a", 0.5), ("a", 0.5))
 
 
+@pytest.mark.parametrize("alternatives, message", [
+    ((), "empty disjoint declaration"),
+    (((Atom("a", ()), 1.5), (Atom("b", ()), -0.5)), "alternative probability 1.5 outside [0, 1]"),
+], ids=["empty", "probability-outside-0-1"])
+def test_malformed_declarations_are_rejected(alternatives, message):
+    with pytest.raises(TheoryError) as err:
+        DisjointDeclaration(alternatives)
+    assert str(err.value) == message
+
+
 def test_hypothesis_may_appear_in_one_declaration_only():
     with pytest.raises(TheoryError):
         PhaTheory(
@@ -323,3 +333,22 @@ def test_parse_theory_reports_line_numbers():
     with pytest.raises(TheoryError) as err:
         parse_theory("disjoint([a:0.5,b:0.5]).\ng :- a\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("line, message", [
+    ("g :-", "unexpected end of line"),
+    ("g :- a b.", "expected '.', got 'b'"),
+    ("g(X,+) :- a.", "expected term, got '+'"),
+    ("G :- a.", "expected predicate, got 'G'"),
+    ("disjoint([c:x,d:0.5]).", "expected probability, got 'x'"),
+    ("disjoint([c:0.5,d:0.5]). g.", "trailing text after declaration"),
+    ("g. h.", "trailing text after fact"),
+    ("g h.", "expected ':-' or '.', got 'h'"),
+    ("g :- a. h", "trailing text after clause"),
+    ("disjoint([c:0.4,d:0.4]).", "probabilities sum to 0.8"),
+], ids=["end-of-line", "missing-comma", "bad-term", "bad-predicate", "bad-probability",
+        "after-declaration", "after-fact", "no-neck", "after-clause", "declaration-sum"])
+def test_parse_theory_names_each_malformed_line(line, message):
+    with pytest.raises(TheoryError) as err:
+        parse_theory("disjoint([a:0.5,b:0.5]).\n" + line + "\n")
+    assert (err.value.line, str(err.value)) == (2, f"line 2: {message}")
