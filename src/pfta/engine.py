@@ -23,8 +23,9 @@ bounds the probability mass still unaccounted for.  That upper bound is
 probabilistically valid only for ground goals on theories whose
 same-head clause bodies are disjoint (stage "disjoint"); otherwise it is
 reported as raw search mass (`sound` is False), as a goal's instances
-need not be mutually exclusive.  Atoms turn back into `Atom`s only in
-emitted explanations.
+need not be mutually exclusive.  The search yields bit masks; atoms turn
+back into `Atom`s only when an `Explanation` is asked for, so bounded
+`probability`, which needs only the bounds, builds none.
 
 `ExactEvaluator` applies the same probability rule without enumerating
 explanations, to ground goals on disjoint-stage theories.  Same-head
@@ -49,7 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import chain, count, product, repeat
 from operator import add, and_, attrgetter, itemgetter, or_
@@ -252,6 +253,9 @@ class SearchStats:
     hypothesis set was already emitted; `inconsistent` the hypothesis
     steps not pushed because another alternative of the declaration was
     assumed; `peak_frontier` the most states the frontier held at once.
+    `emitted` counts the explanations emitted, duplicates left out, also
+    when no `Explanation` was built for them; it is left out of `==`, so
+    stats compare by their state counts.
     """
 
     popped: int = 0
@@ -259,22 +263,26 @@ class SearchStats:
     duplicates: int = 0
     inconsistent: int = 0
     peak_frontier: int = 0
+    emitted: int = field(default=0, compare=False)
 
 
 class ExplanationSearch(Iterator[Explanation]):
     """Iterator over explanations of `goals`, most probable first.
 
-    The frontier is kept as priority levels: a dict from priority to a
-    deque of (goal ids, assumed mask) in push order, and a heap of the
-    distinct priorities, entries (-priority, creation index, deque), so
-    the heap never compares deques.  A state pops from the front of the
-    highest level and its children join the back of theirs, so states
-    leave in nonincreasing priority, first pushed first within a priority:
-    the order of one heap of states tie-broken by push order.  A level
-    leaves the heap once it is found empty at the top.  `bounds` adds the
-    `math.fsum` of every frontier state's priority to the emitted mass,
-    a sum that does not depend on the frontier's layout.  `stats` counts
-    the work done so far.
+    The search itself is one generator, `_emissions`, of the (assumed
+    mask, probability) pair of each explanation; only `__next__` turns a
+    mask into `Atom`s, so bounded `probability` drains the generator and
+    builds none.  The frontier is kept as priority levels: a dict from
+    priority to a deque of (goal ids, assumed mask) in push order, and a
+    heap of the distinct priorities, entries (-priority, creation index,
+    deque), so the heap never compares deques.  A state pops from the
+    front of the highest level and its children join the back of theirs,
+    so states leave in nonincreasing priority, first pushed first within a
+    priority: the order of one heap of states tie-broken by push order.  A
+    level leaves the heap once it is found empty at the top.  `bounds`
+    adds the `math.fsum` of every frontier state's priority to the emitted
+    mass, a sum that does not depend on the frontier's layout.  `stats`
+    counts the work done so far.
     """
 
     def __init__(
@@ -293,27 +301,27 @@ class ExplanationSearch(Iterator[Explanation]):
         self._table = table = AtomTable(theory, self.goals)
         self._emitted_probs_sum = 0.0
         self._emitted_count = 0
-        self._seen: set[int] = set()
         self._levels: dict[float, deque] = {}
         self._order: list = []
-        self._created = count()
         initial = table.ground(self.goals)
         if len(initial) > frontier_budget:
             raise EngineError(f"frontier memory budget of {frontier_budget} states exceeded")
         if initial:
             self._levels[1.0] = deque((goals, 0) for goals in initial)
-            heapq.heappush(self._order, (-1.0, next(self._created), self._levels[1.0]))
+            heapq.heappush(self._order, (-1.0, 0, self._levels[1.0]))
         # states on the frontier and the running sum of their priorities,
         # in push and pop order; `bounds` sums the frontier afresh
         self._size = len(initial)
         self._mass = float(len(initial))
         # popped, duplicates, inconsistent, peak frontier; pushed is popped + size
         self._counts = (0, 0, 0, self._size)
+        self._emissions = self._search()
 
     @property
     def stats(self) -> SearchStats:
         popped, duplicates, inconsistent, peak = self._counts
-        return SearchStats(popped, popped + self._size, duplicates, inconsistent, peak)
+        return SearchStats(popped, popped + self._size, duplicates, inconsistent, peak,
+                           self._emitted_count)
 
     @property
     def bounds(self) -> ProbabilityBounds:
@@ -338,74 +346,108 @@ class ExplanationSearch(Iterator[Explanation]):
         return self.bounds.width <= stop.epsilon
 
     def __next__(self) -> Explanation:
+        assumed, prob = next(self._emissions)
+        alternatives = self._table.alternatives
+        hypotheses = []
+        while assumed:
+            low = assumed & -assumed
+            hypotheses.append(alternatives[low.bit_length() - 1])
+            assumed ^= low
+        return Explanation(frozenset(hypotheses), prob)
+
+    def _search(self) -> Iterator[tuple[int, float]]:
+        """The (assumed mask, probability) of each explanation, best first,
+        until the stop criteria hold.
+
+        A child never outranks its parent (no probability exceeds 1), so
+        the top level stays on top until an inner loop has drained it.  Each goal atom's step is kept
+        for the life of the search: its clause bodies and, for an
+        alternative, its flag, the mask of the other alternatives of its
+        declaration and its probability.  The emitted mass and count, the
+        frontier size and mass and the counters live in locals; they are
+        written back before each emission and on exit, for `stats`,
+        `bounds` and `_stopped`.
+        """
         if self._stopped():
-            raise StopIteration
+            return
         table = self._table
-        expansions, expand = table.expansions, table.expand
-        probs, decl_masks = table.probs, table.decl_masks
-        levels, order, seen, created = self._levels, self._order, self._seen, self._created
-        # looked up per call, so a stand-in for the module can watch the levels
+        levels, order, seen = self._levels, self._order, set()
+        created = count(1)  # the first level, pushed on construction, is 0
+        steps: dict[int, tuple] = {}
+        # looked up as the search starts, so a stand-in for the module can watch the levels
         heappush, heappop = heapq.heappush, heapq.heappop
         budget = self.frontier_budget
+        lower, emitted = self._emitted_probs_sum, self._emitted_count
         size, mass = self._size, self._mass
         popped, duplicates, inconsistent, peak = self._counts
         try:
             while order:
                 neg_priority, _, level = order[0]
-                if not level:
-                    heappop(order)
-                    del levels[-neg_priority]
-                    continue
-                goals, assumed = level.popleft()
                 priority = -neg_priority
-                size -= 1
-                popped += 1
-                mass -= priority
-                if not goals:
-                    if assumed in seen:
-                        duplicates += 1
+                while level:
+                    goals, assumed = level.popleft()
+                    size -= 1
+                    popped += 1
+                    mass -= priority
+                    if not goals:
+                        if assumed in seen:
+                            duplicates += 1
+                            continue
+                        seen.add(assumed)
+                        lower += priority
+                        emitted += 1
+                        self._emitted_probs_sum, self._emitted_count = lower, emitted
+                        self._size, self._mass = size, mass
+                        self._counts = (popped, duplicates, inconsistent, peak)
+                        yield assumed, priority
+                        if self._stopped():
+                            return
                         continue
-                    seen.add(assumed)
-                    self._emitted_probs_sum += priority
-                    self._emitted_count += 1
-                    hypotheses = []
-                    while assumed:
-                        low = assumed & -assumed
-                        hypotheses.append(table.alternatives[low.bit_length() - 1])
-                        assumed ^= low
-                    return Explanation(frozenset(hypotheses), priority)
-                # children in clause order join the back of their level: that
-                # order fixes which equal-priority state pops first, hence
-                # the emission order and every sum over it
-                goal, rest = goals[0], goals[1:]
-                bodies, bit = expansions.get(goal) or expand(goal)
-                for body in bodies:
-                    level.append((body + rest, assumed))
-                    mass += priority
-                size += len(bodies)
-                if bit is not None:
-                    if assumed >> bit & 1:
-                        level.append((rest, assumed))
-                        mass += priority
-                    elif assumed & decl_masks[bit]:
-                        inconsistent += 1
-                        continue
+                    goal, rest = goals[0], goals[1:]
+                    try:
+                        bodies, flag, others, p = steps[goal]
+                    except KeyError:
+                        bodies, bit = table.expansions.get(goal) or table.expand(goal)
+                        if bit is None:
+                            flag, others, p = 0, 0, 0.0
+                        else:
+                            flag = 1 << bit
+                            others, p = table.decl_masks[bit] ^ flag, table.probs[bit]
+                        steps[goal] = bodies, flag, others, p
+                    if flag:
+                        # an alternative heads no clause, so it has no bodies
+                        if assumed & flag:
+                            level.append((rest, assumed))
+                            mass += priority
+                        elif assumed & others:
+                            inconsistent += 1
+                            continue
+                        else:
+                            child = priority * p
+                            target = levels.get(child)
+                            if target is None:
+                                target = levels[child] = deque()
+                                heappush(order, (-child, next(created), target))
+                            target.append((rest, assumed | flag))
+                            mass += child
+                        size += 1
                     else:
-                        child = priority * probs[bit]
-                        target = levels.get(child)
-                        if target is None:
-                            target = levels[child] = deque()
-                            heappush(order, (-child, next(created), target))
-                        target.append((rest, assumed | 1 << bit))
-                        mass += child
-                    size += 1
-                if size > peak:
-                    if size > budget:
-                        raise EngineError(
-                            f"frontier memory budget of {budget} states exceeded")
-                    peak = size
-            raise StopIteration
+                        # children in clause order join the back of their
+                        # level: that order fixes which equal-priority state
+                        # pops first, hence the emission order and every sum
+                        for body in bodies:
+                            level.append((body + rest, assumed))
+                            mass += priority
+                        size += len(bodies)
+                    if size > peak:
+                        if size > budget:
+                            raise EngineError(
+                                f"frontier memory budget of {budget} states exceeded")
+                        peak = size
+                heappop(order)
+                del levels[priority]
         finally:
+            self._emitted_probs_sum, self._emitted_count = lower, emitted
             self._size, self._mass = size, mass
             self._counts = (popped, duplicates, inconsistent, peak)
 
@@ -718,7 +760,7 @@ def probability(
         p = ExactEvaluator(theory, goals).probability()
         return ProbabilityBounds(p, p)
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
-    for _ in search:
+    for _ in search._emissions:  # the bounds need no `Explanation`s
         pass
     b = search.bounds
     if b.upper > 1.0:
@@ -818,6 +860,10 @@ def check_assumptions(theory: PhaTheory, max_joint_states: int = 2**20) -> Assum
     rules, acyclic = _ground_rules(table, heads)
     choices = [[1 << table.intern(a) for a, _ in decl.alternatives]
                for decl in theory.declarations]
+    # a rule whose body holds an atom that is neither an alternative nor
+    # the head of a rule never fires, in any assignment
+    derivable = reduce(or_, [1 << head for head, _ in rules], reduce(or_, chain(*choices), 0))
+    rules = [(head, body) for head, body in rules if not body & ~derivable]
     for world in product(*choices):
         mask = _closure(rules, acyclic, reduce(or_, world, 0))
         first: dict[int, int] = {}

@@ -260,7 +260,8 @@ class _ItemParser:
     def __init__(self, text: str, lineno: int):
         self.tokens = re.findall(
             r"-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*"
-            r"|:-|[()\[\],:.]|\S",
+            # `:-` before a digit or `.` is `:` and a negative number
+            r"|:-(?![\d.])|[()\[\],:.]|\S",
             text,
         )
         self.lineno = lineno

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from itertools import count
 
 import pytest
 
+import pfta.engine as engine
 from pfta.compile import compile_direct, compile_disjoint, declarations
 from pfta.dsl import parse_model
 from pfta.engine import (
@@ -763,6 +764,7 @@ def test_search_stats_count_states(model, stop, popped):
     result = explain(compile_direct(model, T), top_atom(model), stop)
     stats = result.stats
     assert stats.popped == popped
+    assert stats.emitted == len(result.explanations)
     assert stats.duplicates == stats.inconsistent == 0  # stage 1 only assumes failures
     if stop.exhaustive:
         assert stats.pushed == stats.popped  # the frontier ran empty
@@ -781,3 +783,86 @@ def test_search_stats_count_duplicates_and_inconsistent_steps():
     # a assumed and completes {a} again, a duplicate; x contradicts a
     assert search.stats == SearchStats(
         popped=8, pushed=8, duplicates=1, inconsistent=1, peak_frontier=3)
+    assert search.stats.emitted == 1  # the duplicate {a} is not counted
+
+
+def _clamped(bounds):
+    """`bounds` as bounded `probability` reports them, at most 1."""
+    if bounds.upper > 1.0:
+        return ProbabilityBounds(min(bounds.lower, 1.0), 1.0)
+    return bounds
+
+
+def test_bounded_probability_equals_the_bounds_of_explain():
+    for name, model, t in _reference_cases():
+        theory = compile_disjoint(model, t)
+        goal = top_atom(model)
+        for stop in REFERENCE_STOPS:
+            expected = _clamped(explain(theory, goal, stop).bounds)
+            assert probability(theory, goal, stop) == expected, (name, stop)
+
+
+@pytest.mark.parametrize("stage", [compile_direct, compile_disjoint])
+def test_search_stats_do_not_depend_on_how_the_search_is_drained(stage):
+    for name, model, t in _reference_cases():
+        theory = stage(model, t)
+        for stop in REFERENCE_STOPS:
+            explained = ExplanationSearch(theory, top_atom(model), stop)
+            emitted = [(e.hypotheses, e.prob) for e in explained]
+            drained = ExplanationSearch(theory, top_atom(model), stop)
+            for _ in drained._emissions:
+                pass
+            case = (name, stop)
+            assert astuple(drained.stats) == astuple(explained.stats), case
+            assert drained.stats.emitted == len(emitted), case
+            assert drained.bounds == explained.bounds, case
+
+
+def test_bounded_probability_builds_no_explanation(monkeypatch, model):
+    theory = compile_disjoint(model, T)
+    stop = StopCriteria(epsilon=1e-3)
+    expected = probability(theory, TE, stop)
+
+    def refuse(*args):
+        raise AssertionError("an Explanation was built")
+
+    monkeypatch.setattr(engine, "Explanation", refuse)
+    assert probability(theory, TE, stop) == expected
+    assert probability(theory, TE, StopCriteria(max_explanations=20)).lower > 0
+    with pytest.raises(AssertionError, match="was built"):
+        explain(theory, TE, stop)
+
+
+def test_bounded_probability_enforces_the_frontier_budget(model):
+    theory = compile_disjoint(model, T)
+    with pytest.raises(EngineError, match="frontier memory budget of 3 states exceeded"):
+        probability(theory, TE, StopCriteria(max_explanations=5), frontier_budget=3)
+
+
+class _CountingHeapq:
+    """Counts the heap calls that reach it, as the benchmark's tracer does."""
+
+    def __init__(self):
+        self.pushes = self.pops = 0
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+def test_the_search_reaches_the_heap_through_the_module_attribute(monkeypatch, model):
+    # the benchmark's tracer counts the search's levels by swapping
+    # `pfta.engine.heapq`; a search that imported the functions themselves
+    # would leave its counters at 0
+    theory = compile_disjoint(model, T)
+    counting = _CountingHeapq()
+    monkeypatch.setattr(engine, "heapq", counting)
+    probability(theory, TE, StopCriteria(epsilon=1e-3))
+    assert counting.pushes > 0 and counting.pops > 0
+    counting.pushes = counting.pops = 0
+    list(ExplanationSearch(theory, TE, StopCriteria(max_explanations=20)))
+    assert counting.pushes > 0 and counting.pops > 0

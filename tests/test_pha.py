@@ -4,13 +4,23 @@ import os
 import pickle
 import subprocess
 import sys
+from functools import reduce
+from itertools import chain, product
+from operator import or_
 from pathlib import Path
 
 import pytest
 
-from randmodels import multiprocessor
+from randmodels import multiprocessor, random_model
 from pfta.compile import compile_direct, compile_disjoint
-from pfta.engine import AssumptionReport, check_assumptions, entails
+from pfta.engine import (
+    AssumptionReport,
+    AtomTable,
+    _closure,
+    _ground_rules,
+    check_assumptions,
+    entails,
+)
 from pfta.errors import EngineError, TheoryError
 from pfta.pha import (
     Atom,
@@ -30,6 +40,7 @@ from pfta.pha import (
 )
 
 T = 1e4
+DATA = Path(__file__).parent / "data"
 
 
 def _decl(*pairs):
@@ -225,6 +236,46 @@ def test_disjoint_stage_satisfies_both_assumptions(model):
     assert report.assumption2 is True
 
 
+def _check_over_every_rule(theory):
+    """`check_assumptions` closing each joint assignment over every ground
+    rule, those that can never fire included, and the count of those."""
+    report = check_assumptions(theory)
+    if report.assumption2 is None:
+        return report, 0
+    table = AtomTable(theory, ())
+    heads = [i for c in theory.clauses for (i,) in table.ground((c.head,))]
+    rules, acyclic = _ground_rules(table, heads)
+    choices = [[1 << table.intern(a) for a, _ in d.alternatives] for d in theory.declarations]
+    derivable = reduce(or_, [1 << head for head, _ in rules], reduce(or_, chain(*choices), 0))
+    never = sum(1 for _, body in rules if body & ~derivable)
+    for world in product(*choices):
+        mask = _closure(rules, acyclic, reduce(or_, world, 0))
+        first = {}
+        for head, body in rules:
+            if not body & ~mask and first.setdefault(head, body) != body:
+                pair = [Clause(table.atoms[head], tuple(
+                    a for i, a in enumerate(table.atoms) if b >> i & 1))
+                    for b in (first[head], body)]
+                example = " and ".join(map(format_clause, pair)) + " both hold"
+                return AssumptionReport(True, False, report.joint_states, example), never
+    return AssumptionReport(True, True, report.joint_states), never
+
+
+def test_rules_that_never_fire_leave_every_assumption_report_unchanged(model):
+    theories = [stage(model, T) for stage in (compile_direct, compile_disjoint)]
+    theories += [parse_theory((DATA / "theory_stage1.pha").read_text(), STAGE_DIRECT),
+                 parse_theory((DATA / "theory_stage2.pha").read_text(), STAGE_DISJOINT)]
+    for seed in range(60):
+        rand, t = random_model(seed)
+        theories += [compile_direct(rand, t), compile_disjoint(rand, t)]
+    never = 0
+    for theory in theories:
+        expected, dropped = _check_over_every_rule(theory)
+        assert check_assumptions(theory) == expected
+        never += dropped
+    assert never > 0  # the typed models ground heads that can never hold
+
+
 def test_head_unifying_with_hypothesis_breaks_assumption_one():
     theory = PhaTheory(
         clauses=(Clause(Atom("a", ()), (Atom("b", ()),)),),
@@ -352,3 +403,15 @@ def test_parse_theory_names_each_malformed_line(line, message):
     with pytest.raises(TheoryError) as err:
         parse_theory("disjoint([a:0.5,b:0.5]).\n" + line + "\n")
     assert (err.value.line, str(err.value)) == (2, f"line 2: {message}")
+
+
+def test_parse_theory_reads_a_negative_probability_as_a_number():
+    # `:-` right before a digit is the `:` of an alternative and a sign
+    with pytest.raises(TheoryError) as err:
+        parse_theory("disjoint([c:0.5,d:-0.5]).")
+    assert (err.value.line, str(err.value)) == (
+        1, "line 1: alternative probability -0.5 outside [0, 1]")
+    g, c, d = (Atom(n, ()) for n in "gcd")
+    for line, body in (("g :- c.", (c,)), ("g:-c.", (c,)), ("g :-c, d.", (c, d))):
+        theory = parse_theory("disjoint([c:0.5,d:0.5]).\n" + line + "\n")
+        assert theory.clauses == (Clause(g, body),)
