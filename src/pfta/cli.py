@@ -21,7 +21,6 @@ from .measures import (
     basic_event_posteriors,
     curve_times,
     minimal_cut_sets,
-    system_unreliability,
     top_event,
     unreliability_curve,
 )
@@ -206,16 +205,15 @@ def _cmd_mcs(args) -> int:
 
 
 def _cmd_unrel(args) -> int:
-    model = _load_model(args.model)
-    bounds = system_unreliability(model, args.time, _stop(args))
-    row = [[_fmt(args.time, 17), _fmt(bounds.lower, args.digits), _fmt(bounds.upper, args.digits)]]
-    _emit(_render(args, ["time_hours", "lower", "upper"], row), args.output)
-    return 0
+    return _emit_unreliability(args, _load_model(args.model), [args.time])
 
 
 def _cmd_curve(args) -> int:
     model = _load_model(args.model)
-    times = curve_times(args.t_from, args.t_to, args.step)
+    return _emit_unreliability(args, model, curve_times(args.t_from, args.t_to, args.step))
+
+
+def _emit_unreliability(args, model: PftModel, times: list[float]) -> int:
     points = unreliability_curve(model, times, _stop(args))
     rows = [[_fmt(pt.time, 17), _fmt(pt.bounds.lower, args.digits), _fmt(pt.bounds.upper, args.digits)]
             for pt in points]

@@ -2,8 +2,8 @@
 and the check of the assumptions of the probability rule.
 
 Every procedure below reads one grounder, `AtomTable`: it interns the
-ground atoms it meets as integers and grounds each atom once, the first
-time it is expanded, so none unifies more than once per atom.
+ground atoms it meets as integers, grounds each on its first `expand`
+(so no atom is unified twice) and walks what goals reach with `postorder`.
 
 `AtomTable` also numbers every declaration alternative once, in
 declaration order, so the alternatives of one declaration hold adjacent
@@ -219,6 +219,10 @@ class AtomTable:
         return rules
 
     def expand(self, goal: int) -> tuple:
+        """The (clause bodies, bit) entry of atom `goal`, grounded on first use."""
+        entry = self.expansions.get(goal)
+        if entry is not None:
+            return entry
         atom = self.atoms[goal]
         bodies: list[tuple[int, ...]] = []
         # the goal is ground, so a clause needs no renaming apart, and
@@ -242,6 +246,10 @@ class AtomTable:
             )
         entry = self.expansions[goal] = (tuple(bodies), bit)
         return entry
+
+    def postorder(self, roots: Iterable[int]) -> Iterator[int]:
+        """`graph.postorder` of the atoms `roots` reach through clause bodies."""
+        return postorder(roots, lambda a: [b for body in self.expand(a)[0] for b in body])
 
 
 @dataclass(frozen=True)
@@ -407,7 +415,7 @@ class ExplanationSearch(Iterator[Explanation]):
                     try:
                         bodies, flag, others, p = steps[goal]
                     except KeyError:
-                        bodies, bit = table.expansions.get(goal) or table.expand(goal)
+                        bodies, bit = table.expand(goal)
                         if bit is None:
                             flag, others, p = 0, 0, 0.0
                         else:
@@ -567,14 +575,9 @@ class ExactEvaluator:
         self._support: dict[int, int] = {}
         # hypothesis atoms -> (bit, mask of the declaration)
         self._leaves: dict[int, tuple[int, int]] = {}
-
-        def children(a: int) -> Iterator[int]:
-            bodies = (table.expansions.get(a) or table.expand(a))[0]
-            return (b for body in bodies for b in body)
-
         try:
-            for a in postorder(roots, children):
-                bodies, bit = table.expansions[a]
+            for a in table.postorder(roots):
+                bodies, bit = table.expand(a)
                 self._bodies[a] = tuple((body, self._shared(body)) for body in bodies)
                 mask = 0
                 for body in bodies:
@@ -777,21 +780,16 @@ def _ground_rules(table: AtomTable, roots: Iterable[int]) -> tuple[list[tuple[in
     whether those atoms are acyclic: then the rules come inputs first, so
     one pass closes a set of atoms, else in the order their heads are reached.
     """
-
-    def children(a: int) -> list[int]:
-        bodies = (table.expansions.get(a) or table.expand(a))[0]
-        return [b for body in bodies for b in body]
-
     try:
-        atoms, acyclic = list(postorder(roots, children)), True
+        atoms, acyclic = list(table.postorder(roots)), True
     except CycleError:
         # the table holds the atoms the roots reach, in the order reached,
         # and expanding each interns the atoms it reaches behind it
         for a, _ in enumerate(table.atoms):
-            children(a)
+            table.expand(a)
         atoms, acyclic = range(len(table.atoms)), False
     rules = [(a, reduce(or_, [1 << b for b in body], 0))
-             for a in atoms for body in table.expansions[a][0]]
+             for a in atoms for body in table.expand(a)[0]]
     return rules, acyclic
 
 

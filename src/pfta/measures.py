@@ -4,14 +4,15 @@ Qualitative results (minimal cut sets) come from the direct translation;
 quantitative ones (unreliability, posteriors, curves) from the
 status-complete translation, whose same-head clause bodies are mutually
 exclusive.  Every exact measure is one forward pass over a decomposition
-of that theory recorded once (`ExactEvaluator`), without enumerating
+of that theory recorded once, by `top_event` alone, without enumerating
 explanations: P(top) directly, the posterior of failed events E1..Ek as
 P(E1..Ek) * P(top | E1..Ek failed) / P(top) from the same recording, and
 the posterior of a minimal cut set, which entails the top event, as its
-prior over P(top).  The theory's clauses do not depend on the mission
-time, so an exhaustive curve records them once and replays the recording
-with the compiler's declarations at each time.  Bounded
-unreliability and curves search with their stop criteria instead.
+prior over P(top).  Unreliability at one time is the one-point curve.
+The theory's clauses do not depend on the mission time, so an exhaustive
+curve records them once and replays the recording with the compiler's
+declarations at each time.  Bounded curves search with their stop
+criteria instead, and a point at time 0 is 0 without any theory.
 """
 
 from __future__ import annotations
@@ -194,32 +195,34 @@ def system_unreliability(
     model: PftModel, t: float, stop: StopCriteria = EXHAUSTIVE
 ) -> ProbabilityBounds:
     """Bounds on the probability that the top event occurs by time t."""
-    if t == 0:
-        return ProbabilityBounds(0.0, 0.0)
-    _require_positive_time(t)
-    return probability(compile_disjoint(model, t), top_atom(model), stop)
+    return unreliability_curve(model, [t], stop)[0].bounds
 
 
 def unreliability_curve(
     model: PftModel, times: Sequence[float], stop: StopCriteria = EXHAUSTIVE
 ) -> list[UnreliabilityPoint]:
-    """Unreliability at each requested mission time.
+    """Unreliability at each requested mission time, [0, 0] at time 0.
 
-    An exhaustive curve records the stage-2 evaluation once and replays it
-    with each time's declarations; a bounded one searches once per time,
-    so that the stop criteria hold at every point.
+    Exhaustive points read one `top_event` at the latest time; earlier ones
+    replay its recording with their own declarations.  Bounded points search
+    their time's theory, so that the stop criteria hold at every point.
     """
+    for t in filter(None, times):
+        _require_positive_time(t)
+    latest = max(times, default=0.0)
+    top = top_event(model, latest) if stop.exhaustive and latest else None
+    points = []
     for t in times:
-        if t != 0:
-            _require_positive_time(t)
-    if not stop.exhaustive:
-        return [UnreliabilityPoint(t, system_unreliability(model, t, stop)) for t in times]
-    if not times:
-        return []
-    evaluator = ExactEvaluator(compile_disjoint(model, max(times)), top_atom(model))
-    values = [evaluator.probability(declarations=declarations(model, t)) if t else 0.0
-              for t in times]
-    return [UnreliabilityPoint(t, ProbabilityBounds(v, v)) for t, v in zip(times, values)]
+        if not t:
+            bounds = ProbabilityBounds(0.0, 0.0)
+        elif top is None:
+            bounds = probability(compile_disjoint(model, t), top_atom(model), stop)
+        else:
+            p = (top.probability if t == latest
+                 else top.evaluator.probability(declarations=declarations(model, t)))
+            bounds = ProbabilityBounds(p, p)
+        points.append(UnreliabilityPoint(t, bounds))
+    return points
 
 
 def curve_times(t_from: float, t_to: float, step: float) -> list[float]:
@@ -234,8 +237,9 @@ def curve_times(t_from: float, t_to: float, step: float) -> list[float]:
     limit = t_to + 1e-9 * max(1.0, abs(t_to))
     steps = (limit - t_from) / step  # the grid has floor(steps) + 1 points
     if steps >= MAX_CURVE_POINTS:
+        size = math.floor(steps) + 1 if steps < 2**53 else f"{steps:.3g}"  # exact below 2**53
         raise AnalysisError(
-            f"curve grid of {steps + 1:.3g} points exceeds the limit of "
+            f"curve grid of {size} points exceeds the limit of "
             f"{MAX_CURVE_POINTS} points; use a larger step"
         )
     times = []

@@ -13,6 +13,7 @@ import pytest
 
 import pfta.cli
 import pfta.engine
+import pfta.measures
 from conftest import DATA
 from pfta.cli import main
 from randmodels import multiprocessor_text
@@ -230,11 +231,16 @@ def test_a_model_saved_with_a_byte_order_mark_validates(capsys, tmp_path):
 
 
 def test_an_oversized_curve_grid_exits_2_at_once(capsys):
-    start = time.perf_counter()
-    code, out, err = _run(capsys, "curve", MODEL, "--from", "0", "--to", "1", "--step", "1e-9")
-    assert time.perf_counter() - start < 5.0
-    assert (code, out) == (2, "")
-    assert "exceeds the limit of 1000000 points" in err
+    # the count is exact while a float holds it; past that the message
+    # still names the limit, even when the count overflows to inf
+    for t_to, step, size in (("1", "1e-9", "1000000002"), ("1000000", "1", "1000001"),
+                             ("1e308", "5e-324", "inf")):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "curve", MODEL, "--from", "0", "--to", t_to, "--step", step)
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (2, "")
+        assert "exceeds the limit of 1000000 points" in err
+        assert err.startswith(f"error: curve grid of {size} points ")
 
 
 WIDE_VOTE = ("type T = {" + ", ".join(str(i) for i in range(1, 41)) + "}\n"
@@ -263,6 +269,34 @@ def test_a_gate_over_the_cell_limit_exits_2_at_once(capsys, tmp_path, argv, tran
     assert (code, out) == (2, "")
     assert err == (f"error: gate TE needs 131282408400 clauses in the {translation} translation, "
                    "over the limit of 1000000 per gate\n")
+
+
+@pytest.mark.parametrize("stop", [(), ("--max-explanations", "3")], ids=["exhaustive", "bounded"])
+def test_a_time_zero_curve_compiles_nothing(capsys, tmp_path, monkeypatch, stop):
+    # the unreliability at time 0 is 0 without a theory, so the widest
+    # vote, whose translation is refused at any positive time, still has it
+    path = tmp_path / "wide.pft"
+    path.write_text(WIDE_VOTE)
+    zero = ("--from", "0", "--to", "0", "--step", "1", "--format", "csv")
+    zeros = (0, "time_hours,lower,upper\n0,0,0\n", "")
+    assert _run(capsys, "curve", str(path), *zero, *stop) == zeros
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a time-0 point compiled a theory")
+    monkeypatch.setattr(pfta.measures, "compile_disjoint", refused)
+    assert _run(capsys, "curve", str(path), *zero, *stop) == zeros
+    assert _run(capsys, "unrel", str(path), "--time", "0", "--format", "csv", *stop) == zeros
+
+
+@pytest.mark.parametrize("options", [
+    (), ("--epsilon", "1e-2"), ("--max-explanations", "3"), ("--digits", "17"),
+], ids=["exhaustive", "epsilon", "max-explanations", "digits"])
+@pytest.mark.parametrize("t", ["0", "2500", "10000", "1e6"])
+def test_unrel_prints_the_one_point_curve(capsys, options, t):
+    unrel = _run(capsys, "unrel", MODEL, "--time", t, "--format", "csv", *options)
+    curve = _run(capsys, "curve", MODEL, "--from", t, "--to", t, "--step", "1", *options)
+    assert unrel == curve
+    assert unrel[0] == 0 and len(_rows(unrel[1])) == 2
 
 
 def test_the_oracle_refuses_the_widest_votes_on_its_own_bound(capsys, tmp_path):
@@ -457,9 +491,10 @@ def test_bounded_outputs_on_wide_models_are_pinned(capsys, tmp_path):
     (("posterior",), 0),
     (("posterior", "--basic", "D(1,2)"), 0),
     (("curve", "--from", "0", "--to", "20000", "--step", "2000"), 0),
+    (("unrel",), 0),
     (("oracle",), 1),
 ], ids=["mcs-posterior", "mcs-posterior-bounded", "posterior", "posterior-basic", "curve",
-        "oracle"])
+        "unrel", "oracle"])
 def test_each_analysis_runs_one_search_per_theory(capsys, monkeypatch, argv, searches):
     # exact measures search nothing: one evaluator grounds the stage-2
     # theory once, for every time and every conditioned query

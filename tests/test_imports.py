@@ -91,3 +91,54 @@ def test_only_the_model_checks_a_model():
         imported = _names_imported_from((SRC / f"{name}.py").read_text(), "model")
         assert {n for n in imported if "valid" in n or "violation" in n} == set(), name
     assert {"validate", "require_valid"} & set(pfta.__all__) == set()
+
+
+def _definitions_holding(text: str, matches) -> set[str]:
+    """Names of the top-level definitions of a source with a node that `matches`."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in ast.parse(text).body
+        for node in ast.walk(top)
+        if matches(node)
+    }
+
+
+def _calls(name: str):
+    return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
+
+
+def _reads(attr: str):
+    return lambda node: isinstance(node, ast.Attribute) and node.attr == attr
+
+
+def test_the_definition_scan_sees_nested_and_module_level_uses():
+    text = ("class A:\n    def f(self):\n        return g(self.x)\n"
+            "def h():\n    def inner():\n        return g()\n    return inner\n"
+            "y = g(z.x)\n")
+    assert _definitions_holding(text, _calls("g")) == {"A", "h", "<module>"}
+    assert _definitions_holding(text, _reads("x")) == {"A", "<module>"}
+
+
+def test_only_top_event_records_an_exact_evaluation():
+    # unreliability, curves, posteriors and the oracle report all read one recording
+    text = (SRC / "measures.py").read_text()
+    assert _definitions_holding(text, _calls("ExactEvaluator")) == {"top_event"}
+
+
+def test_unreliability_has_one_routine():
+    # `system_unreliability` is the one-point curve, and only the curve searches
+    text = (SRC / "measures.py").read_text()
+    assert _definitions_holding(text, _calls("unreliability_curve")) == {"system_unreliability"}
+    assert _definitions_holding(text, _calls("probability")) == {"unreliability_curve"}
+
+
+def test_the_cli_reaches_unreliability_through_the_curve_alone():
+    assert "system_unreliability" not in _names_imported_from(
+        (SRC / "cli.py").read_text(), "measures")
+
+
+def test_only_the_atom_table_reads_its_stored_expansions():
+    # every other procedure grounds an atom through `AtomTable.expand`
+    text = (SRC / "engine.py").read_text()
+    assert _definitions_holding(text, _reads("expansions")) == {"AtomTable"}

@@ -233,7 +233,7 @@ def test_curve_matches_per_point_unreliability(source, model):
     for point in curve[1:]:
         single = system_unreliability(model, point.time)
         assert point.bounds.lower == point.bounds.upper
-        assert point.bounds.lower == pytest.approx(single.lower, abs=1e-12)
+        assert point.bounds == single
         tree = unfold(model, point.time)
         assert point.bounds.lower == pytest.approx(
             exact_probability(tree, {tree.top: True}), abs=1e-12)
