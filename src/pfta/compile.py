@@ -17,7 +17,8 @@ Both read every gate as one rule: it fails when at least m of its n
 inputs fail, with m = n for AND, 1 for OR and n-k+1 for `vote(k:n)`.
 Both walk the gates through `_gates`: an output's parameters stay clause
 variables, and every gate kind expands the input it quantifies into replicas.
-A gate over `MAX_GATE_CELLS` clauses is refused before any clause is built.
+A gate over `MAX_GATE_CELLS` clauses or `MAX_GATE_ATOMS` body atoms is
+refused before any clause is built.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ from .pha import (
 
 # the most clauses a translation emits for one gate, the engine budgets' figure
 MAX_GATE_CELLS = 10**6
+# the most body atoms those clauses hold together: a wide OR's stage-2 cells
+# hold quadratically many in few clauses
+MAX_GATE_ATOMS = 10**7
 
 
 def predicate_name(class_name: str) -> str:
@@ -97,13 +101,26 @@ def _direct_atom(model: PftModel, event: str, args: tuple) -> Atom:
     return Atom(predicate_name(event), args)
 
 
-def _cell_count(event: EventNode, gate: Gate, n: int, stage: str) -> int:
-    """How many clauses a translation emits for a gate over n inputs."""
+def _gate_size(event: EventNode, gate: Gate, n: int, stage: str) -> tuple[int, int]:
+    """How many clauses and body atoms a translation emits for a gate over n inputs.
+
+    Stage 1 has a clause of m atoms per m-subset.  In stage 2 the cells
+    led by the k-subsets hold k * C(n+1, k+1) atoms, since a cell whose
+    lead ends at position p (from 1) holds p; an OR's one working cell
+    holds n.
+    """
     m = _needed(gate, n)
     cells = comb(n, m)
-    if stage == STAGE_DISJOINT and event.kind != KIND_TOP:
-        cells += 1 if gate.kind == "or" else comb(n, n - m + 1)
-    return cells
+    if stage == STAGE_DIRECT:
+        return cells, cells * m
+    atoms = m * comb(n + 1, m + 1)
+    if event.kind != KIND_TOP:
+        if gate.kind == "or":
+            cells, atoms = cells + 1, atoms + n
+        else:
+            w = n - m + 1
+            cells, atoms = cells + comb(n, w), atoms + w * comb(n + 1, w + 1)
+    return cells, atoms
 
 
 def _gates(model: PftModel, stage: str) -> list[tuple]:
@@ -111,8 +128,8 @@ def _gates(model: PftModel, stage: str) -> list[tuple]:
     the output's parameters as clause variables, and the (class name,
     arguments) of every instance `instantiate` gives of each input.
 
-    Every gate's clauses are counted first, so a gate over
-    `MAX_GATE_CELLS` is refused before any clause is built.
+    Every gate's clauses and body atoms are counted first, so a gate over
+    `MAX_GATE_CELLS` or `MAX_GATE_ATOMS` is refused before any clause is built.
     """
     gates = []
     for ev in model.events:
@@ -124,12 +141,14 @@ def _gates(model: PftModel, stage: str) -> list[tuple]:
         inputs = [
             (ref.event, args) for ref in gate.inputs for args in instantiate(model, ref, outer)
         ]
-        cells = _cell_count(ev, gate, len(inputs), stage)
-        if cells > MAX_GATE_CELLS:
-            raise TheoryError(
-                f"gate {ev.class_name} needs {cells} clauses in the {stage} translation, "
-                f"over the limit of {MAX_GATE_CELLS} per gate"
-            )
+        cells, atoms = _gate_size(ev, gate, len(inputs), stage)
+        for size, unit, limit in ((cells, "clauses", MAX_GATE_CELLS),
+                                  (atoms, "body atoms", MAX_GATE_ATOMS)):
+            if size > limit:
+                raise TheoryError(
+                    f"gate {ev.class_name} needs {size} {unit} in the {stage} translation, "
+                    f"over the limit of {limit} per gate"
+                )
         gates.append((ev, gate, head_terms, inputs))
     return gates
 
@@ -139,7 +158,7 @@ def compile_direct(model: PftModel, t: float) -> PhaTheory:
 
     A gate needing m failures gets one clause per m-subset of its inputs,
     in `itertools.combinations` order.  Raises `TheoryError` for a gate
-    over `MAX_GATE_CELLS` clauses.
+    over `MAX_GATE_CELLS` clauses or `MAX_GATE_ATOMS` body atoms.
     """
     clauses: list[Clause] = []
     for ev, gate, head_terms, inputs in _gates(model, STAGE_DIRECT):
@@ -194,7 +213,7 @@ def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
     Together the cells partition the joint status space of the inputs;
     the failure cells alone cover exactly the failing region.  The top
     event keeps only its failure cells.  Raises `TheoryError` for a gate
-    over `MAX_GATE_CELLS` clauses.
+    over `MAX_GATE_CELLS` clauses or `MAX_GATE_ATOMS` body atoms.
     """
     clauses: list[Clause] = []
     for ev, gate, head_terms, inputs in _gates(model, STAGE_DISJOINT):

@@ -278,19 +278,20 @@ class ExplanationSearch(Iterator[Explanation]):
     """Iterator over explanations of `goals`, most probable first.
 
     The search itself is one generator, `_emissions`, of the (assumed
-    mask, probability) pair of each explanation; only `__next__` turns a
-    mask into `Atom`s, so bounded `probability` drains the generator and
-    builds none.  The frontier is kept as priority levels: a dict from
-    priority to a deque of (goal ids, assumed mask) in push order, and a
-    heap of the distinct priorities, entries (-priority, creation index,
-    deque), so the heap never compares deques.  A state pops from the
-    front of the highest level and its children join the back of theirs,
-    so states leave in nonincreasing priority, first pushed first within a
-    priority: the order of one heap of states tie-broken by push order.  A
-    level leaves the heap once it is found empty at the top.  `bounds`
-    adds the `math.fsum` of every frontier state's priority to the emitted
-    mass, a sum that does not depend on the frontier's layout.  `stats`
-    counts the work done so far.
+    mask, probability) pair of each explanation; only `_explanation`
+    turns a mask's bits into `Atom`s, for `__next__` and for the sets
+    `minimal_explanations` keeps, so bounded `probability` drains the
+    generator and builds none.  The frontier is kept as priority levels:
+    a dict from priority to a deque of (goal ids, assumed mask) in push
+    order, and a heap of the distinct priorities, entries (-priority,
+    creation index, deque), so the heap never compares deques.  A state
+    pops from the front of the highest level and its children join the
+    back of theirs, so states leave in nonincreasing priority, first
+    pushed first within a priority: the order of one heap of states
+    tie-broken by push order.  A level leaves the heap once it is found
+    empty at the top.  `bounds` adds the `math.fsum` of every frontier
+    state's priority to the emitted mass, a sum that does not depend on
+    the frontier's layout.  `stats` counts the work done so far.
     """
 
     def __init__(
@@ -355,13 +356,11 @@ class ExplanationSearch(Iterator[Explanation]):
 
     def __next__(self) -> Explanation:
         assumed, prob = next(self._emissions)
-        alternatives = self._table.alternatives
-        hypotheses = []
-        while assumed:
-            low = assumed & -assumed
-            hypotheses.append(alternatives[low.bit_length() - 1])
-            assumed ^= low
-        return Explanation(frozenset(hypotheses), prob)
+        return self._explanation(_bits(assumed), prob)
+
+    def _explanation(self, bits: list[int], prob: float) -> Explanation:
+        """The `Explanation` that assumes the alternatives at `bits`."""
+        return Explanation(frozenset(map(self._table.alternatives.__getitem__, bits)), prob)
 
     def _search(self) -> Iterator[tuple[int, float]]:
         """The (assumed mask, probability) of each explanation, best first,
@@ -490,32 +489,49 @@ def minimal_explanations(
 ) -> list[Explanation]:
     """Explanations no subset of which explains the goals, best first.
 
-    Kept explanation i holds bit i of `holding[h]` for each of its
-    hypotheses h, and of `alive` until a subset evicts it.  A new
-    explanation is dropped when an alive one assumes nothing outside it;
-    otherwise it evicts the alive ones that assume all of it.  A strict
-    superset is never more probable than its subset, so one kept earlier
-    can only have tied with it.
+    The filter reads the search's (assumed mask, probability) emissions
+    and builds an `Explanation` only for the ones it returns.  Kept
+    emission i holds bit i of `holding[b]` for each alternative bit b it
+    assumes, and of `alive` until a subset evicts it; `held` is the mask
+    of the alternatives some kept one assumes.  A new emission is dropped
+    when an alive one assumes nothing outside it; otherwise it evicts the
+    alive ones that assume all of it.  A strict superset is never more
+    probable than its subset, so one kept earlier can only have tied with
+    it.  An emission that assumes nothing held is neither dropped nor
+    evicts, and one that assumes a bit nobody holds evicts nothing.
     """
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
-    kept: list[Explanation] = []
-    holding: dict[Atom, int] = {}
-    alive = 0
-    for expl in search:
-        hyps = expl.hypotheses
-        outside = reduce(or_, [m for h, m in holding.items() if h not in hyps], 0)
-        if alive & ~outside:
-            continue
-        alive &= ~reduce(and_, [holding.get(h, 0) for h in hyps], alive)
-        bit = 1 << len(kept)
-        for h in hyps:
-            holding[h] = holding.get(h, 0) | bit
-        alive |= bit
-        kept.append(expl)
-        if not hyps:
+    kept: list[tuple[list[int], float]] = []  # (alternative bits, probability)
+    holding: dict[int, int] = {}
+    alive = held = 0
+    for assumed, prob in search._emissions:
+        if assumed & held:
+            outside = reduce(or_, [m for b, m in holding.items() if not assumed >> b & 1], 0)
+            if alive & ~outside:
+                continue
+        bits = _bits(assumed)
+        if not assumed & ~held:
+            alive &= ~reduce(and_, [holding[b] for b in bits], alive)
+        flag = 1 << len(kept)
+        for b in bits:
+            holding[b] = holding.get(b, 0) | flag
+        held |= assumed
+        alive |= flag
+        kept.append((bits, prob))
+        if not assumed:
             break  # the goals hold outright: every later explanation is a superset
     # the bits of `alive`, lowest first
-    return [e for e, flag in zip(kept, bin(alive)[:1:-1]) if flag == "1"]
+    return [search._explanation(*e) for e, flag in zip(kept, bin(alive)[:1:-1]) if flag == "1"]
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the bits set in `mask`, lowest first."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 def _require_exact(theory: PhaTheory, goals: tuple[Atom, ...]) -> None:

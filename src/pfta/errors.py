@@ -33,7 +33,8 @@ class ModelInvalidError(PftaError):
 
 class TheoryError(PftaError):
     """Malformed theory (bad declaration, dangling predicate, or bad text),
-    or one too large to build: a gate over the translation's clause limit."""
+    or one too large to build: a gate over the translation's clause or
+    body-atom limit."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

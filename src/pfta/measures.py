@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .compile import compile_direct, compile_disjoint, declarations, predicate_name
@@ -47,18 +47,24 @@ MAX_CURVE_POINTS = 10**6  # largest grid `curve_times` builds
 
 @dataclass(frozen=True)
 class CutSet:
-    """A minimal failure set with its prior and optional posterior weight."""
+    """A minimal failure set with its prior and optional posterior weight.
+
+    `labels` renders the events in sorted order; when it is not given, it
+    is rendered from `events`.
+    """
 
     events: frozenset[GroundEvent]
     prior: float
     posterior: float | None = None
+    labels: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.labels is None:
+            labels = tuple(format_instance(k) for k in sorted(self.events))
+            object.__setattr__(self, "labels", labels)
 
     def rendered(self) -> tuple[str, ...]:
-        return self._rendered
-
-    @cached_property
-    def _rendered(self) -> tuple[str, ...]:
-        return tuple(format_instance(k) for k in sorted(self.events))
+        return self.labels
 
 
 @dataclass(frozen=True)
@@ -119,16 +125,26 @@ def _require_positive_time(t: float) -> None:
 def minimal_cut_sets(
     model: PftModel, t: float, stop: StopCriteria = EXHAUSTIVE
 ) -> list[CutSet]:
-    """Minimal cut sets ranked by prior probability, ties lexicographic."""
+    """Minimal cut sets ranked by prior probability, ties lexicographic.
+
+    Each hypothesis the cut sets assume is mapped once to its rank among
+    their ground events in sorted order, the event and its text; a cut
+    set's events and labels come from those rows, in rank order.
+    """
     _require_positive_time(t)
     theory = compile_direct(model, t)
     expls = minimal_explanations(theory, top_atom(model), stop)
     names = _class_names(model)
-    cut_sets = [
-        CutSet(frozenset((names[a.pred], a.args[:-1]) for a in e.hypotheses), e.prob)
-        for e in expls
-    ]
-    cut_sets.sort(key=lambda c: (-c.prior, c.rendered()))
+    events = {a: (names[a.pred], a.args[:-1])
+              for a in set().union(*(e.hypotheses for e in expls))}
+    rows = {a: (rank, key, format_instance(key))
+            for rank, (a, key) in enumerate(sorted(events.items(), key=itemgetter(1)))}
+    cut_sets = []
+    for e in expls:
+        members = sorted(map(rows.__getitem__, e.hypotheses))
+        cut_sets.append(CutSet(frozenset([key for _, key, _ in members]), e.prob,
+                               labels=tuple([text for _, _, text in members])))
+    cut_sets.sort(key=lambda c: (-c.prior, c.labels))
     return cut_sets
 
 
@@ -277,4 +293,4 @@ def attach_posteriors(
     if not cut_sets:
         return []
     top = top_event(model, t).probability
-    return [CutSet(c.events, c.prior, _posterior(c.prior, top)) for c in cut_sets]
+    return [CutSet(c.events, c.prior, _posterior(c.prior, top), c.labels) for c in cut_sets]

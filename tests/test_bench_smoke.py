@@ -6,7 +6,10 @@ it pops, so a rename there breaks the traced run; a name it asks for that
 is gone (`rename_clause`) is reported as not traced.  The search counters
 it reports are deterministic for a seed.  The search's heap holds its
 priority levels, not its states, so its `engine.states_*` counters count
-levels; `ExplanationSearch.stats` counts states.
+levels; `ExplanationSearch.stats` counts states.  The tracer's
+`engine.explanations` counts `ExplanationSearch.__next__` calls, which no
+analysis makes: cut sets filter the search's masks, and the cut-set counts
+it once read are pinned in `tests/test_measures.py`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ def test_traced_tiny_exhaustive_scale_run_checks_and_counts():
     # exhaustive unrel evaluates without a search: only mcs searches; the
     # counter counts levels popped (693 states, test_engine pins those)
     assert metrics["engine.states_popped"]["value"] == 74
-    assert metrics["engine.explanations"]["value"] == 150
+    assert metrics["engine.explanations"]["value"] == 0
 
 
 def test_traced_reference_run_checks_and_counts():
@@ -45,5 +48,5 @@ def test_traced_reference_run_checks_and_counts():
     metrics = _traced_tiny_metrics("reference")
     # levels popped (452 states)
     assert metrics["engine.states_popped"]["value"] == 65
-    assert metrics["engine.explanations"]["value"] == 89
+    assert metrics["engine.explanations"]["value"] == 0
     assert metrics["compile.compile_disjoint.calls"]["value"] == 7

@@ -271,6 +271,27 @@ def test_a_gate_over_the_cell_limit_exits_2_at_once(capsys, tmp_path, argv, tran
                    "over the limit of 1000000 per gate\n")
 
 
+WIDE_OR = ("type T = {" + ", ".join(str(i) for i in range(1, 20001)) + "}\n"
+           "basic A(i:T) rate 1e-4\ntop TE = or forall(i:T) A(i)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("unrel", "--time", "1e3"),
+    ("unrel", "--time", "1e3", "--max-explanations", "3"),
+    ("compile", "--stage", "2", "--time", "1e3"),
+], ids=["unrel", "unrel-bounded", "compile-2"])
+def test_a_gate_over_the_atom_limit_exits_2_at_once(capsys, tmp_path, argv):
+    # 20,000 stage-2 failure cells, cell j reading j inputs: 200,010,000 body atoms
+    path = tmp_path / "wide_or.pft"
+    path.write_text(WIDE_OR)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: gate TE needs 200010000 body atoms in the disjoint translation, "
+                   "over the limit of 10000000 per gate\n")
+
+
 @pytest.mark.parametrize("stop", [(), ("--max-explanations", "3")], ids=["exhaustive", "bounded"])
 def test_a_time_zero_curve_compiles_nothing(capsys, tmp_path, monkeypatch, stop):
     # the unreliability at time 0 is 0 without a theory, so the widest

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from conftest import DATA
-from randmodels import multiprocessor, quantified_or
+from randmodels import chain, multiprocessor, quantified_or
 from pfta.compile import compile_direct, compile_disjoint
 from pfta.dsl import parse_model
 from pfta.errors import ModelInvalidError, TheoryError
@@ -279,3 +279,52 @@ def test_the_cell_limit_counts_each_gates_clauses_exactly(monkeypatch, text, pre
             monkeypatch.setattr("pfta.compile.MAX_GATE_CELLS", cells)
             heads = [c.head.pred for c in compile_theory(m, T).clauses]
             assert heads.count(pred) == cells
+
+
+def _top_gate_model(kind: str, n: int) -> str:
+    """The gate `kind` over n replicas A(1..n) as the top event, with failure cells only."""
+    values = ", ".join(str(i) for i in range(1, n + 1))
+    return f"type T = {{{values}}}\nbasic A(i:T) rate 1e-3\ntop TE = {kind} forall(i:T) A(i)\n"
+
+
+@pytest.mark.parametrize("kind, n, m", GATE_CASES, ids=[f"{c[0]}-{c[1]}" for c in GATE_CASES])
+def test_the_atom_limit_counts_each_gates_body_atoms_exactly(monkeypatch, kind, n, m):
+    for text, pred in ((_gate_model(kind, n), "g"), (_top_gate_model(kind, n), "te")):
+        model = parse_model(text)
+        for compile_theory in (compile_direct, compile_disjoint):
+            atoms = sum(len(c.body) for c in compile_theory(model, T).clauses
+                        if c.head.pred == pred)
+            # G comes before TE in model order, so its count is checked first
+            monkeypatch.setattr("pfta.compile.MAX_GATE_ATOMS", atoms - 1)
+            with pytest.raises(TheoryError, match=f"gate {pred.upper()} needs {atoms} body atoms"):
+                compile_theory(model, T)
+            monkeypatch.undo()
+
+
+def test_a_wide_or_over_the_atom_limit_is_refused_before_any_clause():
+    # or(20000) has 20,001 stage-2 clauses, but its failure cell j reads
+    # j inputs: 200,010,000 body atoms
+    values = ", ".join(str(i) for i in range(1, 20001))
+    m = parse_model(f"type T = {{{values}}}\nbasic A(i:T) rate 1e-4\n"
+                    "event E = or forall(i:T) A(i)\ntop TE = or(E)\n")
+    start = time.perf_counter()
+    with pytest.raises(TheoryError) as info:
+        compile_disjoint(m, T)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == ("gate E needs 200030000 body atoms in the disjoint translation, "
+                               "over the limit of 10000000 per gate")
+    assert len(compile_direct(m, T).clauses) == 20001
+
+
+BENCH_MODELS = [(3, 2, 2), (4, 2, 2), (5, 2, 3), (5, 3, 3), (6, 2, 4), (7, 2, 5), (7, 3, 5),
+                (8, 2, 6), (10, 2, 6), (11, 2, 7), (16, 2, 12), (17, 2, 13)]
+
+
+def test_the_atom_limit_refuses_none_of_the_shipped_and_bench_models():
+    models = [multiprocessor(*spec) for spec in BENCH_MODELS] + [chain(12), chain(128)]
+    # the other data file, two_input_vote.pft, is an invalid model on purpose
+    models.append(parse_model((DATA / "multiprocessor.pft").read_text()))
+    # the wide vote's gate G holds 6,760,390 stage-2 body atoms, the most of any here
+    models.append(parse_model(_gate_model("vote(10:20)", 20)))
+    for m in models:
+        assert compile_direct(m, T).clauses and compile_disjoint(m, T).clauses

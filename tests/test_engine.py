@@ -8,7 +8,7 @@ from itertools import count
 import pytest
 
 import pfta.engine as engine
-from pfta.compile import compile_direct, compile_disjoint, declarations
+from pfta.compile import compile_direct, compile_disjoint, declarations, predicate_name
 from pfta.dsl import parse_model
 from pfta.engine import (
     EXHAUSTIVE,
@@ -24,7 +24,7 @@ from pfta.engine import (
     probability,
 )
 from pfta.errors import EngineError
-from pfta.measures import top_atom
+from pfta.measures import CutSet, minimal_cut_sets, top_atom
 from pfta.oracle import exact_probability, unfold
 from pfta.pha import (
     Atom,
@@ -628,12 +628,10 @@ def test_evaluator_runs_on_a_chain_deeper_than_the_recursion_limit():
     assert evaluator.probability() == pytest.approx(1 - (1 - q) ** (depth + 1), rel=1e-9)
 
 
-def _brute_force_minimal(theory, goal):
-    kept = []
-    for expl in ExplanationSearch(theory, goal):
-        if not any(k.hypotheses <= expl.hypotheses for k in kept):
-            kept.append(expl)
-    return kept
+def _brute_force_minimal(theory, goal, stop=EXHAUSTIVE):
+    """The emitted explanations with no strict subset among them, in emission order."""
+    emitted = list(ExplanationSearch(theory, goal, stop))
+    return [e for e in emitted if not any(o.hypotheses < e.hypotheses for o in emitted)]
 
 
 # Supersets of minimal explanations: {A, B} of {A}, and {G, P(i)} of {G}.
@@ -659,22 +657,43 @@ def test_minimal_explanations_match_a_brute_force_filter():
     assert len(_brute_force_minimal(theory, TE)) < len(emitted)  # supersets were dropped
 
 
-@pytest.mark.parametrize("stop", [
+STOPS = [
     EXHAUSTIVE,
     StopCriteria(max_explanations=1),
     StopCriteria(max_explanations=5),
     StopCriteria(max_explanations=20),
     StopCriteria(epsilon=1e-3),
-], ids=["exhaustive", "max1", "max5", "max20", "epsilon"])
-def test_minimal_explanations_are_the_emitted_sets_with_no_strict_subset(model, stop):
+]
+STOP_IDS = ["exhaustive", "max1", "max5", "max20", "epsilon"]
+
+
+def _minimal_cases(model):
     cases = [(model, T), (multiprocessor(5, 2, 3), T), (parse_model(ABSORBED), T)]
-    cases += [random_model(seed) for seed in range(60)]
-    for case, t in cases:
+    return cases + [random_model(seed) for seed in range(60)]
+
+
+@pytest.mark.parametrize("stop", STOPS, ids=STOP_IDS)
+def test_minimal_explanations_are_the_emitted_sets_with_no_strict_subset(model, stop):
+    for case, t in _minimal_cases(model):
         theory, goal = compile_direct(case, t), top_atom(case)
-        emitted = list(ExplanationSearch(theory, goal, stop))
-        expected = [e for e in emitted
-                    if not any(o.hypotheses < e.hypotheses for o in emitted)]
-        assert minimal_explanations(theory, goal, stop) == expected
+        assert minimal_explanations(theory, goal, stop) == _brute_force_minimal(theory, goal, stop)
+
+
+@pytest.mark.parametrize("stop", STOPS, ids=STOP_IDS)
+def test_cut_sets_are_the_minimal_explanations_as_ground_events(model, stop):
+    # the reference maps each explanation's atoms to (class, values), renders
+    # the events afresh and ranks by prior, ties by the rendered events; in
+    # mp(10,2,9) events sort by value, D(2,1) before D(10,1), not by text
+    for case, t in _minimal_cases(model) + [(multiprocessor(10, 2, 9), T)]:
+        names = {predicate_name(e.class_name): e.class_name for e in case.events}
+        expected = [
+            CutSet(frozenset((names[a.pred], a.args[:-1]) for a in e.hypotheses), e.prob)
+            for e in _brute_force_minimal(compile_direct(case, t), top_atom(case), stop)
+        ]
+        expected.sort(key=lambda c: (-c.prior, c.rendered()))
+        got = minimal_cut_sets(case, t, stop)
+        assert [(c.events, c.prior, c.rendered()) for c in got] == \
+            [(c.events, c.prior, c.rendered()) for c in expected]
 
 
 def test_a_sum_node_adds_left_to_right():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from pfta.dsl import parse_model
-from pfta.engine import StopCriteria
+from pfta.engine import EXHAUSTIVE, ExplanationSearch, StopCriteria
 from pfta.errors import AnalysisError
 from pfta.measures import (
     MAX_CURVE_POINTS,
@@ -16,8 +18,9 @@ from pfta.measures import (
     top_event,
     unreliability_curve,
 )
+from pfta.model import format_instance
 from pfta.oracle import exact_probability, top_joint_probabilities, unfold
-from randmodels import random_model
+from randmodels import chain, multiprocessor, random_model
 
 T = 1e4
 
@@ -41,6 +44,41 @@ def test_tied_cut_sets_order_lexicographically(model):
     quads = [c.rendered() for c in minimal_cut_sets(model, T)[:3]]
     assert quads == sorted(quads)
     assert quads[0] == ("D(1,1)", "D(1,2)", "D(2,1)", "D(2,2)")
+
+
+@pytest.mark.parametrize("case, count", [
+    (multiprocessor(3, 2, 2), 28), (multiprocessor(4, 2, 2), 109), (chain(12), 13),
+], ids=["mp(3,2,2)", "mp(4,2,2)", "chain(12)"])
+def test_exhaustive_cut_set_counts(case, count):
+    assert len(minimal_cut_sets(case, T)) == count
+
+
+def test_bounded_cut_sets_of_the_reference_model():
+    assert len(minimal_cut_sets(multiprocessor(3, 2, 2), T, StopCriteria(max_explanations=5))) == 5
+
+
+@pytest.mark.parametrize("stop", [EXHAUSTIVE, StopCriteria(max_explanations=20)],
+                         ids=["exhaustive", "bounded"])
+def test_cut_sets_build_no_explanation_by_iterating_and_render_each_event_once(monkeypatch,
+                                                                              stop):
+    case = multiprocessor(5, 2, 3)
+    expected = [(c.events, c.prior, c.rendered())
+                for c in minimal_cut_sets(case, T, stop)]
+    rendered = Counter()
+
+    def counting(key):
+        rendered[key] += 1
+        return format_instance(key)
+
+    def refuse(self):
+        raise AssertionError("ExplanationSearch.__next__ was called")
+
+    monkeypatch.setattr("pfta.measures.format_instance", counting)
+    monkeypatch.setattr(ExplanationSearch, "__next__", refuse)
+    cut_sets = minimal_cut_sets(case, T, stop)
+    assert [(c.events, c.prior, c.rendered()) for c in cut_sets] == expected
+    assert set(rendered) == set().union(*(c.events for c in cut_sets))
+    assert set(rendered.values()) == {1}
 
 
 def test_cut_sets_respect_stopping_criteria(model):
