@@ -367,13 +367,13 @@ class ExplanationSearch(Iterator[Explanation]):
         until the stop criteria hold.
 
         A child never outranks its parent (no probability exceeds 1), so
-        the top level stays on top until an inner loop has drained it.  Each goal atom's step is kept
-        for the life of the search: its clause bodies and, for an
-        alternative, its flag, the mask of the other alternatives of its
-        declaration and its probability.  The emitted mass and count, the
-        frontier size and mass and the counters live in locals; they are
-        written back before each emission and on exit, for `stats`,
-        `bounds` and `_stopped`.
+        the top level stays on top until an inner loop has drained it.
+        Each goal atom's step is kept for the life of the search: its
+        clause bodies and, for an alternative, its flag, the mask of the
+        other alternatives of its declaration and its probability.  The
+        emitted mass and count, the frontier size and mass and the
+        counters live in locals; they are written back before each
+        emission and on exit, for `stats`, `bounds` and `_stopped`.
         """
         if self._stopped():
             return

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -191,7 +192,8 @@ def top_event(model: PftModel, t: float) -> TopEvent:
 def _labeled(
     model: PftModel, instances: Iterable[GroundEvent | str] | None
 ) -> list[tuple[str, GroundEvent]]:
-    """Row labels and keys: the given instances, or each class's first replica."""
+    """Row labels and keys: the given instances, or by default each class's
+    first replica, or every instance of a class with an asymmetric type."""
     if instances is not None:
         keys = [_as_instance(model, e) for e in instances]
         return [(format_instance(k), k) for k in keys]
@@ -199,11 +201,17 @@ def _labeled(
     for ev in model.events:
         if ev.kind != KIND_BASIC:
             continue
-        values = tuple(model.param_values(p)[0] for p in ev.formal_params)
-        label = ev.class_name
-        if ev.formal_params:
-            label += "(" + ",".join(ev.formal_params) + ")"
-        labeled.append((label, (ev.class_name, values)))
+        types = {model.param_map[p].type_name for p in ev.formal_params}
+        if types <= model.symmetric_types:
+            values = tuple(model.param_values(p)[0] for p in ev.formal_params)
+            label = ev.class_name
+            if ev.formal_params:
+                label += "(" + ",".join(ev.formal_params) + ")"
+            labeled.append((label, (ev.class_name, values)))
+        else:
+            keys = [(ev.class_name, values)
+                    for values in product(*map(model.param_values, ev.formal_params))]
+            labeled += [(format_instance(k), k) for k in keys]
     return labeled
 
 
@@ -273,9 +281,10 @@ def basic_event_posteriors(
 
     By default there is one row per class, computed on its first replica
     and labeled with the class and its formal parameter names, e.g.
-    `D(i,j)`; replicas of a class are interchangeable in replica-symmetric
-    models, which is what a per-class table presumes.  Given `instances`,
-    there is one row per ground instance instead, labeled e.g. `D(1,2)`.
+    `D(i,j)`: its replicas are interchangeable when every type of its
+    parameters is in `PftModel.symmetric_types`.  A class with any other
+    type has one row per ground instance instead, labeled e.g. `A(1)`, as
+    has every instance in `instances` when those are given.
     """
     labeled = _labeled(model, instances)
     top = top_event(model, t)

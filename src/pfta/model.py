@@ -143,6 +143,21 @@ class PftModel:
         return out
 
     @cached_property
+    def symmetric_types(self) -> frozenset[str]:
+        """Types whose values are interchangeable: no event reference names
+        one of their constants.  Every replicator ranges over a whole type
+        and rates are per class, so permuting such a type's values maps the
+        ground tree onto itself."""
+        named = {
+            self.param_map[formal].type_name
+            for g in self.gates
+            for ref in g.inputs
+            for arg, formal in zip(ref.args, self.event_map[ref.event].formal_params)
+            if isinstance(arg, int)
+        }
+        return frozenset(t.name for t in self.types) - named
+
+    @cached_property
     def top(self) -> EventNode:
         return next(e for e in self.events if e.kind == KIND_TOP)
 

@@ -5,15 +5,16 @@ parametric tree is unfolded to a ground DAG with one threshold node per
 gate instance: it fails when at least m of its n inputs fail (m = n for
 AND, 1 for OR, n-k+1 for `vote(k:n)`).  Every probability is obtained by
 summing complete basic-event assignments, so it is exact, slow, and an
-independent check on everything the engine computes.
+independent check on everything the engine computes.  Only the
+enumeration needs numpy, so only the functions that enumerate import it,
+in their bodies: `import pfta`, unfolding and evaluating a tree, and every
+command but `pfta oracle` run without loading it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import OracleError
 from .graph import postorder
@@ -24,6 +25,9 @@ from .model import (
     failure_probability,
     instantiate,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_EVENTS = 24
 _CHUNK_BITS = 16
@@ -111,6 +115,8 @@ def _check_size(tree: GroundFaultTree, max_events: int) -> int:
 
 def _node_columns(tree: GroundFaultTree, bits: np.ndarray) -> dict[Key, np.ndarray]:
     """Evaluate all nodes over a chunk of assignments (rows of `bits`)."""
+    import numpy as np
+
     cols: dict[Key, np.ndarray] = {}
     for j, (key, _) in enumerate(tree.basics):
         cols[key] = bits[:, j]
@@ -123,6 +129,8 @@ def _node_columns(tree: GroundFaultTree, bits: np.ndarray) -> dict[Key, np.ndarr
 
 
 def _chunk_bits(n: int, start: int, stop: int) -> np.ndarray:
+    import numpy as np
+
     idx = np.arange(start, stop, dtype=np.int64)
     return (idx[:, None] >> np.arange(n)) & 1 == 1
 
@@ -152,6 +160,8 @@ def exact_probability(
     Computed by enumerating all 2^N basic-event assignments and summing
     the weights of those satisfying `condition` (True = failed).
     """
+    import numpy as np
+
     probs = np.array([p for _, p in tree.basics])
     total = 0.0
     for _, bits, cols in _worlds(tree, max_events):
@@ -174,6 +184,8 @@ def top_joint_probabilities(
     the values agree bit for bit; a matrix product sums in blocks and was
     an order of magnitude less accurate on the shipped example.
     """
+    import numpy as np
+
     n = len(tree.basics)
     probs = np.array([p for _, p in tree.basics])
     top = 0.0
@@ -188,6 +200,8 @@ def top_joint_probabilities(
 
 def top_failure_vector(tree: GroundFaultTree, max_events: int = DEFAULT_MAX_EVENTS) -> np.ndarray:
     """Top event status for every assignment, indexed by failure bitmask."""
+    import numpy as np
+
     out = np.empty(1 << _check_size(tree, max_events), dtype=bool)
     for masks, _, cols in _worlds(tree, max_events):
         out[masks] = cols[tree.top]
@@ -206,6 +220,8 @@ def prime_implicants(
     too; at the 24-event bound the flags and the step's temporary take
     about 24 MB beside the failure vector.
     """
+    import numpy as np
+
     n = _check_size(tree, max_events)
     failed = top_failure_vector(tree, max_events)
     minimal = failed.copy()

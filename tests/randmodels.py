@@ -113,3 +113,25 @@ top TE = and(E, F)
 def quantified_or() -> PftModel:
     """Two OR gates over quantified inputs, one a replicated AND module."""
     return parse_model(QUANTIFIED_OR)
+
+
+# a gate names one replica of T on its own (the README's example)
+CONSTANT_OF_T = """\
+type T = {1, 2}
+basic A(i:T) rate 1e-4
+basic B rate 1e-6
+event E = and forall(i:T) A(i)
+top TE = or(A(1), B, E)
+"""
+
+# a reference names a constant of U but none of T
+CONSTANT_OF_U = """\
+type T = {1, 2}
+type U = {1, 2, 3}
+basic B rate 1e-6
+basic D(i:T, j:U) rate 1e-4
+event DM(i:T) = and forall(j:U) D(i,j)
+event X(i:T) = or(D(i,3), DM(i))
+event S = vote(1:2) forall(i:T) X(i)
+top TE = or(B, S)
+"""

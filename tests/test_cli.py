@@ -16,7 +16,7 @@ import pfta.engine
 import pfta.measures
 from conftest import DATA
 from pfta.cli import main
-from randmodels import multiprocessor_text
+from randmodels import CONSTANT_OF_T, multiprocessor_text
 
 MODEL = str(DATA / "multiprocessor.pft")
 BROKEN = str(DATA / "two_input_vote.pft")
@@ -169,6 +169,18 @@ def test_posterior_single_instance(capsys):
     assert code == 0
     assert rows[1][0] == "D(2,1)"
     assert float(rows[1][1]) == pytest.approx(0.8074582, abs=1e-5)
+
+
+def test_posterior_table_lists_each_instance_of_a_class_with_a_named_constant(capsys, tmp_path):
+    # `A(1)` is named on its own, so the replicas of `A` are not interchangeable
+    path = tmp_path / "asym.pft"
+    path.write_text(CONSTANT_OF_T)
+    code, out, _ = _run(capsys, "posterior", str(path), "--time", "1000")
+    assert code == 0
+    assert out == ("event  posterior\n"
+                   "A(1)   0.990586\n"
+                   "A(2)   0.0951626\n"
+                   "B      0.0104042\n")
 
 
 def test_oracle_cross_check_passes(capsys):

@@ -1,14 +1,21 @@
-"""Modules of the package share only public names, and its exports resolve."""
+"""Modules of the package share only public names, its exports resolve,
+and numpy is loaded only when the oracle enumerates."""
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import pfta
 
 SRC = Path(pfta.__file__).parent
+MODEL = str(Path(__file__).parent / "data" / "multiprocessor.pft")
 # `from .x import a, b` or `from .x import (\n a,\n b,\n)`
 _RELATIVE_IMPORT = re.compile(r"^from \.\w* import (\([^)]*\)|.*)$", re.MULTILINE)
 
@@ -142,3 +149,93 @@ def test_only_the_atom_table_reads_its_stored_expansions():
     # every other procedure grounds an atom through `AtomTable.expand`
     text = (SRC / "engine.py").read_text()
     assert _definitions_holding(text, _reads("expansions")) == {"AtomTable"}
+
+
+def _numpy_imports(text: str) -> list[tuple[str, int]]:
+    """(place, line) of each numpy import of a source.  The place is
+    `function` in a function body, `type-checking` in a module-level
+    `if TYPE_CHECKING:` block, and `module` anywhere else: what runs on import."""
+    found = []
+
+    def is_numpy(name: str | None) -> bool:
+        return name is not None and name.split(".")[0] == "numpy"
+
+    def imports_numpy(node: ast.AST) -> bool:
+        if isinstance(node, ast.Import):
+            return any(is_numpy(a.name) for a in node.names)
+        return isinstance(node, ast.ImportFrom) and not node.level and is_numpy(node.module)
+
+    def type_checking(test: ast.expr) -> bool:
+        return getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING"
+
+    def visit(nodes, place: str) -> None:
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(node.body, "function")
+            elif place == "module" and isinstance(node, ast.If) and type_checking(node.test):
+                visit(node.body, "type-checking")
+                visit(node.orelse, place)
+            else:
+                if imports_numpy(node):
+                    found.append((place, node.lineno))
+                visit(ast.iter_child_nodes(node), place)
+
+    visit(ast.parse(text).body, "module")
+    return found
+
+
+def test_the_numpy_scan_sees_every_place_of_an_import():
+    text = ("import numpy\n"
+            "from numpy import x\n"
+            "import os, numpy.linalg as la\n"
+            "import numpyish\n"
+            "from .numpy import y\n"
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n    import numpy as np\nelse:\n    import numpy\n"
+            "if x:\n    from numpy import z\n"
+            "class C:\n    import numpy\n    def f(self):\n        import numpy\n"
+            "def g():\n    def h():\n        from numpy.random import r\n"
+            "try:\n    import numpy\nexcept ImportError:\n    pass\n")
+    assert _numpy_imports(text) == [
+        ("module", 1), ("module", 2), ("module", 3), ("type-checking", 8), ("module", 10),
+        ("module", 12), ("module", 14), ("function", 16), ("function", 19), ("module", 21),
+    ]
+
+
+def test_only_the_oracles_functions_import_numpy():
+    # every command but `oracle`, and `import pfta`, run without loading it
+    places = {path.name: {place for place, _ in _numpy_imports(path.read_text())}
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, found in places.items() if "module" in found} == set()
+    assert {name for name, found in places.items() if found} == {"oracle.py"}
+
+
+def _numpy_loaded_after(*argv: str) -> tuple[int | None, bool]:
+    """Exit code of `pfta.cli.main(argv)`, None for none, and whether numpy
+    is loaded afterwards, in a fresh interpreter."""
+    script = ("import sys\n"
+              "import pfta, pfta.cli\n"
+              "code = pfta.cli.main(sys.argv[1:]) if sys.argv[1:] else None\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, loaded = done.stdout.splitlines()[-1].split()
+    return None if code == "None" else int(code), loaded == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("validate", MODEL),
+    ("compile", MODEL, "--stage", "2", "--time", "10000"),
+    ("mcs", MODEL, "--time", "10000", "--posterior"),
+    ("unrel", MODEL, "--time", "10000"),
+    ("curve", MODEL, "--from", "0", "--to", "10000", "--step", "5000"),
+    ("posterior", MODEL, "--time", "10000"),
+], ids=lambda argv: argv[0] if argv else "import")
+def test_no_command_but_the_oracle_loads_numpy(argv):
+    assert _numpy_loaded_after(*argv) == (0 if argv else None, False)
+
+
+def test_the_oracle_loads_numpy():
+    assert _numpy_loaded_after("oracle", MODEL, "--time", "10000") == (0, True)

@@ -20,7 +20,7 @@ from pfta.measures import (
 )
 from pfta.model import format_instance
 from pfta.oracle import exact_probability, top_joint_probabilities, unfold
-from randmodels import chain, multiprocessor, random_model
+from randmodels import CONSTANT_OF_U, chain, multiprocessor, random_model
 
 T = 1e4
 
@@ -174,6 +174,21 @@ def test_basic_event_posterior_accepts_text_labels(model):
 def test_basic_event_posteriors_label_one_replica_per_class(model):
     table = basic_event_posteriors(model, T)
     assert [label for label, _ in table] == ["B", "Mg", "M(i)", "P(i)", "D(i,j)"]
+
+
+def test_basic_event_posteriors_list_every_instance_of_an_asymmetric_class():
+    # `D(i,3)` names a constant of U, so `D` gets one row per instance and
+    # each row is its own exact posterior
+    model = parse_model(CONSTANT_OF_U)
+    table = basic_event_posteriors(model, 1e3)
+    assert [label for label, _ in table] == [
+        "B", "D(1,1)", "D(1,2)", "D(1,3)", "D(2,1)", "D(2,2)", "D(2,3)"]
+    tree = unfold(model, 1e3)
+    top, joints = top_joint_probabilities(tree)
+    expected = {format_instance(k): j / top for k, j in zip(tree.basic_keys, joints)}
+    for label, value in table:
+        assert value == pytest.approx(expected[label], abs=1e-12), label
+    assert table[1][1] != table[3][1]
 
 
 def test_replicas_share_their_posterior(model):

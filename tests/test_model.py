@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -22,7 +23,9 @@ from pfta.model import (
     instantiate,
 )
 from pfta.errors import ModelInvalidError
+from pfta.oracle import unfold
 from pfta.pha import Var
+from randmodels import CONSTANT_OF_T, CONSTANT_OF_U, random_model
 
 
 def test_failure_probability_matches_closed_form():
@@ -327,3 +330,48 @@ def test_parameter_table_records_the_declaring_replicator(model):
     assert model.param_map["i"] == Parameter("i", "T1")
     assert model.param_map["j"] == Parameter("j", "T2")
     assert model.declared_at == {"j": "D", "i": "S"}
+
+
+def _unfolds_alike_after_swapping(model: PftModel, t: float, type_name: str, a: int, b: int):
+    """Whether swapping values a and b of a type maps the unfolded tree onto itself."""
+    swap = {a: b, b: a}
+
+    def rename(key):
+        name, values = key
+        types = [model.param_map[p].type_name for p in model.event_map[name].formal_params]
+        return name, tuple(swap.get(v, v) if ty == type_name else v
+                           for v, ty in zip(values, types))
+
+    tree = unfold(model, t)
+    nodes = {key: (m, sorted(inputs)) for key, m, inputs in tree.nodes}
+    renamed = {rename(key): (m, sorted(map(rename, inputs))) for key, m, inputs in tree.nodes}
+    return (renamed == nodes and rename(tree.top) == tree.top
+            and {rename(key): p for key, p in tree.basics} == dict(tree.basics))
+
+
+def test_symmetric_types_match_a_swap_of_their_values_on_random_models():
+    checked = 0
+    for seed in range(60):
+        model, t = random_model(seed)
+        for name in model.symmetric_types:
+            for a, b in combinations(model.type_map[name].values, 2):
+                assert _unfolds_alike_after_swapping(model, t, name, a, b), (seed, name, a, b)
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("text, symmetric", [
+    (CONSTANT_OF_T, set()),
+    (CONSTANT_OF_U, {"T"}),
+], ids=["constant-of-T", "constant-of-U"])
+def test_a_type_with_a_named_constant_is_not_symmetric(text, symmetric):
+    model = parse_model(text)
+    assert model.symmetric_types == symmetric
+    for t in model.types:
+        swaps = [_unfolds_alike_after_swapping(model, 1e3, t.name, a, b)
+                 for a, b in combinations(t.values, 2)]
+        assert all(swaps) if t.name in symmetric else not all(swaps), t.name
+
+
+def test_every_type_of_the_reference_model_is_symmetric(model):
+    assert model.symmetric_types == {"T1", "T2"}
