@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import sys
+from typing import Callable, NamedTuple
 
 from .compile import compile_direct, compile_disjoint
 from .dsl import parse_model
@@ -52,40 +53,36 @@ def _digit_count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pfta",
-        description="Parametric fault tree analysis via probabilistic Horn abduction.",
+def _common_options(p: argparse.ArgumentParser, fmt_default: str = "table") -> None:
+    p.add_argument("model", help="model file in the fault tree language")
+    p.add_argument("-o", "--output", help="write results to this file instead of stdout")
+    p.add_argument(
+        "--format", choices=("table", "csv"), default=fmt_default,
+        help=f"output format (default: {fmt_default})",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument(
+        "--digits", type=_digit_count, default=6,
+        help="significant digits for displayed probabilities (default: 6)",
+    )
 
-    def common(p: argparse.ArgumentParser, fmt_default: str = "table") -> None:
-        p.add_argument("model", help="model file in the fault tree language")
-        p.add_argument("-o", "--output", help="write results to this file instead of stdout")
-        p.add_argument(
-            "--format", choices=("table", "csv"), default=fmt_default,
-            help=f"output format (default: {fmt_default})",
-        )
-        p.add_argument(
-            "--digits", type=_digit_count, default=6,
-            help="significant digits for displayed probabilities (default: 6)",
-        )
 
-    def stopping(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--max-explanations", type=int, default=None,
-            help="stop after this many explanations (default: run to exhaustion)",
-        )
-        p.add_argument(
-            "--epsilon", type=float, default=None,
-            help="stop once the probability bounds are this tight",
-        )
+def _stopping_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--max-explanations", type=int, default=None,
+        help="stop after this many explanations (default: run to exhaustion)",
+    )
+    p.add_argument(
+        "--epsilon", type=float, default=None,
+        help="stop once the probability bounds are this tight",
+    )
 
-    p = sub.add_parser("validate", help="parse a model and report violations")
+
+def _validate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("model")
 
-    p = sub.add_parser("compile", help="translate a model to a hypothesis theory")
-    common(p)
+
+def _compile_options(p: argparse.ArgumentParser) -> None:
+    _common_options(p)
     p.add_argument(
         "--stage", type=int, choices=(1, 2), required=True,
         help="1: one clause per disjunct; 2: status-complete disjoint bodies",
@@ -96,37 +93,40 @@ def _build_parser() -> argparse.ArgumentParser:
         help="decimal digits for declaration probabilities (default: shortest exact form)",
     )
 
-    p = sub.add_parser("mcs", help="minimal cut sets ranked by prior probability")
-    common(p)
-    stopping(p)
+
+def _mcs_options(p: argparse.ArgumentParser) -> None:
+    _common_options(p)
+    _stopping_options(p)
     p.add_argument("--time", type=_nonnegative, required=True)
     p.add_argument("--posterior", action="store_true", help="also compute P(cut set | top event)")
 
-    p = sub.add_parser("unrel", help="system unreliability P(top event) at one time")
-    common(p)
-    stopping(p)
+
+def _unrel_options(p: argparse.ArgumentParser) -> None:
+    _common_options(p)
+    _stopping_options(p)
     p.add_argument("--time", type=_nonnegative, required=True)
 
-    p = sub.add_parser("curve", help="unreliability over a range of mission times")
-    common(p, fmt_default="csv")
-    stopping(p)
+
+def _curve_options(p: argparse.ArgumentParser) -> None:
+    _common_options(p, fmt_default="csv")
+    _stopping_options(p)
     p.add_argument("--from", dest="t_from", type=_nonnegative, required=True)
     p.add_argument("--to", dest="t_to", type=_nonnegative, required=True)
     p.add_argument("--step", type=float, required=True)
 
-    p = sub.add_parser("posterior", help="basic event posteriors given the top event")
-    common(p)
+
+def _posterior_options(p: argparse.ArgumentParser) -> None:
+    _common_options(p)
     p.add_argument("--time", type=_nonnegative, required=True)
     p.add_argument(
         "--basic", default=None, metavar="EVENT",
         help="one ground instance such as 'D(1,2)' (default: per-class table)",
     )
 
-    p = sub.add_parser("oracle", help="cross-check the engine against exhaustive enumeration")
-    common(p)
-    p.add_argument("--time", type=_nonnegative, required=True)
 
-    return parser
+def _oracle_options(p: argparse.ArgumentParser) -> None:
+    _common_options(p)
+    p.add_argument("--time", type=_nonnegative, required=True)
 
 
 def _load_model(path: str) -> PftModel:
@@ -263,21 +263,60 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    help: str
+    add_options: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "compile": _cmd_compile,
-    "mcs": _cmd_mcs,
-    "unrel": _cmd_unrel,
-    "curve": _cmd_curve,
-    "posterior": _cmd_posterior,
-    "oracle": _cmd_oracle,
+    "validate": _Command(
+        "parse a model and report violations", _validate_options, _cmd_validate),
+    "compile": _Command(
+        "translate a model to a hypothesis theory", _compile_options, _cmd_compile),
+    "mcs": _Command(
+        "minimal cut sets ranked by prior probability", _mcs_options, _cmd_mcs),
+    "unrel": _Command(
+        "system unreliability P(top event) at one time", _unrel_options, _cmd_unrel),
+    "curve": _Command(
+        "unreliability over a range of mission times", _curve_options, _cmd_curve),
+    "posterior": _Command(
+        "basic event posteriors given the top event", _posterior_options, _cmd_posterior),
+    "oracle": _Command(
+        "cross-check the engine against exhaustive enumeration", _oracle_options, _cmd_oracle),
 }
 
 
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for `command` alone, or for every command when it is None.
+
+    Building one subparser costs a fifth of building all seven. With one
+    built, the metavar keeps the top-level usage line listing every
+    command; with all built it is left unset, so that argparse's
+    invalid-choice and missing-command errors still name `command`.
+    """
+    parser = argparse.ArgumentParser(
+        prog="pfta",
+        description="Parametric fault tree analysis via probabilistic Horn abduction.",
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else (command,):
+        spec = _COMMANDS[name]
+        spec.add_options(sub.add_parser(name, help=spec.help))
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except (DslError, ModelInvalidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,6 +41,8 @@ from .model import (
 )
 
 _TOKEN = re.compile(r"\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|[(){}=:,])")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_INTEGER = re.compile(r"-?\d+")
 
 
 @dataclass
@@ -91,13 +93,13 @@ class _Cursor:
 
     def ident(self, what: str = "identifier") -> _Tok:
         tok = self.next(what)
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok.text):
+        if not _IDENT.fullmatch(tok.text):
             raise DslError(f"expected {what}, got {tok.text!r}", self.lineno, tok.column)
         return tok
 
     def integer(self, what: str = "integer") -> int:
         tok = self.next(what)
-        if not re.fullmatch(r"-?\d+", tok.text):
+        if not _INTEGER.fullmatch(tok.text):
             raise DslError(f"expected {what}, got {tok.text!r}", self.lineno, tok.column)
         return int(tok.text)
 
@@ -292,9 +294,9 @@ def _parse_ref(cur: _Cursor) -> tuple[str, list[int | str], int]:
         cur.next()
         while True:
             nxt = cur.next("argument")
-            if re.fullmatch(r"-?\d+", nxt.text):
+            if _INTEGER.fullmatch(nxt.text):
                 args.append(int(nxt.text))
-            elif re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", nxt.text):
+            elif _IDENT.fullmatch(nxt.text):
                 args.append(nxt.text)
             else:
                 raise DslError(f"expected argument, got {nxt.text!r}", cur.lineno, nxt.column)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import os
@@ -403,6 +404,102 @@ def test_negative_digit_counts_are_usage_errors(capsys, argv, option):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert f"argument {option}: expected a nonnegative integer, got {argv[-1]}" in err
+
+
+VALID_OPTIONS = {
+    "validate": (),
+    "compile": ("--stage", "2", "--time", "1e4", "--precision", "4"),
+    "mcs": ("--time", "1e4", "--posterior", "--max-explanations", "3"),
+    "unrel": ("--time", "1e4", "--epsilon", "1e-3", "--format", "csv"),
+    "curve": ("--from", "0", "--to", "1e4", "--step", "5e3", "--digits", "17"),
+    "posterior": ("--time", "1e4", "--basic", "D(1,2)"),
+    "oracle": ("--time", "1e4", "-o", "report.txt"),
+}
+# a command without the flag reports it as unrecognized, under the top-level usage line
+BAD_OPTIONS = (("--digits", "-1"), ("--stage", "3"), ("--time", "nan"))
+
+
+def _parse(capsys, command, argv):
+    """Namespace (or exit code), stdout and stderr of parsing argv with
+    the parser built for `command` alone, or for every command if None."""
+    try:
+        result = pfta.cli._build_parser(command).parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("command", list(pfta.cli._COMMANDS))
+def test_the_one_command_parser_parses_as_the_full_parser(capsys, command):
+    valid = [command, MODEL, *VALID_OPTIONS[command]]
+    results = [(_parse(capsys, command, argv), _parse(capsys, None, argv))
+               for argv in [[command, "-h"], valid, *(valid + list(bad) for bad in BAD_OPTIONS)]]
+    assert all(one == full for one, full in results)
+    (code, out, _), _ = results[0]
+    assert code == 0 and out.startswith(f"usage: pfta {command} [-h]")
+    (args, out, err), _ = results[1]
+    assert args.command == command and (out, err) == ("", "")
+    for (code, out, err), _ in results[2:]:
+        assert code == 2 and out == "" and err.startswith("usage: pfta ")
+
+
+USAGE = "usage: pfta [-h] {validate,compile,mcs,unrel,curve,posterior,oracle} ...\n"
+UNREL_USAGE = """\
+usage: pfta unrel [-h] [-o OUTPUT] [--format {table,csv}] [--digits DIGITS]
+                  [--max-explanations MAX_EXPLANATIONS] [--epsilon EPSILON]
+                  --time TIME
+                  model
+"""
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["bogus"], USAGE + "pfta: error: argument command: invalid choice: 'bogus' (choose from "
+     "'validate', 'compile', 'mcs', 'unrel', 'curve', 'posterior', 'oracle')\n"),
+    ([], USAGE + "pfta: error: the following arguments are required: command\n"),
+    (["unrel", MODEL, "--bogus"],
+     UNREL_USAGE + "pfta unrel: error: the following arguments are required: --time\n"),
+    (["unrel", MODEL, "--time", "1e4", "--bogus"],
+     USAGE + "pfta: error: unrecognized arguments: --bogus\n"),
+], ids=["bogus-command", "empty", "bogus-flag", "bogus-flag-with-time"])
+def test_top_level_usage_errors_are_pinned(capsys, argv, err):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["unrel", MODEL, "--time", "1e4"], 2),
+    (["-h"], 8),
+], ids=["unrel", "help"])
+def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch, argv, parsers):
+    # on a small model, building all seven subparsers was a third of a request
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    try:
+        main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0
+    capsys.readouterr()
+    assert len(built) == parsers
+
+
+def test_the_module_entry_point_reads_sys_argv(capsys):
+    argv = ["unrel", MODEL, "--time", "10000"]
+    src = str(Path(pfta.cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "pfta.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == _run(capsys, *argv)[1]
 
 
 def test_nan_epsilon_is_an_analysis_error(capsys):
