@@ -62,7 +62,7 @@ from .oracle import (
     evaluate,
     exact_probability,
     prime_implicants,
-    top_joint_probabilities,
+    top_enumeration,
     unfold,
 )
 from .pha import (
@@ -132,8 +132,8 @@ __all__ = [
     "serialize",
     "serialize_model",
     "system_unreliability",
+    "top_enumeration",
     "top_event",
-    "top_joint_probabilities",
     "unfold",
     "unify",
     "unreliability_curve",

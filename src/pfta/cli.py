@@ -26,7 +26,7 @@ from .measures import (
     unreliability_curve,
 )
 from .model import PftModel
-from .oracle import prime_implicants, top_joint_probabilities, unfold
+from .oracle import prime_implicants, top_enumeration, unfold
 from .pha import serialize
 
 ORACLE_TOL = 1e-9
@@ -233,7 +233,7 @@ def _cmd_posterior(args) -> int:
 def _cmd_oracle(args) -> int:
     model = _load_model(args.model)
     tree = unfold(model, args.time)
-    te_exact, joints_exact = top_joint_probabilities(tree)
+    te_exact, joints_exact, failed = top_enumeration(tree)
     cut_sets = minimal_cut_sets(model, args.time)
     top = top_event(model, args.time)
     lines = [f"ground basic events: {len(tree.basics)}"]
@@ -243,7 +243,7 @@ def _cmd_oracle(args) -> int:
     lines.append(f"P(top) search:      {_fmt(top.probability, args.digits)}")
     lines.append(f"P(top) enumeration: {_fmt(te_exact, args.digits)}")
 
-    implicants = prime_implicants(tree)
+    implicants = prime_implicants(tree, failed=failed)
     search_sets = {cs.events for cs in cut_sets}
     oracle_sets = {frozenset(s) for s in implicants}
     agree = search_sets == oracle_sets

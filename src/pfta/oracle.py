@@ -23,6 +23,7 @@ from .model import (
     KIND_BASIC,
     PftModel,
     failure_probability,
+    format_instance,
     instantiate,
 )
 
@@ -113,41 +114,46 @@ def _check_size(tree: GroundFaultTree, max_events: int) -> int:
     return n
 
 
-def _node_columns(tree: GroundFaultTree, bits: np.ndarray) -> dict[Key, np.ndarray]:
-    """Evaluate all nodes over a chunk of assignments (rows of `bits`)."""
-    import numpy as np
-
-    cols: dict[Key, np.ndarray] = {}
-    for j, (key, _) in enumerate(tree.basics):
-        cols[key] = bits[:, j]
-    for key, m, inputs in tree.nodes:
-        failed = np.zeros(len(bits), dtype=np.int32)
-        for i in inputs:
-            failed += cols[i]
-        cols[key] = failed >= m
-    return cols
-
-
-def _chunk_bits(n: int, start: int, stop: int) -> np.ndarray:
-    import numpy as np
-
-    idx = np.arange(start, stop, dtype=np.int64)
-    return (idx[:, None] >> np.arange(n)) & 1 == 1
-
-
 def _worlds(
     tree: GroundFaultTree, max_events: int
-) -> Iterator[tuple[slice, np.ndarray, dict[Key, np.ndarray]]]:
+) -> Iterator[tuple[slice, np.ndarray, dict[Key, np.ndarray | np.bool_]]]:
     """All 2^N basic-event assignments in chunks, by failure bitmask.
 
-    Yields (bitmask range, basic statuses, node statuses) per chunk; the
-    rows of `bits` are the assignments of the range in order.
+    Yields (bitmask range, weights, node statuses) per chunk: the
+    probability of each assignment of the range, in order, and every
+    node's status under each.  Within a chunk the low bits vary and the
+    high bits are fixed, so a low basic event's status is a column built
+    once per call and a high one's a single bool.  A weight multiplies the
+    events' factors p or 1-p left to right in bit order: the low bits'
+    products by doubling, once per call, then each high bit's factor in
+    turn.
     """
+    import numpy as np
+
     n = _check_size(tree, max_events)
-    for start in range(0, 1 << n, 1 << _CHUNK_BITS):
-        masks = slice(start, min(start + (1 << _CHUNK_BITS), 1 << n))
-        bits = _chunk_bits(n, masks.start, masks.stop)
-        yield masks, bits, _node_columns(tree, bits)
+    low = min(n, _CHUNK_BITS)
+    keys = tree.basic_keys
+    probs = [p for _, p in tree.basics]
+    low_weights = np.ones(1)
+    for p in probs[:low]:
+        low_weights = np.concatenate((low_weights * (1.0 - p), low_weights * p))
+    low_cols: dict[Key, np.ndarray] = {}
+    for j in range(low):
+        low_cols[keys[j]] = col = np.zeros(1 << low, dtype=bool)
+        col.reshape(-1, 2, 1 << j)[:, 1, :] = True  # axis 1 is bit j
+    for chunk in range(1 << (n - low)):
+        weights = low_weights
+        cols = dict(low_cols)
+        for j in range(low, n):
+            fails = chunk >> (j - low) & 1 == 1
+            weights = weights * (probs[j] if fails else 1.0 - probs[j])
+            cols[keys[j]] = np.bool_(fails)
+        for key, m, inputs in tree.nodes:
+            count = np.zeros(1 << low, dtype=np.min_scalar_type(len(inputs)))
+            for i in inputs:
+                count += cols[i]
+            cols[key] = count >= m
+        yield slice(chunk << low, (chunk + 1) << low), weights, cols
 
 
 def exact_probability(
@@ -162,68 +168,77 @@ def exact_probability(
     """
     import numpy as np
 
-    probs = np.array([p for _, p in tree.basics])
+    nodes = set(tree.basic_keys).union(key for key, _, _ in tree.nodes)
+    for key in condition:
+        if key not in nodes:
+            raise OracleError(f"{format_instance(key)} is not a node of the ground tree")
     total = 0.0
-    for _, bits, cols in _worlds(tree, max_events):
-        weights = np.where(bits, probs, 1.0 - probs).prod(axis=1)
-        sat = np.ones(len(bits), dtype=bool)
+    for _, weights, cols in _worlds(tree, max_events):
+        sat = np.ones(len(weights), dtype=bool)
         for key, must_fail in condition.items():
             sat &= cols[key] if must_fail else ~cols[key]
         total += float(weights[sat].sum())
     return total
 
 
-def top_joint_probabilities(
+def top_enumeration(
     tree: GroundFaultTree, max_events: int = DEFAULT_MAX_EVENTS
-) -> tuple[float, np.ndarray]:
-    """P(top failed), and P(b failed and top failed) for every basic b.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """P(top), its joints with every basic event and the top failure vector.
 
-    The joints follow the order of `tree.basics`; both come from one
-    enumeration of the 2^N basic-event assignments.  Each is summed over
-    the same worlds in the same order as `exact_probability` sums it, so
-    the values agree bit for bit; a matrix product sums in blocks and was
-    an order of magnitude less accurate on the shipped example.
-    """
-    import numpy as np
-
-    n = len(tree.basics)
-    probs = np.array([p for _, p in tree.basics])
-    top = 0.0
-    joints = np.zeros(n)
-    for _, bits, cols in _worlds(tree, max_events):
-        weights = np.where(bits, probs, 1.0 - probs).prod(axis=1)
-        failed = cols[tree.top]
-        top += float(weights[failed].sum())
-        joints += [weights[failed & bits[:, j]].sum() for j in range(n)]
-    return top, joints
-
-
-def top_failure_vector(tree: GroundFaultTree, max_events: int = DEFAULT_MAX_EVENTS) -> np.ndarray:
-    """Top event status for every assignment, indexed by failure bitmask."""
-    import numpy as np
-
-    out = np.empty(1 << _check_size(tree, max_events), dtype=bool)
-    for masks, _, cols in _worlds(tree, max_events):
-        out[masks] = cols[tree.top]
-    return out
-
-
-def prime_implicants(
-    tree: GroundFaultTree, max_events: int = DEFAULT_MAX_EVENTS
-) -> list[frozenset[Key]]:
-    """Minimal failure sets of the top event, by exhaustive enumeration.
-
-    Every node is a threshold of its inputs, so the tree is coherent and
-    a failing set is minimal exactly when dropping any single element
-    makes the top event work.  One numpy step per basic event j clears
-    that flag on every failing set with bit j whose twin without it fails
-    too; at the 24-event bound the flags and the step's temporary take
-    about 24 MB beside the failure vector.
+    One pass over the 2^N basic-event assignments gives P(top failed);
+    P(b failed and top failed) for every basic b, in the order of
+    `tree.basics`; and the top event's status under every assignment,
+    indexed by failure bitmask.  Each sum adds the same worlds in the same
+    order as `exact_probability` sums it, so the values agree bit for bit;
+    a matrix product sums in blocks and was an order of magnitude less
+    accurate on the shipped example.
     """
     import numpy as np
 
     n = _check_size(tree, max_events)
-    failed = top_failure_vector(tree, max_events)
+    low = min(n, _CHUNK_BITS)
+    top = 0.0
+    joints = np.zeros(n)
+    vector = np.empty(1 << n, dtype=bool)
+    for masks, weights, cols in _worlds(tree, max_events):
+        failed = cols[tree.top]
+        vector[masks] = failed
+        chunk_top = weights[failed].sum()
+        top += float(chunk_top)
+        # axis 1 of the (-1, 2, 2^j) view is bit j of the failure bitmask;
+        # a high bit is set in every world of the chunk or in none
+        joints += [
+            weights.reshape(-1, 2, 1 << j)[:, 1, :][failed.reshape(-1, 2, 1 << j)[:, 1, :]].sum()
+            if j < low
+            else (chunk_top if masks.start >> j & 1 else 0.0)
+            for j in range(n)
+        ]
+    return top, joints, vector
+
+
+def prime_implicants(
+    tree: GroundFaultTree,
+    max_events: int = DEFAULT_MAX_EVENTS,
+    *,
+    failed: np.ndarray | None = None,
+) -> list[frozenset[Key]]:
+    """Minimal failure sets of the top event, by exhaustive enumeration.
+
+    `failed` is the top failure vector of `top_enumeration`, if the caller
+    has made that pass; without it this makes it.  Every node is a
+    threshold of its inputs, so the tree is coherent and a failing set is
+    minimal exactly when dropping any single element makes the top event
+    work.  One numpy step per basic event j clears that flag on every
+    failing set with bit j whose twin without it fails too; at the
+    24-event bound the flags and the step's temporary take about 24 MB
+    beside the 16 MB failure vector.
+    """
+    import numpy as np
+
+    n = _check_size(tree, max_events)
+    if failed is None:
+        _, _, failed = top_enumeration(tree, max_events)
     minimal = failed.copy()
     for j in range(n):
         # axis 1 is bit j of the failure bitmask

@@ -15,6 +15,7 @@ import pytest
 import pfta.cli
 import pfta.engine
 import pfta.measures
+import pfta.oracle
 from conftest import DATA
 from pfta.cli import main
 from randmodels import CONSTANT_OF_T, multiprocessor_text
@@ -192,13 +193,13 @@ def test_oracle_cross_check_passes(capsys):
 
 
 def test_oracle_disagreement_exits_2_after_the_report(capsys, monkeypatch):
-    enumerate_joints = pfta.cli.top_joint_probabilities
+    enumerate_top = pfta.cli.top_enumeration
 
     def perturbed(tree, *args):
-        top, joints = enumerate_joints(tree, *args)
-        return top * (1 + 1e-6), joints
+        top, joints, failed = enumerate_top(tree, *args)
+        return top * (1 + 1e-6), joints, failed
 
-    monkeypatch.setattr(pfta.cli, "top_joint_probabilities", perturbed)
+    monkeypatch.setattr(pfta.cli, "top_enumeration", perturbed)
     code, out, err = _run(capsys, "oracle", MODEL, "--time", "10000")
     assert code == 2
     assert "error: search and enumeration disagree" in err
@@ -595,6 +596,39 @@ def test_seventeen_digit_outputs_are_pinned(capsys):
         assert (code, err) == (0, "")
         outputs.append(out)
     assert "".join(outputs) == (DATA / "multiprocessor_digits17.txt").read_text()
+
+
+def test_the_oracle_report_over_several_chunks_is_pinned(capsys, tmp_path):
+    # 18 ground events: four chunks of 2^16 worlds, so the high bits vary
+    path = tmp_path / "mp_4_2_2.pft"
+    path.write_text(multiprocessor_text(4, 2, 2))
+    code, out, err = _run(capsys, "oracle", str(path), "--time", "10000",
+                          "--format", "csv", "--digits", "17")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "multiprocessor_4_2_2_oracle_digits17.txt").read_text()
+
+
+@pytest.mark.parametrize("spec, chunks", [((3, 2, 2), 1), ((4, 2, 2), 4)],
+                         ids=["14-events", "18-events"])
+def test_the_oracle_enumerates_the_worlds_once(capsys, monkeypatch, tmp_path, spec, chunks):
+    # P(top), its joints and the prime implicants all read one pass
+    made = []
+    worlds = pfta.oracle._worlds
+
+    def counting(*args):
+        for chunk in worlds(*args):
+            made.append(chunk[0])
+            yield chunk
+
+    monkeypatch.setattr(pfta.oracle, "_worlds", counting)
+    path = tmp_path / "mp.pft"
+    path.write_text(multiprocessor_text(*spec))
+    code, _, err = _run(capsys, "oracle", str(path), "--time", "10000")
+    assert (code, err) == (0, "")
+    # ceil(2^N / 2^16) chunks, each range once, in order
+    n = 2 + 2 * spec[0] + spec[0] * spec[1]
+    assert [(c.start, c.stop) for c in made] == [
+        (i << 16, min((i + 1) << 16, 1 << n)) for i in range(chunks)]
 
 
 def test_bounded_outputs_on_wide_models_are_pinned(capsys, tmp_path):

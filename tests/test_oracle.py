@@ -3,6 +3,7 @@ from __future__ import annotations
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 
 from pfta.dsl import parse_model
@@ -12,10 +13,10 @@ from pfta.oracle import (
     evaluate,
     exact_probability,
     prime_implicants,
-    top_failure_vector,
-    top_joint_probabilities,
+    top_enumeration,
     unfold,
 )
+from randmodels import multiprocessor, random_model
 
 T = 1e4
 
@@ -58,7 +59,7 @@ def test_a_wide_vote_is_one_node_counted_exactly():
     p_a, p_b = failure_probability(1e-4, t), failure_probability(2e-5, t)
     # vote(10:20) needs 10 working replicas, so fails when at least 11 fail
     tail = sum(comb(20, j) * p_a**j * (1 - p_a) ** (20 - j) for j in range(11, 21))
-    top, _ = top_joint_probabilities(tree)
+    top, _, _ = top_enumeration(tree)
     assert top == pytest.approx(1 - (1 - p_b) * (1 - tail), abs=1e-12)
 
 
@@ -128,7 +129,7 @@ def test_enumeration_bound_is_enforced(model):
     with pytest.raises(OracleError, match="exceed the enumeration bound"):
         exact_probability(tree, {tree.top: True}, max_events=8)
     with pytest.raises(OracleError):
-        top_failure_vector(tree, max_events=8)
+        top_enumeration(tree, max_events=8)
 
 
 def test_enumeration_is_deterministic(model):
@@ -136,3 +137,80 @@ def test_enumeration_is_deterministic(model):
     first = prime_implicants(tree)
     second = prime_implicants(unfold(model, T))
     assert first == second
+
+
+def test_a_condition_on_an_unknown_node_names_it(model):
+    tree = unfold(model, T)
+    with pytest.raises(OracleError, match=r"^X is not a node of the ground tree$"):
+        exact_probability(tree, {tree.top: True, ("X", ()): True})
+    with pytest.raises(OracleError, match=r"^D\(4,1\) is not a node"):
+        exact_probability(tree, {("D", (4, 1)): False})
+
+
+def _bit_matrix_chunks(tree):
+    """The enumeration as it was first written: per chunk of 2^16 worlds, a
+    (worlds x N) bit matrix, the row products of its factors, and every
+    node's column."""
+    n = len(tree.basics)
+    probs = np.array([p for _, p in tree.basics])
+    for start in range(0, 1 << n, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.int64)
+        bits = (idx[:, None] >> np.arange(n)) & 1 == 1
+        cols = {key: bits[:, j] for j, key in enumerate(tree.basic_keys)}
+        for key, m, inputs in tree.nodes:
+            failed = np.zeros(len(bits), dtype=np.int32)
+            for i in inputs:
+                failed += cols[i]
+            cols[key] = failed >= m
+        yield bits, np.where(bits, probs, 1.0 - probs).prod(axis=1), cols
+
+
+def _assert_bit_identical(tree, conditions):
+    n = len(tree.basics)
+    top, joints, vector = 0.0, np.zeros(n), []
+    for bits, weights, cols in _bit_matrix_chunks(tree):
+        failed = cols[tree.top]
+        top += float(weights[failed].sum())
+        joints += [weights[failed & bits[:, j]].sum() for j in range(n)]
+        vector.append(failed)
+    found_top, found_joints, found_vector = top_enumeration(tree)
+    assert found_top == top
+    assert found_joints.tolist() == joints.tolist()
+    assert np.array_equal(found_vector, np.concatenate(vector))
+    for condition in conditions:
+        exact = 0.0
+        for _, weights, cols in _bit_matrix_chunks(tree):
+            sat = np.ones(len(weights), dtype=bool)
+            for key, must_fail in condition.items():
+                sat &= cols[key] if must_fail else ~cols[key]
+            exact += float(weights[sat].sum())
+        assert exact_probability(tree, condition) == exact, condition
+
+
+def test_one_chunk_enumeration_is_bit_identical_to_the_bit_matrix(model):
+    tree = unfold(model, T)
+    keys = tree.basic_keys
+    _assert_bit_identical(tree, [
+        {tree.top: True}, {keys[0]: True, tree.top: True}, {keys[-1]: False},
+        {("S", (2,)): True, ("D", (1, 1)): False},
+    ])
+
+
+@pytest.mark.parametrize("spec", [(3, 3, 2), (4, 2, 2)])
+def test_several_chunk_enumeration_is_bit_identical_to_the_bit_matrix(spec):
+    # 17 and 18 events: the bits above 16 are fixed per chunk
+    tree = unfold(multiprocessor(*spec), T)
+    keys = tree.basic_keys
+    assert len(keys) > 16
+    _assert_bit_identical(tree, [
+        {tree.top: True}, {keys[-1]: True, tree.top: True},
+        {keys[16]: False, ("SKN", ()): True}, {keys[3]: True, keys[-1]: False},
+    ])
+
+
+def test_enumeration_of_generated_models_is_bit_identical_to_the_bit_matrix():
+    for seed in range(60):
+        model, t = random_model(seed)
+        tree = unfold(model, t)
+        _assert_bit_identical(tree, [{tree.top: True}] + [
+            {key: True, tree.top: True} for key in tree.basic_keys])
