@@ -41,7 +41,6 @@ from .measures import (
     curve_times,
     minimal_cut_sets,
     parse_instance,
-    system_unreliability,
     top_event,
     unreliability_curve,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "probability",
     "serialize",
     "serialize_model",
-    "system_unreliability",
     "top_enumeration",
     "top_event",
     "unfold",

@@ -199,7 +199,7 @@ def _cmd_mcs(args) -> int:
     rows = []
     for rank, cs in enumerate(cut_sets, start=1):
         posterior = "" if cs.posterior is None else _fmt(cs.posterior, args.digits)
-        rows.append([str(rank), " ".join(cs.rendered()), _fmt(cs.prior, args.digits), posterior])
+        rows.append([str(rank), " ".join(cs.labels), _fmt(cs.prior, args.digits), posterior])
     _emit(_render(args, ["rank", "events", "prior", "posterior"], rows), args.output)
     return 0
 
@@ -243,15 +243,17 @@ def _cmd_oracle(args) -> int:
     lines.append(f"P(top) search:      {_fmt(top.probability, args.digits)}")
     lines.append(f"P(top) enumeration: {_fmt(te_exact, args.digits)}")
 
-    implicants = prime_implicants(tree, failed=failed)
+    implicants = prime_implicants(tree, failed)
     search_sets = {cs.events for cs in cut_sets}
-    oracle_sets = {frozenset(s) for s in implicants}
+    oracle_sets = set(implicants)
     agree = search_sets == oracle_sets
     lines.append(f"cut sets, search:      {len(search_sets)}")
     lines.append(f"cut sets, enumeration: {len(oracle_sets)}")
     lines.append(f"cut set agreement: {'yes' if agree else 'NO'}")
 
-    if te_exact > 0:
+    # a posterior needs a positive P(top) on each side; the P(top)
+    # deviation already reports a side that reads 0
+    if te_exact > 0 and top.probability > 0:
         for key, joint in zip(tree.basic_keys, joints_exact):
             deviations.append(abs(top.posterior([key]) - joint / te_exact))
     worst = max(deviations)

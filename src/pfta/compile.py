@@ -13,8 +13,8 @@ the order the model declares them:
   probabilities directly summable.  The top event keeps a plain failure
   predicate.
 
-Both read every gate as one rule: it fails when at least m of its n
-inputs fail, with m = n for AND, 1 for OR and n-k+1 for `vote(k:n)`.
+Both read every gate as one rule: it fails when at least m =
+`Gate.needed(n)` of its n inputs fail.
 Both walk the gates through `_gates`: an output's parameters stay clause
 variables, and every gate kind expands the input it quantifies into replicas.
 A gate over `MAX_GATE_CELLS` clauses or `MAX_GATE_ATOMS` body atoms is
@@ -49,7 +49,7 @@ from .pha import (
     Var,
 )
 
-# the most clauses a translation emits for one gate, the engine budgets' figure
+# the most clauses a translation emits for one gate, the engine's `DEFAULT_BUDGET` figure
 MAX_GATE_CELLS = 10**6
 # the most body atoms those clauses hold together: a wide OR's stage-2 cells
 # hold quadratically many in few clauses
@@ -58,15 +58,6 @@ MAX_GATE_ATOMS = 10**7
 
 def predicate_name(class_name: str) -> str:
     return class_name.lower()
-
-
-def _needed(gate: Gate, n: int) -> int:
-    """How many of the gate's n inputs must fail for it to fail."""
-    if gate.kind == "and":
-        return n
-    if gate.kind == "or":
-        return 1
-    return n - gate.k + 1
 
 
 def declarations(model: PftModel, t: float) -> tuple[DisjointDeclaration, ...]:
@@ -109,7 +100,7 @@ def _gate_size(event: EventNode, gate: Gate, n: int, stage: str) -> tuple[int, i
     lead ends at position p (from 1) holds p; an OR's one working cell
     holds n.
     """
-    m = _needed(gate, n)
+    m = gate.needed(n)
     cells = comb(n, m)
     if stage == STAGE_DIRECT:
         return cells, cells * m
@@ -165,7 +156,7 @@ def compile_direct(model: PftModel, t: float) -> PhaTheory:
         head = Atom(predicate_name(ev.class_name), head_terms)
         # each replica's atom is built once and shared by every clause
         atoms = [_direct_atom(model, event, args) for event, args in inputs]
-        clauses.extend(map(Clause, repeat(head), combinations(atoms, _needed(gate, len(atoms)))))
+        clauses.extend(map(Clause, repeat(head), combinations(atoms, gate.needed(len(atoms)))))
     return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DIRECT)
 
 
@@ -221,7 +212,7 @@ def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
         failed = [Atom(predicate_name(event), args + (STATUS_FAILED,)) for event, args in inputs]
         working = [Atom(predicate_name(event), args + (STATUS_WORKING,)) for event, args in inputs]
         pred = predicate_name(ev.class_name)
-        m = _needed(gate, len(inputs))
+        m = gate.needed(len(inputs))
         failure = _cell_bodies(failed, working, m)
         if ev.kind == KIND_TOP:
             # the top event keeps only its failure cells, under a plain head

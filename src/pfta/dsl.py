@@ -399,10 +399,6 @@ def parse_model(text: str) -> PftModel:
     return b.finish()
 
 
-def _format_rate(lam: float) -> str:
-    return repr(lam)
-
-
 def _format_ref(ref: EventRef) -> str:
     if not ref.args:
         return ref.event
@@ -429,7 +425,7 @@ def serialize_model(model: PftModel) -> str:
             continue
         lines.append(
             f"basic {e.class_name}{_format_formals(model, e.class_name)} "
-            f"rate {_format_rate(model.rate_map[e.class_name])}"
+            f"rate {model.rate_map[e.class_name]!r}"
         )
     for e in model.events:
         if e.kind == KIND_BASIC:

@@ -73,8 +73,11 @@ from .pha import (
     unify,
 )
 
-DEFAULT_FRONTIER_BUDGET = 10**6
-DEFAULT_EVALUATION_BUDGET = 10**6
+# the default bound on a search's frontier states and on an exact
+# evaluation's memo entries and splits
+DEFAULT_BUDGET = 10**6
+# the most joint declaration assignments `check_assumptions` closes
+MAX_JOINT_STATES = 2**20
 
 # adds floats left to right on every Python: from 3.12 the builtin `sum`
 # compensates, which changes the last digits of an exact result
@@ -106,10 +109,6 @@ class ProbabilityBounds:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
 
 
 @dataclass(frozen=True)
@@ -299,7 +298,7 @@ class ExplanationSearch(Iterator[Explanation]):
         theory: PhaTheory,
         goals: Atom | Iterable[Atom],
         stop: StopCriteria = EXHAUSTIVE,
-        frontier_budget: int = DEFAULT_FRONTIER_BUDGET,
+        frontier_budget: int = DEFAULT_BUDGET,
     ):
         self.theory = theory
         self.goals = _as_goal_list(goals)
@@ -473,7 +472,7 @@ def explain(
     theory: PhaTheory,
     goals: Atom | Iterable[Atom],
     stop: StopCriteria = EXHAUSTIVE,
-    frontier_budget: int = DEFAULT_FRONTIER_BUDGET,
+    frontier_budget: int = DEFAULT_BUDGET,
 ) -> ExplainResult:
     """Collect explanations of `goals`, most probable first."""
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
@@ -485,7 +484,7 @@ def minimal_explanations(
     theory: PhaTheory,
     goals: Atom | Iterable[Atom],
     stop: StopCriteria = EXHAUSTIVE,
-    frontier_budget: int = DEFAULT_FRONTIER_BUDGET,
+    frontier_budget: int = DEFAULT_BUDGET,
 ) -> list[Explanation]:
     """Explanations no subset of which explains the goals, best first.
 
@@ -565,7 +564,7 @@ class ExactEvaluator:
         self,
         theory: PhaTheory,
         goals: Atom | Iterable[Atom],
-        budget: int = DEFAULT_EVALUATION_BUDGET,
+        budget: int = DEFAULT_BUDGET,
     ):
         goals = _as_goal_list(goals)
         _require_exact(theory, goals)
@@ -763,7 +762,7 @@ def probability(
     theory: PhaTheory,
     goals: Atom | Iterable[Atom],
     stop: StopCriteria = EXHAUSTIVE,
-    frontier_budget: int = DEFAULT_FRONTIER_BUDGET,
+    frontier_budget: int = DEFAULT_BUDGET,
 ) -> ProbabilityBounds:
     """Bounds on the probability of the goal conjunction.
 
@@ -852,21 +851,21 @@ class AssumptionReport:
     counterexample: str | None = None
 
 
-def check_assumptions(theory: PhaTheory, max_joint_states: int = 2**20) -> AssumptionReport:
+def check_assumptions(theory: PhaTheory) -> AssumptionReport:
     """Verify the well-formedness assumptions behind the probability rule.
 
     The first is syntactic.  The second is checked on the ground rules of
     every clause head instance, by closing every joint assignment of the
     declarations; it is skipped (reported as None) when the first fails,
     as the grounder refuses a hypothesis that heads a clause, or when
-    there are more than `max_joint_states` assignments.
+    there are more than `MAX_JOINT_STATES` assignments.
     """
     hypotheses = [a for decl in theory.declarations for a, _ in decl.alternatives]
     # hypotheses are ground, so a head needs no renaming apart
     assumption1 = not any(
         unify(c.head, h) is not None for c in theory.clauses for h in hypotheses)
     joint = math.prod(len(decl.alternatives) for decl in theory.declarations)
-    if not assumption1 or joint > max_joint_states:
+    if not assumption1 or joint > MAX_JOINT_STATES:
         return AssumptionReport(assumption1, None, joint)
 
     table = AtomTable(theory, ())

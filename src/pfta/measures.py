@@ -64,9 +64,6 @@ class CutSet:
             labels = tuple(format_instance(k) for k in sorted(self.events))
             object.__setattr__(self, "labels", labels)
 
-    def rendered(self) -> tuple[str, ...]:
-        return self.labels
-
 
 @dataclass(frozen=True)
 class UnreliabilityPoint:
@@ -213,13 +210,6 @@ def _labeled(
                     for values in product(*map(model.param_values, ev.formal_params))]
             labeled += [(format_instance(k), k) for k in keys]
     return labeled
-
-
-def system_unreliability(
-    model: PftModel, t: float, stop: StopCriteria = EXHAUSTIVE
-) -> ProbabilityBounds:
-    """Bounds on the probability that the top event occurs by time t."""
-    return unreliability_curve(model, [t], stop)[0].bounds
 
 
 def unreliability_curve(

@@ -81,6 +81,15 @@ class Gate:
     # of where a parameter is declared (`PftModel.declared_at`)
     forall: tuple[str, ...] = ()
 
+    def needed(self, n: int) -> int:
+        """How many of n inputs must fail for the gate to fail: all of them
+        for AND, one for OR, n-k+1 for `vote(k:n)`."""
+        if self.kind == "and":
+            return n
+        if self.kind == "or":
+            return 1
+        return n - self.k + 1
+
 
 @dataclass(frozen=True)
 class FailureRate:

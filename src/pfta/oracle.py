@@ -2,13 +2,14 @@
 
 This path never touches the Horn translation or the search engine.  The
 parametric tree is unfolded to a ground DAG with one threshold node per
-gate instance: it fails when at least m of its n inputs fail (m = n for
-AND, 1 for OR, n-k+1 for `vote(k:n)`).  Every probability is obtained by
-summing complete basic-event assignments, so it is exact, slow, and an
-independent check on everything the engine computes.  Only the
-enumeration needs numpy, so only the functions that enumerate import it,
-in their bodies: `import pfta`, unfolding and evaluating a tree, and every
-command but `pfta oracle` run without loading it.
+gate instance: it fails when at least `Gate.needed` of its n inputs fail.
+Every probability is obtained by summing complete basic-event
+assignments, so it is exact, slow, and an independent check on
+everything the engine computes; a tree over `MAX_EVENTS` ground basic
+events is refused before any enumeration.  Only the enumeration needs
+numpy, so only the functions that enumerate import it, in their bodies:
+`import pfta`, unfolding and evaluating a tree, and every command but
+`pfta oracle` run without loading it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .model import (
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_MAX_EVENTS = 24
+MAX_EVENTS = 24  # the most ground basic events enumerated, 2^24 worlds
 _CHUNK_BITS = 16
 
 
@@ -51,15 +52,6 @@ class GroundFaultTree:
         return tuple(k for k, _ in self.basics)
 
 
-def _threshold(kind: str, k: int | None, n: int) -> int:
-    """Failed inputs, of n, that fail a gate: all, one, or n-k+1 for vote(k:n)."""
-    if kind == "and":
-        return n
-    if kind == "or":
-        return 1
-    return n - k + 1
-
-
 def _gate_node(model: PftModel, key: Key) -> tuple[int, tuple[Key, ...]]:
     """The threshold node of a gate instance: (m, inputs)."""
     class_name, values = key
@@ -68,7 +60,7 @@ def _gate_node(model: PftModel, key: Key) -> tuple[int, tuple[Key, ...]]:
     inputs = tuple(
         (ref.event, args) for ref in gate.inputs for args in instantiate(model, ref, env)
     )
-    return _threshold(gate.kind, gate.k, len(inputs)), inputs
+    return gate.needed(len(inputs)), inputs
 
 
 def unfold(model: PftModel, t: float) -> GroundFaultTree:
@@ -105,17 +97,17 @@ def evaluate(tree: GroundFaultTree, failed: set[Key]) -> dict[Key, bool]:
     return state
 
 
-def _check_size(tree: GroundFaultTree, max_events: int) -> int:
+def _check_size(tree: GroundFaultTree) -> int:
     n = len(tree.basics)
-    if n > max_events:
+    if n > MAX_EVENTS:
         raise OracleError(
-            f"{n} ground basic events exceed the enumeration bound {max_events}"
+            f"{n} ground basic events exceed the enumeration bound {MAX_EVENTS}"
         )
     return n
 
 
 def _worlds(
-    tree: GroundFaultTree, max_events: int
+    tree: GroundFaultTree,
 ) -> Iterator[tuple[slice, np.ndarray, dict[Key, np.ndarray | np.bool_]]]:
     """All 2^N basic-event assignments in chunks, by failure bitmask.
 
@@ -130,7 +122,7 @@ def _worlds(
     """
     import numpy as np
 
-    n = _check_size(tree, max_events)
+    n = _check_size(tree)
     low = min(n, _CHUNK_BITS)
     keys = tree.basic_keys
     probs = [p for _, p in tree.basics]
@@ -156,11 +148,7 @@ def _worlds(
         yield slice(chunk << low, (chunk + 1) << low), weights, cols
 
 
-def exact_probability(
-    tree: GroundFaultTree,
-    condition: Mapping[Key, bool],
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> float:
+def exact_probability(tree: GroundFaultTree, condition: Mapping[Key, bool]) -> float:
     """Probability that every conditioned node has the stated status.
 
     Computed by enumerating all 2^N basic-event assignments and summing
@@ -173,7 +161,7 @@ def exact_probability(
         if key not in nodes:
             raise OracleError(f"{format_instance(key)} is not a node of the ground tree")
     total = 0.0
-    for _, weights, cols in _worlds(tree, max_events):
+    for _, weights, cols in _worlds(tree):
         sat = np.ones(len(weights), dtype=bool)
         for key, must_fail in condition.items():
             sat &= cols[key] if must_fail else ~cols[key]
@@ -181,9 +169,7 @@ def exact_probability(
     return total
 
 
-def top_enumeration(
-    tree: GroundFaultTree, max_events: int = DEFAULT_MAX_EVENTS
-) -> tuple[float, np.ndarray, np.ndarray]:
+def top_enumeration(tree: GroundFaultTree) -> tuple[float, np.ndarray, np.ndarray]:
     """P(top), its joints with every basic event and the top failure vector.
 
     One pass over the 2^N basic-event assignments gives P(top failed);
@@ -196,12 +182,12 @@ def top_enumeration(
     """
     import numpy as np
 
-    n = _check_size(tree, max_events)
+    n = _check_size(tree)
     low = min(n, _CHUNK_BITS)
     top = 0.0
     joints = np.zeros(n)
     vector = np.empty(1 << n, dtype=bool)
-    for masks, weights, cols in _worlds(tree, max_events):
+    for masks, weights, cols in _worlds(tree):
         failed = cols[tree.top]
         vector[masks] = failed
         chunk_top = weights[failed].sum()
@@ -217,16 +203,11 @@ def top_enumeration(
     return top, joints, vector
 
 
-def prime_implicants(
-    tree: GroundFaultTree,
-    max_events: int = DEFAULT_MAX_EVENTS,
-    *,
-    failed: np.ndarray | None = None,
-) -> list[frozenset[Key]]:
+def prime_implicants(tree: GroundFaultTree, failed: np.ndarray) -> list[frozenset[Key]]:
     """Minimal failure sets of the top event, by exhaustive enumeration.
 
-    `failed` is the top failure vector of `top_enumeration`, if the caller
-    has made that pass; without it this makes it.  Every node is a
+    `failed` is the top failure vector that `top_enumeration` returns for
+    `tree`; the tree is still refused over `MAX_EVENTS`.  Every node is a
     threshold of its inputs, so the tree is coherent and a failing set is
     minimal exactly when dropping any single element makes the top event
     work.  One numpy step per basic event j clears that flag on every
@@ -236,9 +217,7 @@ def prime_implicants(
     """
     import numpy as np
 
-    n = _check_size(tree, max_events)
-    if failed is None:
-        _, _, failed = top_enumeration(tree, max_events)
+    n = _check_size(tree)
     minimal = failed.copy()
     for j in range(n):
         # axis 1 is bit j of the failure bitmask

@@ -38,9 +38,6 @@ class Var:
     name: str
 
 
-Term = "Var | int | str"
-
-
 @dataclass(frozen=True, init=False)
 class Atom:
     """A predicate applied to variables, integers, or symbolic constants.

@@ -21,12 +21,11 @@ from pfta.measures import (
     basic_event_posteriors,
     curve_times,
     minimal_cut_sets,
-    system_unreliability,
     top_atom,
     top_event,
     unreliability_curve,
 )
-from pfta.oracle import exact_probability, prime_implicants, unfold
+from pfta.oracle import exact_probability, prime_implicants, top_enumeration, unfold
 from pfta.pha import Atom, Clause, ground_instances, serialize, theory_constants
 
 T = 1e4
@@ -81,7 +80,8 @@ def test_criterion_1_golden_compilation(model, listing_model):
 def test_criterion_2_cut_set_count(model):
     cut_sets = minimal_cut_sets(model, T)
     assert len(cut_sets) == 28
-    oracle_sets = set(prime_implicants(unfold(model, T)))
+    tree = unfold(model, T)
+    oracle_sets = set(prime_implicants(tree, top_enumeration(tree)[2]))
     assert {cs.events for cs in cut_sets} == oracle_sets
     print("criterion 2 PASS: 28 minimal cut sets, set-equal to enumeration")
 
@@ -104,7 +104,7 @@ def test_criterion_3_cut_set_priors(model):
 
 
 def test_criterion_4_system_unreliability(model):
-    bounds = system_unreliability(model, T)
+    bounds = unreliability_curve(model, [T])[0].bounds
     assert bounds.lower == pytest.approx(PUBLISHED_TOP, abs=1e-4)
     exact = exact_probability(unfold(model, T), {("TE", ()): True})
     assert bounds.lower == pytest.approx(exact, abs=ORACLE_TOL)
@@ -254,10 +254,10 @@ def test_criterion_8_property_suite(model):
         small_model, small_t = random_model(seed)
         small_tree = unfold(small_model, small_t)
         small_exact = exact_probability(small_tree, {small_tree.top: True})
-        got = system_unreliability(small_model, small_t)
+        got = unreliability_curve(small_model, [small_t])[0].bounds
         assert got.lower == pytest.approx(small_exact, abs=ORACLE_TOL)
         assert {c.events for c in minimal_cut_sets(small_model, small_t)} \
-            == set(prime_implicants(small_tree))
+            == set(prime_implicants(small_tree, top_enumeration(small_tree)[2]))
 
     # (e) both translations derive the top event in exactly the same worlds
     direct = compile_direct(model, T)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import os
 import random
@@ -205,6 +206,37 @@ def test_oracle_disagreement_exits_2_after_the_report(capsys, monkeypatch):
     assert "error: search and enumeration disagree" in err
     assert "cut set agreement: yes" in out
     assert "max probability deviation" in out
+
+
+def test_oracle_reports_a_zero_search_probability_before_exiting_2(capsys, monkeypatch):
+    # no posterior is defined when the search's P(top) is 0, so the
+    # per-event deviations are skipped and the P(top) deviation reports it
+    exact_top = pfta.cli.top_event
+
+    def zero(model, t):
+        return dataclasses.replace(exact_top(model, t), probability=0.0)
+
+    monkeypatch.setattr(pfta.cli, "top_event", zero)
+    code, out, err = _run(capsys, "oracle", MODEL, "--time", "10000")
+    assert (code, err) == (2, "error: search and enumeration disagree\n")
+    assert out == ("ground basic events: 14\n"
+                   "P(top) search:      0\n"
+                   "P(top) enumeration: 0.224528\n"
+                   "cut sets, search:      28\n"
+                   "cut sets, enumeration: 28\n"
+                   "cut set agreement: yes\n"
+                   "max probability deviation: 0.225\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("unrel",), "time_hours  lower  upper\n10000       0      1\n"),
+    (("mcs",), "rank  events  prior  posterior\n"),
+    (("mcs", "--posterior"), "rank  events  prior  posterior\n"),
+], ids=["unrel", "mcs", "mcs-posterior"])
+def test_an_epsilon_met_before_the_search_starts_emits_nothing(capsys, argv, out):
+    # the whole frontier mass of 1 is already within epsilon = 1
+    code, got, err = _run(capsys, argv[0], MODEL, "--time", "10000", "--epsilon", "1", *argv[1:])
+    assert (code, got, err) == (0, out, "")
 
 
 def test_posterior_of_a_model_that_cannot_fail_is_an_analysis_error(capsys, tmp_path):

@@ -11,9 +11,9 @@ from randmodels import chain, multiprocessor, quantified_or
 from pfta.compile import compile_direct, compile_disjoint
 from pfta.dsl import parse_model
 from pfta.errors import ModelInvalidError, TheoryError
-from pfta.measures import minimal_cut_sets, system_unreliability
+from pfta.measures import minimal_cut_sets, unreliability_curve
 from pfta.model import EventRef
-from pfta.oracle import exact_probability, prime_implicants, unfold
+from pfta.oracle import exact_probability, prime_implicants, top_enumeration, unfold
 from pfta.pha import (
     STAGE_DIRECT,
     STAGE_DISJOINT,
@@ -180,8 +180,9 @@ def test_a_quantified_or_input_is_expanded_into_its_replicas():
 def test_quantified_or_gates_agree_with_the_oracle():
     m = quantified_or()
     tree = unfold(m, T)
-    assert {c.events for c in minimal_cut_sets(m, T)} == set(prime_implicants(tree))
-    bounds = system_unreliability(m, T)
+    implicants = prime_implicants(tree, top_enumeration(tree)[2])
+    assert {c.events for c in minimal_cut_sets(m, T)} == set(implicants)
+    bounds = unreliability_curve(m, [T])[0].bounds
     exact = exact_probability(tree, {tree.top: True})
     assert bounds.lower == pytest.approx(exact, abs=1e-12)
     assert bounds.upper == pytest.approx(exact, abs=1e-12)

@@ -134,15 +134,10 @@ def test_only_top_event_records_an_exact_evaluation():
 
 
 def test_unreliability_has_one_routine():
-    # `system_unreliability` is the one-point curve, and only the curve searches
+    # nothing in `measures` wraps the curve, and only the curve searches
     text = (SRC / "measures.py").read_text()
-    assert _definitions_holding(text, _calls("unreliability_curve")) == {"system_unreliability"}
+    assert _definitions_holding(text, _calls("unreliability_curve")) == set()
     assert _definitions_holding(text, _calls("probability")) == {"unreliability_curve"}
-
-
-def test_the_cli_reaches_unreliability_through_the_curve_alone():
-    assert "system_unreliability" not in _names_imported_from(
-        (SRC / "cli.py").read_text(), "measures")
 
 
 def test_only_the_atom_table_reads_its_stored_expansions():

@@ -14,7 +14,6 @@ from pfta.measures import (
     curve_times,
     minimal_cut_sets,
     parse_instance,
-    system_unreliability,
     top_event,
     unreliability_curve,
 )
@@ -41,7 +40,7 @@ def test_cut_sets_are_found_and_ranked(model):
 
 
 def test_tied_cut_sets_order_lexicographically(model):
-    quads = [c.rendered() for c in minimal_cut_sets(model, T)[:3]]
+    quads = [c.labels for c in minimal_cut_sets(model, T)[:3]]
     assert quads == sorted(quads)
     assert quads[0] == ("D(1,1)", "D(1,2)", "D(2,1)", "D(2,2)")
 
@@ -62,7 +61,7 @@ def test_bounded_cut_sets_of_the_reference_model():
 def test_cut_sets_build_no_explanation_by_iterating_and_render_each_event_once(monkeypatch,
                                                                               stop):
     case = multiprocessor(5, 2, 3)
-    expected = [(c.events, c.prior, c.rendered())
+    expected = [(c.events, c.prior, c.labels)
                 for c in minimal_cut_sets(case, T, stop)]
     rendered = Counter()
 
@@ -76,7 +75,7 @@ def test_cut_sets_build_no_explanation_by_iterating_and_render_each_event_once(m
     monkeypatch.setattr("pfta.measures.format_instance", counting)
     monkeypatch.setattr(ExplanationSearch, "__next__", refuse)
     cut_sets = minimal_cut_sets(case, T, stop)
-    assert [(c.events, c.prior, c.rendered()) for c in cut_sets] == expected
+    assert [(c.events, c.prior, c.labels) for c in cut_sets] == expected
     assert set(rendered) == set().union(*(c.events for c in cut_sets))
     assert set(rendered.values()) == {1}
 
@@ -88,13 +87,13 @@ def test_cut_sets_respect_stopping_criteria(model):
 
 
 def test_system_unreliability_matches_the_frozen_value(model):
-    bounds = system_unreliability(model, T)
+    bounds = unreliability_curve(model, [T])[0].bounds
     assert bounds.lower == pytest.approx(TOP_PROBABILITY, abs=1e-12)
     assert bounds.upper == pytest.approx(TOP_PROBABILITY, abs=1e-12)
 
 
 def test_unreliability_is_zero_at_time_zero(model):
-    bounds = system_unreliability(model, 0.0)
+    bounds = unreliability_curve(model, [0.0])[0].bounds
     assert (bounds.lower, bounds.upper) == (0.0, 0.0)
 
 
@@ -102,7 +101,7 @@ def test_negative_time_is_rejected(model):
     with pytest.raises(AnalysisError, match="mission time"):
         minimal_cut_sets(model, -1.0)
     with pytest.raises(AnalysisError, match="mission time"):
-        system_unreliability(model, -1.0)
+        unreliability_curve(model, [-1.0])
     with pytest.raises(AnalysisError, match="mission time"):
         attach_posteriors(model, minimal_cut_sets(model, T), -1.0)
     with pytest.raises(AnalysisError, match="mission time"):
@@ -159,6 +158,14 @@ def test_posterior_equals_prior_over_top_probability(model):
         assert cs.posterior == pytest.approx(cs.prior / TOP_PROBABILITY, rel=1e-9)
 
 
+def test_no_cut_sets_need_no_evaluation(monkeypatch, model):
+    def refuse(*args):
+        raise AssertionError("top_event was called")
+
+    monkeypatch.setattr("pfta.measures.top_event", refuse)
+    assert attach_posteriors(model, [], T) == []
+
+
 def test_cut_set_posterior_accepts_plain_event_sets(model):
     value = top_event(model, T).posterior({("B", ())})
     assert value == pytest.approx(8.91e-5, abs=1e-7)
@@ -199,7 +206,7 @@ def test_replicas_share_their_posterior(model):
 
 def test_top_event_holds_the_exhaustive_measures(model):
     top = top_event(model, T)
-    assert top.probability == system_unreliability(model, T).lower
+    assert top.probability == unreliability_curve(model, [T])[0].bounds.lower
     assert top.probability == pytest.approx(TOP_PROBABILITY, abs=1e-12)
     assert [p.time for p in unreliability_curve(model, [0.0, T])] == [0.0, T]
     cut_sets = attach_posteriors(model, minimal_cut_sets(model, T), T)
@@ -215,7 +222,8 @@ def test_posteriors_are_exact_under_bounded_stop_criteria(model):
     assert len(bounded) == 5
     expected = {c.events: c.posterior for c in exhaustive}
     assert all(c.posterior == expected[c.events] for c in bounded)
-    assert system_unreliability(model, T, bound).lower < system_unreliability(model, T).lower
+    bounded_top = unreliability_curve(model, [T], bound)[0].bounds.lower
+    assert bounded_top < unreliability_curve(model, [T])[0].bounds.lower
 
 
 def test_basic_posteriors_reject_instances_outside_the_model(model):
@@ -284,7 +292,7 @@ def test_curve_matches_per_point_unreliability(source, model):
     assert [p.time for p in curve] == times
     assert (curve[0].bounds.lower, curve[0].bounds.upper) == (0.0, 0.0)
     for point in curve[1:]:
-        single = system_unreliability(model, point.time)
+        single = unreliability_curve(model, [point.time])[0].bounds
         assert point.bounds.lower == point.bounds.upper
         assert point.bounds == single
         tree = unfold(model, point.time)

@@ -112,30 +112,36 @@ def test_exact_probability_of_everything_is_one(model):
 
 def test_prime_implicants_on_the_example(model):
     tree = unfold(model, T)
-    implicants = prime_implicants(tree)
+    implicants = prime_implicants(tree, top_enumeration(tree)[2])
     assert len(implicants) == 28
     assert Counter(len(s) for s in implicants) == {1: 1, 2: 3, 3: 15, 4: 9}
     assert frozenset({("B", ())}) in implicants
 
 
 def test_prime_implicants_are_sorted_by_size_then_members(model):
-    implicants = prime_implicants(unfold(model, T))
+    tree = unfold(model, T)
+    implicants = prime_implicants(tree, top_enumeration(tree)[2])
     keys = [(len(s), sorted(s)) for s in implicants]
     assert keys == sorted(keys)
 
 
-def test_enumeration_bound_is_enforced(model):
-    tree = unfold(model, T)
-    with pytest.raises(OracleError, match="exceed the enumeration bound"):
-        exact_probability(tree, {tree.top: True}, max_events=8)
-    with pytest.raises(OracleError):
-        top_enumeration(tree, max_events=8)
+def test_enumeration_bound_is_enforced():
+    # refused on the bound before any of the 2^27 worlds is enumerated
+    tree = unfold(multiprocessor(5, 3, 3), T)
+    message = "^27 ground basic events exceed the enumeration bound 24$"
+    with pytest.raises(OracleError, match=message):
+        exact_probability(tree, {tree.top: True})
+    with pytest.raises(OracleError, match=message):
+        top_enumeration(tree)
+    with pytest.raises(OracleError, match=message):
+        prime_implicants(tree, np.zeros(0, dtype=bool))
 
 
 def test_enumeration_is_deterministic(model):
     tree = unfold(model, T)
-    first = prime_implicants(tree)
-    second = prime_implicants(unfold(model, T))
+    first = prime_implicants(tree, top_enumeration(tree)[2])
+    again = unfold(model, T)
+    second = prime_implicants(again, top_enumeration(again)[2])
     assert first == second
 
 

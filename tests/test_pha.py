@@ -405,6 +405,16 @@ def test_parse_theory_names_each_malformed_line(line, message):
     assert (err.value.line, str(err.value)) == (2, f"line 2: {message}")
 
 
+@pytest.mark.parametrize("lines, clause", [
+    ("g.", Clause(Atom("g", ()))),
+    ("\n  \ng :- c.", Clause(Atom("g", ()), (Atom("c", ()),))),
+], ids=["fact", "blank-lines"])
+def test_parse_theory_reads_facts_and_skips_blank_lines(lines, clause):
+    theory = parse_theory("disjoint([c:0.5,d:0.5]).\n" + lines + "\n")
+    assert theory.clauses == (clause,)
+    assert len(theory.declarations) == 1
+
+
 def test_parse_theory_reads_a_negative_probability_as_a_number():
     # `:-` right before a digit is the `:` of an alternative and a sign
     with pytest.raises(TheoryError) as err:

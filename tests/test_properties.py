@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from randmodels import quantified_or, random_model
 from pfta.compile import compile_direct, compile_disjoint
 from pfta.engine import EXHAUSTIVE, ExactEvaluator, ExplanationSearch, check_assumptions, explain
-from pfta.measures import minimal_cut_sets, system_unreliability, top_atom
+from pfta.measures import minimal_cut_sets, top_atom, unreliability_curve
 from pfta.model import failure_probability
-from pfta.oracle import exact_probability, prime_implicants, unfold
+from pfta.oracle import exact_probability, prime_implicants, top_enumeration, unfold
 from pfta.pha import Atom, Var
 
 AGREEMENT_TOL = 1e-9
@@ -45,12 +45,12 @@ def test_search_and_enumeration_agree_on_random_models(seed):
     tree = unfold(model, t)
 
     exact = exact_probability(tree, {tree.top: True})
-    bounds = system_unreliability(model, t)
+    bounds = unreliability_curve(model, [t])[0].bounds
     assert bounds.lower == pytest.approx(exact, abs=AGREEMENT_TOL)
     assert bounds.upper == pytest.approx(exact, abs=AGREEMENT_TOL)
 
     cut_sets = {c.events for c in minimal_cut_sets(model, t)}
-    assert cut_sets == set(prime_implicants(tree))
+    assert cut_sets == set(prime_implicants(tree, top_enumeration(tree)[2]))
 
 
 @pytest.mark.parametrize("seed", BATTERY_SEEDS)
