@@ -30,6 +30,9 @@ from .oracle import prime_implicants, top_enumeration, unfold
 from .pha import serialize
 
 ORACLE_TOL = 1e-9
+# the most decimal places any double's exact expansion needs (2**-1074);
+# more digits print nothing new
+MAX_DIGITS = 1074
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -46,11 +49,13 @@ def _nonnegative(text: str) -> float:
 def _digit_count(text: str) -> int:
     try:
         value = int(text)
-        if value >= 0:
-            return value
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    if value > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_DIGITS} digits, got {text}")
+    return value
 
 
 def _common_options(p: argparse.ArgumentParser, fmt_default: str = "table") -> None:

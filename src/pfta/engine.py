@@ -3,7 +3,8 @@ and the check of the assumptions of the probability rule.
 
 Every procedure below reads one grounder, `AtomTable`: it interns the
 ground atoms it meets as integers, grounds each on its first `expand`
-(so no atom is unified twice) and walks what goals reach with `postorder`.
+(so no atom is unified twice) and lists what goals reach, inputs first,
+with `order`, which refuses a cyclic theory as the probability rule does.
 
 `AtomTable` also numbers every declaration alternative once, in
 declaration order, so the alternatives of one declaration hold adjacent
@@ -41,8 +42,8 @@ one forward pass over it.  Its sums add left to right, so a result has
 the same digits on every Python version.
 
 `entails` and `check_assumptions` close a set of atoms over the rules
-(head id, body-id mask) of the atoms their roots reach: in one pass over
-acyclic rules ordered inputs first, else in passes until nothing changes.
+(head id, body-id mask) of the atoms their roots reach, in one pass over
+those rules ordered inputs first.
 """
 
 from __future__ import annotations
@@ -246,9 +247,16 @@ class AtomTable:
         entry = self.expansions[goal] = (tuple(bodies), bit)
         return entry
 
-    def postorder(self, roots: Iterable[int]) -> Iterator[int]:
-        """`graph.postorder` of the atoms `roots` reach through clause bodies."""
-        return postorder(roots, lambda a: [b for body in self.expand(a)[0] for b in body])
+    def order(self, roots: Iterable[int]) -> list[int]:
+        """`graph.postorder` of the atoms `roots` reach through their distinct
+        body atoms; raises `EngineError` when an atom depends on itself."""
+        try:
+            return list(postorder(
+                roots, lambda a: dict.fromkeys(chain.from_iterable(self.expand(a)[0]))))
+        except CycleError as exc:
+            raise EngineError(
+                f"cyclic theory: {format_atom(self.atoms[exc.node])} depends on itself"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -314,6 +322,16 @@ class ExplanationSearch(Iterator[Explanation]):
         initial = table.ground(self.goals)
         if len(initial) > frontier_budget:
             raise EngineError(f"frontier memory budget of {frontier_budget} states exceeded")
+        # each atom's clause bodies and, for an alternative, its flag, the
+        # mask of the other alternatives of its declaration and its probability
+        self._steps: dict[int, tuple] = {}
+        for a in table.order(chain.from_iterable(initial)):
+            bodies, bit = table.expand(a)
+            if bit is None:
+                self._steps[a] = bodies, 0, 0, 0.0
+            else:
+                flag = 1 << bit
+                self._steps[a] = bodies, flag, table.decl_masks[bit] ^ flag, table.probs[bit]
         if initial:
             self._levels[1.0] = deque((goals, 0) for goals in initial)
             heapq.heappush(self._order, (-1.0, 0, self._levels[1.0]))
@@ -367,19 +385,15 @@ class ExplanationSearch(Iterator[Explanation]):
 
         A child never outranks its parent (no probability exceeds 1), so
         the top level stays on top until an inner loop has drained it.
-        Each goal atom's step is kept for the life of the search: its
-        clause bodies and, for an alternative, its flag, the mask of the
-        other alternatives of its declaration and its probability.  The
-        emitted mass and count, the frontier size and mass and the
-        counters live in locals; they are written back before each
-        emission and on exit, for `stats`, `bounds` and `_stopped`.
+        Every goal atom's step is built on construction, so the loop
+        grounds nothing.  The emitted mass and count, the frontier size and
+        mass and the counters live in locals; they are written back before
+        each emission and on exit, for `stats`, `bounds` and `_stopped`.
         """
         if self._stopped():
             return
-        table = self._table
-        levels, order, seen = self._levels, self._order, set()
+        levels, order, seen, steps = self._levels, self._order, set(), self._steps
         created = count(1)  # the first level, pushed on construction, is 0
-        steps: dict[int, tuple] = {}
         # looked up as the search starts, so a stand-in for the module can watch the levels
         heappush, heappop = heapq.heappush, heapq.heappop
         budget = self.frontier_budget
@@ -410,16 +424,7 @@ class ExplanationSearch(Iterator[Explanation]):
                             return
                         continue
                     goal, rest = goals[0], goals[1:]
-                    try:
-                        bodies, flag, others, p = steps[goal]
-                    except KeyError:
-                        bodies, bit = table.expand(goal)
-                        if bit is None:
-                            flag, others, p = 0, 0, 0.0
-                        else:
-                            flag = 1 << bit
-                            others, p = table.decl_masks[bit] ^ flag, table.probs[bit]
-                        steps[goal] = bodies, flag, others, p
+                    bodies, flag, others, p = steps[goal]
                     if flag:
                         # an alternative heads no clause, so it has no bodies
                         if assumed & flag:
@@ -580,7 +585,7 @@ class ExactEvaluator:
         del self._memo
 
     def _index(self, roots: tuple[int, ...]) -> None:
-        """Bodies and supports of every atom the goals reach, inputs first.
+        """Bodies and supports of every atom the goals reach, in `AtomTable.order`.
 
         Each body is kept with the alternatives its atoms share: a body
         whose supports never overlap never needs a split.
@@ -590,22 +595,17 @@ class ExactEvaluator:
         self._support: dict[int, int] = {}
         # hypothesis atoms -> (bit, mask of the declaration)
         self._leaves: dict[int, tuple[int, int]] = {}
-        try:
-            for a in table.postorder(roots):
-                bodies, bit = table.expand(a)
-                self._bodies[a] = tuple((body, self._shared(body)) for body in bodies)
-                mask = 0
-                for body in bodies:
-                    for b in body:
-                        mask |= self._support[b]
-                if bit is not None:
-                    mask = table.decl_masks[bit]
-                    self._leaves[a] = (bit, mask)
-                self._support[a] = mask
-        except CycleError as exc:
-            raise EngineError(
-                f"cyclic theory: {format_atom(table.atoms[exc.node])} depends on itself"
-            ) from None
+        for a in table.order(roots):
+            bodies, bit = table.expand(a)
+            self._bodies[a] = tuple((body, self._shared(body)) for body in bodies)
+            mask = 0
+            for body in bodies:
+                for b in body:
+                    mask |= self._support[b]
+            if bit is not None:
+                mask = table.decl_masks[bit]
+                self._leaves[a] = (bit, mask)
+            self._support[a] = mask
 
     def _shared(self, atoms: tuple[int, ...]) -> int:
         """The alternatives in the supports of two or more of `atoms`."""
@@ -790,34 +790,20 @@ def probability(
 # entailment and the assumptions of the probability rule
 
 
-def _ground_rules(table: AtomTable, roots: Iterable[int]) -> tuple[list[tuple[int, int]], bool]:
-    """The (head id, body-id mask) rules of every atom `roots` reach, and
-    whether those atoms are acyclic: then the rules come inputs first, so
-    one pass closes a set of atoms, else in the order their heads are reached.
-    """
-    try:
-        atoms, acyclic = list(table.postorder(roots)), True
-    except CycleError:
-        # the table holds the atoms the roots reach, in the order reached,
-        # and expanding each interns the atoms it reaches behind it
-        for a, _ in enumerate(table.atoms):
-            table.expand(a)
-        atoms, acyclic = range(len(table.atoms)), False
-    rules = [(a, reduce(or_, [1 << b for b in body], 0))
-             for a in atoms for body in table.expand(a)[0]]
-    return rules, acyclic
+def _ground_rules(table: AtomTable, roots: Iterable[int]) -> list[tuple[int, int]]:
+    """The (head id, body-id mask) rules of every atom `roots` reach, inputs
+    first, so one pass closes a set of atoms; `AtomTable.order` refuses a
+    cyclic theory."""
+    return [(a, reduce(or_, [1 << b for b in body], 0))
+            for a in table.order(roots) for body in table.expand(a)[0]]
 
 
-def _closure(rules: list[tuple[int, int]], acyclic: bool, mask: int) -> int:
-    """`mask` with every head the rules derive from it: one pass over
-    acyclic rules, repeated on cyclic ones until nothing changes."""
-    while True:
-        before = mask
-        for head, body in rules:
-            if not body & ~mask:
-                mask |= 1 << head
-        if acyclic or mask == before:
-            return mask
+def _closure(rules: list[tuple[int, int]], mask: int) -> int:
+    """`mask` with every head the inputs-first `rules` derive from it."""
+    for head, body in rules:
+        if not body & ~mask:
+            mask |= 1 << head
+    return mask
 
 
 def entails(theory: PhaTheory, hypotheses: Iterable[Atom], goals: Iterable[Atom]) -> bool:
@@ -825,7 +811,7 @@ def entails(theory: PhaTheory, hypotheses: Iterable[Atom], goals: Iterable[Atom]
 
     False for a goal with variables or with a predicate the theory does
     not know.  Raises `EngineError`, as the search does, when an atom the
-    goals reach is a hypothesis that heads a clause.
+    goals reach is a hypothesis that heads a clause or depends on itself.
     """
     goals = tuple(goals)
     if not all(g.is_ground() for g in goals):
@@ -835,9 +821,9 @@ def entails(theory: PhaTheory, hypotheses: Iterable[Atom], goals: Iterable[Atom]
     except EngineError:  # a goal's predicate is unknown
         return False
     roots = [table.intern(g) for g in goals]
-    rules, acyclic = _ground_rules(table, roots)
+    rules = _ground_rules(table, roots)
     facts = reduce(or_, [1 << table.ids[h] for h in hypotheses if h in table.ids], 0)
-    mask = _closure(rules, acyclic, facts)
+    mask = _closure(rules, facts)
     return all(mask >> g & 1 for g in roots)
 
 
@@ -858,7 +844,8 @@ def check_assumptions(theory: PhaTheory) -> AssumptionReport:
     every clause head instance, by closing every joint assignment of the
     declarations; it is skipped (reported as None) when the first fails,
     as the grounder refuses a hypothesis that heads a clause, or when
-    there are more than `MAX_JOINT_STATES` assignments.
+    there are more than `MAX_JOINT_STATES` assignments; when it is
+    checked, a cyclic theory raises `EngineError`.
     """
     hypotheses = [a for decl in theory.declarations for a, _ in decl.alternatives]
     # hypotheses are ground, so a head needs no renaming apart
@@ -870,7 +857,7 @@ def check_assumptions(theory: PhaTheory) -> AssumptionReport:
 
     table = AtomTable(theory, ())
     heads = [i for c in theory.clauses for (i,) in table.ground((c.head,))]
-    rules, acyclic = _ground_rules(table, heads)
+    rules = _ground_rules(table, heads)
     choices = [[1 << table.intern(a) for a, _ in decl.alternatives]
                for decl in theory.declarations]
     # a rule whose body holds an atom that is neither an alternative nor
@@ -878,7 +865,7 @@ def check_assumptions(theory: PhaTheory) -> AssumptionReport:
     derivable = reduce(or_, [1 << head for head, _ in rules], reduce(or_, chain(*choices), 0))
     rules = [(head, body) for head, body in rules if not body & ~derivable]
     for world in product(*choices):
-        mask = _closure(rules, acyclic, reduce(or_, world, 0))
+        mask = _closure(rules, reduce(or_, world, 0))
         first: dict[int, int] = {}
         for head, body in rules:
             if not body & ~mask and first.setdefault(head, body) != body:

@@ -248,7 +248,7 @@ def curve_times(t_from: float, t_to: float, step: float) -> list[float]:
         raise AnalysisError(f"step must be positive, got {step}")
     if t_to < t_from:
         raise AnalysisError("curve end time precedes start time")
-    limit = t_to + 1e-9 * max(1.0, abs(t_to))
+    limit = t_to + 1e-9 * abs(t_to)
     steps = (limit - t_from) / step  # the grid has floor(steps) + 1 points
     if steps >= MAX_CURVE_POINTS:
         size = math.floor(steps) + 1 if steps < 2**53 else f"{steps:.3g}"  # exact below 2**53

@@ -18,7 +18,7 @@ import pfta.engine
 import pfta.measures
 import pfta.oracle
 from conftest import DATA
-from pfta.cli import main
+from pfta.cli import MAX_DIGITS, main
 from randmodels import CONSTANT_OF_T, multiprocessor_text
 
 MODEL = str(DATA / "multiprocessor.pft")
@@ -426,17 +426,32 @@ def test_bad_flags_exit_through_argparse(capsys):
         main(["compile", MODEL, "--stage", "3", "--time", "10"])
 
 
-@pytest.mark.parametrize("argv, option", [
-    (("compile", MODEL, "--stage", "2", "--time", "1e4", "--precision", "-1"), "--precision"),
-    (("unrel", MODEL, "--time", "1e4", "--digits", "-1"), "--digits"),
-    (("unrel", MODEL, "--time", "1e4", "--digits", "abc"), "--digits"),
-], ids=["precision", "digits", "digits-not-a-number"])
-def test_negative_digit_counts_are_usage_errors(capsys, argv, option):
+NEGATIVE = "expected a nonnegative integer"
+OVER_LIMIT = f"expected at most {MAX_DIGITS} digits"
+
+
+@pytest.mark.parametrize("argv, option, message", [
+    (("compile", MODEL, "--stage", "2", "--time", "1e4", "--precision", "-1"), "--precision",
+     NEGATIVE),
+    (("unrel", MODEL, "--time", "1e4", "--digits", "-1"), "--digits", NEGATIVE),
+    (("unrel", MODEL, "--time", "1e4", "--digits", "abc"), "--digits", NEGATIVE),
+    (("compile", MODEL, "--stage", "2", "--time", "1e4", "--precision", "1075"), "--precision",
+     OVER_LIMIT),
+    (("unrel", MODEL, "--time", "1e4", "--digits", "100000000000"), "--digits", OVER_LIMIT),
+], ids=["precision", "digits", "digits-not-a-number", "precision-over-limit",
+        "digits-over-limit"])
+def test_negative_digit_counts_are_usage_errors(capsys, argv, option, message):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert f"argument {option}: expected a nonnegative integer, got {argv[-1]}" in err
+    assert f"argument {option}: {message}, got {argv[-1]}" in err
+
+
+def test_the_digit_limit_reaches_the_last_digit_of_every_double():
+    # the exact expansion of the smallest double, 2**-1074, ends at that place
+    assert f"{5e-324:.{MAX_DIGITS}f}"[-1] != "0"
+    assert f"{5e-324:.{MAX_DIGITS + 1}f}"[-1] == "0"
 
 
 VALID_OPTIONS = {

@@ -19,6 +19,8 @@ from pfta.engine import (
     ProbabilityBounds,
     SearchStats,
     StopCriteria,
+    check_assumptions,
+    entails,
     explain,
     minimal_explanations,
     probability,
@@ -582,6 +584,29 @@ def test_evaluator_rejects_direct_stage_and_cyclic_theories(model):
     )
     with pytest.raises(EngineError, match="cyclic"):
         ExactEvaluator(cyclic, GOAL)
+
+
+# a search that grounds as it goes loops forever on the first, whose
+# frontier never grows, and fills its frontier budget on the second
+CYCLES = {"two-atom": "g :- h.\nh :- g.\n", "growing": "g :- h.\nh :- g.\nh :- a.\n"}
+BOUNDED = StopCriteria(max_explanations=1)
+CYCLIC_ENTRIES = {
+    "search": lambda theory: ExplanationSearch(theory, GOAL, frontier_budget=10),
+    "explain": lambda theory: explain(theory, GOAL, frontier_budget=10),
+    "minimal": lambda theory: minimal_explanations(theory, GOAL, frontier_budget=10),
+    "bounded-probability": lambda theory: probability(theory, GOAL, BOUNDED, 10),
+    "evaluator": lambda theory: ExactEvaluator(theory, GOAL),
+    "entails": lambda theory: entails(theory, {Atom("a", ())}, [GOAL]),
+    "assumptions": lambda theory: check_assumptions(theory),
+}
+
+
+@pytest.mark.parametrize("clauses", CYCLES.values(), ids=CYCLES)
+@pytest.mark.parametrize("entry", CYCLIC_ENTRIES.values(), ids=CYCLIC_ENTRIES)
+def test_every_engine_entry_refuses_a_cyclic_theory_before_it_searches(entry, clauses):
+    theory = parse_theory("disjoint([a:0.5,x:0.5]).\n" + clauses, stage=STAGE_DISJOINT)
+    with pytest.raises(EngineError, match="cyclic theory: g depends on itself"):
+        entry(theory)
 
 
 def test_evaluator_rejects_a_hypothesis_that_heads_a_clause():

@@ -146,6 +146,12 @@ def test_only_the_atom_table_reads_its_stored_expansions():
     assert _definitions_holding(text, _reads("expansions")) == {"AtomTable"}
 
 
+def test_only_the_atom_table_walks_the_atoms():
+    # every other procedure reads `AtomTable.order`, which refuses a cycle
+    text = (SRC / "engine.py").read_text()
+    assert _definitions_holding(text, _calls("postorder")) == {"AtomTable"}
+
+
 def _numpy_imports(text: str) -> list[tuple[str, int]]:
     """(place, line) of each numpy import of a source.  The place is
     `function` in a function body, `type-checking` in a module-level

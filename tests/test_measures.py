@@ -113,6 +113,9 @@ def test_negative_time_is_rejected(model):
 def test_curve_times_builds_an_inclusive_grid():
     assert curve_times(0, 20000, 2000) == [2000.0 * i for i in range(11)]
     assert curve_times(5, 6, 0.5) == [5.0, 5.5, 6.0]
+    # the end is padded relative to itself, so a grid below 1 h stops at it
+    assert curve_times(0, 1e-10, 1e-10) == [0.0, 1e-10]
+    assert curve_times(0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.30000000000000004]
     with pytest.raises(AnalysisError, match="step"):
         curve_times(0, 10, 0)
     with pytest.raises(AnalysisError, match="precedes"):

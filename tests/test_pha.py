@@ -244,12 +244,12 @@ def _check_over_every_rule(theory):
         return report, 0
     table = AtomTable(theory, ())
     heads = [i for c in theory.clauses for (i,) in table.ground((c.head,))]
-    rules, acyclic = _ground_rules(table, heads)
+    rules = _ground_rules(table, heads)
     choices = [[1 << table.intern(a) for a, _ in d.alternatives] for d in theory.declarations]
     derivable = reduce(or_, [1 << head for head, _ in rules], reduce(or_, chain(*choices), 0))
     never = sum(1 for _, body in rules if body & ~derivable)
     for world in product(*choices):
-        mask = _closure(rules, acyclic, reduce(or_, world, 0))
+        mask = _closure(rules, reduce(or_, world, 0))
         first = {}
         for head, body in rules:
             if not body & ~mask and first.setdefault(head, body) != body:
@@ -290,19 +290,6 @@ def test_head_unifying_with_hypothesis_breaks_assumption_one():
     assert report.joint_states == 2
     with pytest.raises(EngineError, match="hypothesis a heads a clause"):
         entails(theory, {Atom("b", ())}, [Atom("a", ())])
-
-
-def test_assumption_two_is_checked_on_a_cyclic_theory():
-    # g and h depend on each other; h's bodies (g, b) and (y) never hold
-    # together, while (g) and (b) do once a and b hold
-    a, b, g, h, y = (Atom(n, ()) for n in "abghy")
-    decls = (_decl(("a", 0.5), ("x", 0.5)), _decl(("b", 0.5), ("y", 0.5)))
-    exclusive = PhaTheory((Clause(g, (a, h)), Clause(h, (g, b)), Clause(h, (y,))), decls)
-    assert check_assumptions(exclusive) == AssumptionReport(True, True, 4)
-    overlapping = PhaTheory((Clause(g, (a, h)), Clause(h, (g,)), Clause(h, (b,))), decls)
-    report = check_assumptions(overlapping)
-    assert (report.assumption1, report.assumption2) == (True, False)
-    assert report.counterexample == "h :- g. and h :- b. both hold"
 
 
 def test_entails_follows_clauses(model):
@@ -355,29 +342,26 @@ def test_entails_needs_every_body_atom():
     assert not entails(theory, {Atom("a", ())}, [Atom("g", ())])
 
 
-def test_entails_on_a_cyclic_theory():
-    # g and h depend on each other
-    a, b, g, h = (Atom(n, ()) for n in "abgh")
-    theory = PhaTheory(
-        clauses=(Clause(g, (a, h)), Clause(h, (g,)), Clause(h, (b,))),
-        declarations=(_decl(("a", 0.5), ("x", 0.5)), _decl(("b", 0.5), ("y", 0.5))),
-        stage=STAGE_DIRECT,
-    )
-    assert entails(theory, {a, b}, [g])
-    assert not entails(theory, {a}, [g])
-    assert entails(theory, {b}, [h])
+# g and h depend on each other in each: the probability rule assumes an
+# acyclic theory, so entailment and its assumption check refuse these
+CYCLIC_THEORIES = {
+    "exclusive": "g :- a, h.\nh :- g, b.\nh :- y.\n",
+    "overlapping": "g :- a, h.\nh :- g.\nh :- b.\n",
+    "reached-late": "h :- b.\ng :- a, h.\nh :- g.\nh :- k.\nk :- c.\n",
+}
 
 
-def test_entails_repeats_its_pass_on_a_cyclic_theory():
-    # a cyclic theory keeps its rules in the order their heads are reached:
-    # g :- a h, h :- b, h :- g, h :- k, k :- c; from {a, c} one pass
-    # derives k, a second h after g's rule has been tried, so g needs a third
+@pytest.mark.parametrize("clauses", CYCLIC_THEORIES.values(), ids=CYCLIC_THEORIES)
+def test_entails_and_the_assumption_check_refuse_a_cyclic_theory(clauses):
     theory = parse_theory(
         "disjoint([a:0.5,x:0.5]).\ndisjoint([b:0.5,y:0.5]).\ndisjoint([c:0.5,z:0.5]).\n"
-        "h :- b.\ng :- a, h.\nh :- g.\nh :- k.\nk :- c.\n"
+        + clauses
     )
-    assert entails(theory, {Atom("a", ()), Atom("c", ())}, [Atom("g", ())])
-    assert not entails(theory, {Atom("c", ())}, [Atom("g", ())])
+    a, b, c, g = (Atom(n, ()) for n in "abcg")
+    with pytest.raises(EngineError, match="cyclic theory: [gh] depends on itself"):
+        entails(theory, {a, b, c}, [g])
+    with pytest.raises(EngineError, match="cyclic theory: [gh] depends on itself"):
+        check_assumptions(theory)
 
 
 def test_parse_theory_reports_line_numbers():
