@@ -43,7 +43,7 @@ def _nonnegative(text: str) -> float:
     value = float(text)
     if not value >= 0:
         raise argparse.ArgumentTypeError(f"time must be nonnegative, got {text}")
-    return value
+    return value + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _digit_count(text: str) -> int:

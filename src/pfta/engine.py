@@ -6,10 +6,11 @@ ground atoms it meets as integers, grounds each on its first `expand`
 (so no atom is unified twice) and lists what goals reach, inputs first,
 with `order`, which refuses a cyclic theory as the probability rule does.
 
-`AtomTable` also numbers every declaration alternative once, in
-declaration order, so the alternatives of one declaration hold adjacent
-bits.  It rejects a hypothesis that heads a clause: the PHA probability
-rule assumes none does, and every procedure rests on that rule.
+`AtomTable` interns every declaration alternative first, in declaration
+order, so an alternative's atom id is its bit in every mask and the
+alternatives of one declaration hold adjacent bits.  It rejects a
+hypothesis that heads a clause: the PHA probability rule assumes none
+does, and every procedure rests on that rule.
 
 `ExplanationSearch` is a best-first abductive search.  A search state is
 a partial SLD derivation: a tuple of remaining goal ids, a bitmask of the
@@ -54,7 +55,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import chain, count, product, repeat
-from operator import add, and_, attrgetter, itemgetter, or_
+from operator import add, and_, itemgetter, or_
 from typing import Iterable, Iterator
 
 from .errors import EngineError
@@ -142,54 +143,45 @@ def _as_goal_list(goals: Atom | Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(goals)
 
 
-def _closed(clause: Clause) -> bool:
-    """True when every variable of the body occurs in the head, so that
-    the body is ground once the head is."""
-    terms = set(chain.from_iterable(map(attrgetter("args"), clause.body)))
-    return not any(map(isinstance, terms.difference(clause.head.args), repeat(Var)))
-
-
 class AtomTable:
     """The ground atoms met while proving `goals`, interned as integers.
 
-    Every declaration alternative gets one bit, in declaration order:
-    `bits` maps its atom to the bit, `alternatives` the bit back to the
-    atom, `probs` gives its probability and `decl_masks` the mask of its
-    declaration's bits.  An atom is grounded once, the first time it is
-    expanded: its clause bodies (found by unifying it with each clause
-    head of its predicate as written, since every expanded atom is ground)
-    and its bit, if it is an alternative, are kept for every later use.
-    A clause whose body variables all occur in its head gives a ground
-    body as it is unified; other bodies, and goals that keep variables,
-    are grounded over the theory's and the goals' constants.
+    Every declaration alternative is interned first, in declaration order,
+    so an atom is an alternative exactly when its id is below
+    `len(probs)`, and that id is its bit: `probs` gives its probability and
+    `decl_masks` the mask of its declaration's bits.  An atom is grounded
+    once, the first time it is expanded: its clause bodies, found by
+    unifying it with each clause head of its predicate as written (every
+    expanded atom is ground) and grounded through `ground`, are kept for
+    every later use.  Only ground atoms are interned, so `ground` takes a
+    body of interned atoms as it is; a body left with variables, and a
+    goal that has some, is grounded over the theory's and the goals'
+    constants.
     """
 
     def __init__(self, theory: PhaTheory, goals: tuple[Atom, ...]):
-        self.bits: dict[Atom, int] = {}
-        self.alternatives: list[Atom] = []
+        self.ids: dict[Atom, int] = {}
+        self.atoms: list[Atom] = []
         self.probs: list[float] = []
         self.decl_masks: list[int] = []
         for decl in theory.declarations:
-            mask = ((1 << len(decl.alternatives)) - 1) << len(self.alternatives)
+            mask = ((1 << len(decl.alternatives)) - 1) << len(self.atoms)
             for atom, p in decl.alternatives:
-                self.bits[atom] = len(self.alternatives)
-                self.alternatives.append(atom)
+                self.intern(atom)
                 self.probs.append(p)
                 self.decl_masks.append(mask)
-        known = set(theory.clause_index) | {a.pred for a in self.bits}
+        known = set(theory.clause_index) | {a.pred for a in self.atoms}
         for g in goals:
             if g.pred not in known:
                 raise EngineError(f"unknown predicate {g.pred} in goal {format_atom(g)}")
         self.theory = theory
         self.goals = goals
-        self.ids: dict[Atom, int] = {}
-        self.atoms: list[Atom] = []
-        # atom id -> (clause bodies as id tuples, its bit or None)
-        self.expansions: dict[int, tuple] = {}
+        # atom id -> its clause bodies as id tuples
+        self.expansions: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._constants: list | None = None
-        self._clauses: dict[str, tuple[tuple[Clause, bool], ...]] = {}
 
     def intern(self, atom: Atom) -> int:
+        """The id of the ground `atom`, a new one on first sight."""
         i = self.ids.get(atom)
         if i is None:
             i = self.ids[atom] = len(self.atoms)
@@ -198,6 +190,9 @@ class AtomTable:
 
     def ground(self, atoms: tuple[Atom, ...]) -> list[tuple[int, ...]]:
         """Id tuples of the ground instances of `atoms`."""
+        known = tuple(map(self.ids.get, atoms))
+        if None not in known:  # only ground atoms are interned
+            return [known]
         if all(a.is_ground() for a in atoms):
             return [tuple(map(self.intern, atoms))]
         if self._constants is None:
@@ -210,49 +205,37 @@ class AtomTable:
             for inst in ground_instances(atoms, self._constants)
         ]
 
-    def _rules(self, pred: str) -> tuple[tuple[Clause, bool], ...]:
-        """The clauses for `pred`, each with `_closed` of it."""
-        rules = self._clauses.get(pred)
-        if rules is None:
-            clauses = self.theory.clause_index.get(pred, ())
-            rules = self._clauses[pred] = tuple(zip(clauses, map(_closed, clauses)))
-        return rules
-
-    def expand(self, goal: int) -> tuple:
-        """The (clause bodies, bit) entry of atom `goal`, grounded on first use."""
-        entry = self.expansions.get(goal)
-        if entry is not None:
-            return entry
+    def expand(self, goal: int) -> tuple[tuple[int, ...], ...]:
+        """The clause bodies of atom `goal`, grounded on first use."""
+        bodies = self.expansions.get(goal)
+        if bodies is not None:
+            return bodies
         atom = self.atoms[goal]
-        bodies: list[tuple[int, ...]] = []
+        found: list[tuple[int, ...]] = []
         # the goal is ground, so a clause needs no renaming apart, and
         # unifying binds every variable of the head to a constant
-        for clause, closed in self._rules(atom.pred):
+        for clause in self.theory.clause_index.get(atom.pred, ()):
             subst = unify(atom, clause.head)
             if subst is None:
                 continue
             body = clause.body
             if subst:
                 body = tuple(apply_substitution(b, subst) for b in body)
-            if closed:
-                bodies.append(tuple(map(self.intern, body)))
-            else:
-                bodies.extend(self.ground(body))
-        bit = self.bits.get(atom)
-        if bit is not None and bodies:
+            found.extend(self.ground(body))
+        if goal < len(self.probs) and found:
             raise EngineError(
                 f"hypothesis {format_atom(atom)} heads a clause; "
                 "the probability rule requires that none does"
             )
-        entry = self.expansions[goal] = (tuple(bodies), bit)
-        return entry
+        bodies = self.expansions[goal] = tuple(found)
+        return bodies
 
     def order(self, roots: Iterable[int]) -> list[int]:
         """`graph.postorder` of the atoms `roots` reach through their distinct
         body atoms; raises `EngineError` when an atom depends on itself."""
         try:
             return list(postorder(
-                roots, lambda a: dict.fromkeys(chain.from_iterable(self.expand(a)[0]))))
+                roots, lambda a: dict.fromkeys(chain.from_iterable(self.expand(a)))))
         except CycleError as exc:
             raise EngineError(
                 f"cyclic theory: {format_atom(self.atoms[exc.node])} depends on itself"
@@ -326,12 +309,10 @@ class ExplanationSearch(Iterator[Explanation]):
         # mask of the other alternatives of its declaration and its probability
         self._steps: dict[int, tuple] = {}
         for a in table.order(chain.from_iterable(initial)):
-            bodies, bit = table.expand(a)
-            if bit is None:
-                self._steps[a] = bodies, 0, 0, 0.0
+            if a < len(table.probs):
+                self._steps[a] = (), 1 << a, table.decl_masks[a] ^ (1 << a), table.probs[a]
             else:
-                flag = 1 << bit
-                self._steps[a] = bodies, flag, table.decl_masks[bit] ^ flag, table.probs[bit]
+                self._steps[a] = table.expand(a), 0, 0, 0.0
         if initial:
             self._levels[1.0] = deque((goals, 0) for goals in initial)
             heapq.heappush(self._order, (-1.0, 0, self._levels[1.0]))
@@ -377,7 +358,7 @@ class ExplanationSearch(Iterator[Explanation]):
 
     def _explanation(self, bits: list[int], prob: float) -> Explanation:
         """The `Explanation` that assumes the alternatives at `bits`."""
-        return Explanation(frozenset(map(self._table.alternatives.__getitem__, bits)), prob)
+        return Explanation(frozenset(map(self._table.atoms.__getitem__, bits)), prob)
 
     def _search(self) -> Iterator[tuple[int, float]]:
         """The (assumed mask, probability) of each explanation, best first,
@@ -553,11 +534,11 @@ def _require_exact(theory: PhaTheory, goals: tuple[Atom, ...]) -> None:
 class ExactEvaluator:
     """Exact probability of ground `goals` on a disjoint-stage theory.
 
-    Alternatives are the bits of the `AtomTable`; an atom's support is the
-    mask of the alternatives of the declarations it depends on, and a
-    context is the pair (chosen alternatives, all alternatives of the
-    decided declarations).  A hypothesis is a leaf whose value the context
-    gives.  The constructor decomposes once, from the empty context, and
+    Alternatives are the bits of the `AtomTable`, each its atom's id; an
+    atom's support is the mask of the alternatives of the declarations it
+    depends on, and a context is the pair (chosen alternatives, all
+    alternatives of the decided declarations).  A hypothesis is a leaf
+    whose value the context gives.  The constructor decomposes once, from the empty context, and
     records the decomposition inputs first: node 0 is 0, node 1 is 1, node
     2 + bit reads alternative `bit`, and each later node sums or multiplies
     earlier ones, a split summing (alternative x part) products.  `budget`
@@ -593,18 +574,16 @@ class ExactEvaluator:
         table = self._table
         self._bodies: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
         self._support: dict[int, int] = {}
-        # hypothesis atoms -> (bit, mask of the declaration)
-        self._leaves: dict[int, tuple[int, int]] = {}
         for a in table.order(roots):
-            bodies, bit = table.expand(a)
+            if a < len(table.probs):  # a leaf, which `_known` answers
+                self._support[a] = table.decl_masks[a]
+                continue
+            bodies = table.expand(a)
             self._bodies[a] = tuple((body, self._shared(body)) for body in bodies)
             mask = 0
             for body in bodies:
                 for b in body:
                     mask |= self._support[b]
-            if bit is not None:
-                mask = table.decl_masks[bit]
-                self._leaves[a] = (bit, mask)
             self._support[a] = mask
 
     def _shared(self, atoms: tuple[int, ...]) -> int:
@@ -631,13 +610,13 @@ class ExactEvaluator:
         values = [0.0, 1.0, *table.probs]
         if declarations is not None:
             pairs = [pair for decl in declarations for pair in decl.alternatives]
-            if [a for a, _ in pairs] != table.alternatives:
+            if [a for a, _ in pairs] != table.atoms[:len(table.probs)]:
                 raise ValueError("the declarations must list the theory's alternatives in order")
             values[2:] = [p for _, p in pairs]
         chosen = 0
         for atom in condition:
-            bit = table.bits.get(atom)
-            if bit is None:
+            bit = table.ids.get(atom, len(table.probs))
+            if bit >= len(table.probs):
                 raise EngineError(f"{format_atom(atom)} is not a hypothesis of the theory")
             mask = table.decl_masks[bit]
             if chosen & mask & ~(1 << bit):
@@ -692,11 +671,9 @@ class ExactEvaluator:
 
     def _known(self, a: int, chosen: int, decided: int) -> int | None:
         """The node of P(atom a | context) if it is a leaf or memoized, else None."""
-        leaf = self._leaves.get(a)
-        if leaf is None:
+        if a >= len(self._table.probs):
             return self._memo.get((a, chosen & self._support[a]))
-        bit, mask = leaf
-        return (chosen >> bit & 1) if decided & mask else 2 + bit
+        return (chosen >> a & 1) if decided & self._support[a] else 2 + a
 
     def _atom(self, a: int, chosen: int, decided: int):
         """Task: the node of P(atom a | context), the sum over its bodies, memoized."""
@@ -795,7 +772,7 @@ def _ground_rules(table: AtomTable, roots: Iterable[int]) -> list[tuple[int, int
     first, so one pass closes a set of atoms; `AtomTable.order` refuses a
     cyclic theory."""
     return [(a, reduce(or_, [1 << b for b in body], 0))
-            for a in table.order(roots) for body in table.expand(a)[0]]
+            for a in table.order(roots) for body in table.expand(a)]
 
 
 def _closure(rules: list[tuple[int, int]], mask: int) -> int:
@@ -858,20 +835,21 @@ def check_assumptions(theory: PhaTheory) -> AssumptionReport:
     table = AtomTable(theory, ())
     heads = [i for c in theory.clauses for (i,) in table.ground((c.head,))]
     rules = _ground_rules(table, heads)
-    choices = [[1 << table.intern(a) for a, _ in decl.alternatives]
+    choices = [[1 << table.ids[a] for a, _ in decl.alternatives]
                for decl in theory.declarations]
-    # a rule whose body holds an atom that is neither an alternative nor
-    # the head of a rule never fires, in any assignment
-    derivable = reduce(or_, [1 << head for head, _ in rules], reduce(or_, chain(*choices), 0))
+    # a rule whose body holds an atom that is neither an alternative (the
+    # first atom ids) nor the head of a rule never fires, in any assignment
+    derivable = reduce(or_, [1 << head for head, _ in rules], (1 << len(table.probs)) - 1)
     rules = [(head, body) for head, body in rules if not body & ~derivable]
     for world in product(*choices):
         mask = _closure(rules, reduce(or_, world, 0))
         first: dict[int, int] = {}
         for head, body in rules:
             if not body & ~mask and first.setdefault(head, body) != body:
-                pair = [Clause(table.atoms[head], tuple(
-                    a for i, a in enumerate(table.atoms) if b >> i & 1))
-                    for b in (first[head], body)]
+                # each body as its clause lists it
+                pair = [Clause(table.atoms[head], next(
+                    tuple(map(table.atoms.__getitem__, ids)) for ids in table.expand(head)
+                    if reduce(or_, [1 << i for i in ids], 0) == b)) for b in (first[head], body)]
                 example = " and ".join(map(format_clause, pair)) + " both hold"
                 return AssumptionReport(True, False, joint, example)
     return AssumptionReport(True, True, joint)

@@ -179,7 +179,8 @@ def failure_probability(lam: float, t: float) -> float:
     for name, value in (("failure rate", lam), ("mission time", t)):
         if not 0 <= value < math.inf:
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    return -math.expm1(-lam * t)
+    # 0.0 - x, not -x: a zero rate or time gives +0.0, never -0.0
+    return 0.0 - math.expm1(-lam * t)
 
 
 def _violations(model: PftModel) -> list[str]:

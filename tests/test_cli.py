@@ -81,6 +81,21 @@ def test_compile_at_time_zero_prints_exact_certainties_at_any_precision(capsys):
     assert all(l.count(":1.0,") == 1 and l.endswith(":0.0]).") for l in declarations)
 
 
+def test_a_negative_zero_rate_or_time_prints_as_zero(capsys, tmp_path):
+    path = tmp_path / "model.pft"
+    path.write_text("basic A rate -0.0\nbasic B rate 1e-3\ntop TE = or(A, B)\n")
+    model = str(path)
+    code, out, _ = _run(capsys, "compile", model, "--stage", "2", "--time", "10")
+    assert code == 0 and "a(f):0.0]" in out and "-0" not in out
+    for argv, row in ((["mcs"], ["2", "A", "0"]), (["mcs", "--posterior"], ["2", "A", "0", "0"]),
+                      (["posterior"], ["A", "0"])):
+        code, out, _ = _run(capsys, *argv, model, "--time", "10")
+        assert code == 0 and "-0" not in out
+        assert row in [line.split() for line in out.splitlines()]
+    assert _run(capsys, "unrel", model, "--time", "-0.0") == (
+        0, "time_hours  lower  upper\n0           0      0\n", "")
+
+
 def test_compile_stage_one_counts(capsys):
     code, out, _ = _run(capsys, "compile", MODEL, "--stage", "1", "--time", "10000")
     assert code == 0

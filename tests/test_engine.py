@@ -358,7 +358,8 @@ FREE_REPLICA = parse_theory(
 
 def test_a_free_replica_variable_is_grounded_over_the_constants():
     table = AtomTable(FREE_REPLICA, (Atom("s"),))
-    bodies, bit = table.expand(table.intern(Atom("s")))
+    s = table.intern(Atom("s"))
+    bodies, bit = table.expand(s), s if s < len(table.probs) else None
     # every constant, in `repr` order, stands for the variable
     assert [[table.atoms[i] for i in body] for body in bodies] == [
         [Atom("a", (c, "f"))] for c in ("f", "w", 1, 2, 3)]
@@ -408,10 +409,24 @@ def test_every_expansion_matches_grounding_each_body_atom():
             i = todo.pop()
             if i in table.expansions:
                 continue
-            bodies, _ = table.expand(i)
+            bodies = table.expand(i)
             assert [tuple(table.atoms[j] for j in body) for body in bodies] == (
                 _reference_expansion(table, table.atoms[i])), format_atom(table.atoms[i])
             todo.extend(j for body in bodies for j in body)
+
+
+def test_declaration_alternatives_hold_the_first_atom_ids(model):
+    # an alternative's atom id is its bit in every mask, and it heads no clause
+    for theory, goal in ((compile_direct(model, T), TE), (compile_disjoint(model, T), TE),
+                         (NON_GROUND, Atom("g"))):
+        table = AtomTable(theory, (goal,))
+        table.order([table.intern(goal)])
+        assert len(table.atoms) > len(table.probs)
+        alternatives = [a for d in theory.declarations for a, _ in d.alternatives]
+        assert table.atoms[:len(table.probs)] == alternatives
+        for i, atom in enumerate(alternatives):
+            assert table.ids[atom] == i
+            assert table.expand(i) == ()
 
 
 # Two instances of c(Z), each of probability 0.5, that are not mutually
@@ -517,8 +532,10 @@ def test_conditioned_queries_match_the_oracle(model):
         tree, {("D", (1, 1)): True, ("Mg", ()): True, tree.top: True}), abs=1e-12)
     # two alternatives of one declaration cannot both hold
     assert evaluator.probability([Atom("b", ("f",)), Atom("b", ("w",))]) == 0.0
-    with pytest.raises(EngineError, match="not a hypothesis"):
-        evaluator.probability([Atom("skn", ("f",))])
+    # an interned atom that is no alternative, and one the table never met
+    for atom in (Atom("skn", ("f",)), Atom("nope")):
+        with pytest.raises(EngineError, match="not a hypothesis"):
+            evaluator.probability([atom])
 
 
 def test_later_queries_leave_the_first_value_unchanged(model):
@@ -752,11 +769,13 @@ def _reference_search(theory, goals, stop):
         if not ids:
             if assumed not in seen:
                 seen.add(assumed)
-                hyps = frozenset(a for i, a in enumerate(table.alternatives) if assumed >> i & 1)
+                hyps = frozenset(a for i, a in enumerate(table.atoms[:len(table.probs)])
+                                 if assumed >> i & 1)
                 emitted.append((hyps, -neg))
                 lower, check = lower - neg, True
             continue
-        bodies, bit = table.expansions.get(ids[0]) or table.expand(ids[0])
+        bodies = table.expand(ids[0])
+        bit = ids[0] if ids[0] < len(table.probs) else None
         children = [(neg, body + ids[1:], assumed) for body in bodies]
         if bit is not None and assumed >> bit & 1:
             children.append((neg, ids[1:], assumed))

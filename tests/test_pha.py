@@ -223,6 +223,14 @@ def test_fixed_precision_grows_until_nonzero():
     assert serialize(theory, precision=4) == "disjoint([a:0.99998,b:0.00002]).\n"
 
 
+@pytest.mark.parametrize("body", ["h, a", "a, h", "a, h, a"])
+def test_a_counterexample_lists_each_body_as_its_clause_does(body):
+    theory = parse_theory(
+        "disjoint([a:0.5,na:0.5]).\ndisjoint([b:0.5,nb:0.5]).\ndisjoint([c:0.5,nc:0.5]).\n"
+        f"g :- {body}.\ng :- h, b.\nh :- c.\n")
+    assert check_assumptions(theory).counterexample == f"g :- {body}. and g :- h, b. both hold"
+
+
 def test_direct_stage_breaks_body_exclusivity(model):
     report = check_assumptions(compile_direct(model, T))
     assert report.assumption1 is True
@@ -253,9 +261,10 @@ def _check_over_every_rule(theory):
         first = {}
         for head, body in rules:
             if not body & ~mask and first.setdefault(head, body) != body:
-                pair = [Clause(table.atoms[head], tuple(
-                    a for i, a in enumerate(table.atoms) if b >> i & 1))
-                    for b in (first[head], body)]
+                # each body as its clause lists it
+                pair = [Clause(table.atoms[head], next(
+                    tuple(map(table.atoms.__getitem__, ids)) for ids in table.expand(head)
+                    if reduce(or_, [1 << i for i in ids], 0) == b)) for b in (first[head], body)]
                 example = " and ".join(map(format_clause, pair)) + " both hold"
                 return AssumptionReport(True, False, report.joint_states, example), never
     return AssumptionReport(True, True, report.joint_states), never
