@@ -35,7 +35,7 @@ from .model import (
     KIND_TOP,
     PftModel,
     failure_probability,
-    instantiate,
+    input_instances,
 )
 from .pha import (
     Atom,
@@ -97,8 +97,9 @@ def _gate_size(event: EventNode, gate: Gate, n: int, stage: str) -> tuple[int, i
 
     Stage 1 has a clause of m atoms per m-subset.  In stage 2 the cells
     led by the k-subsets hold k * C(n+1, k+1) atoms, since a cell whose
-    lead ends at position p (from 1) holds p; an OR's one working cell
-    holds n.
+    lead ends at position p (from 1) holds p.  A non-top gate adds the
+    working cells led by the w-subsets, w = n-m+1; for an OR (w = n) that
+    is one cell of n atoms, the one `compile_disjoint` writes.
     """
     m = gate.needed(n)
     cells = comb(n, m)
@@ -106,18 +107,15 @@ def _gate_size(event: EventNode, gate: Gate, n: int, stage: str) -> tuple[int, i
         return cells, cells * m
     atoms = m * comb(n + 1, m + 1)
     if event.kind != KIND_TOP:
-        if gate.kind == "or":
-            cells, atoms = cells + 1, atoms + n
-        else:
-            w = n - m + 1
-            cells, atoms = cells + comb(n, w), atoms + w * comb(n + 1, w + 1)
+        w = n - m + 1
+        cells, atoms = cells + comb(n, w), atoms + w * comb(n + 1, w + 1)
     return cells, atoms
 
 
 def _gates(model: PftModel, stage: str) -> list[tuple]:
     """Each gate in model order as (output event, gate, head terms, inputs):
-    the output's parameters as clause variables, and the (class name,
-    arguments) of every instance `instantiate` gives of each input.
+    the output's parameters as clause variables, and the gate's
+    `input_instances` under them.
 
     Every gate's clauses and body atoms are counted first, so a gate over
     `MAX_GATE_CELLS` or `MAX_GATE_ATOMS` is refused before any clause is built.
@@ -128,10 +126,7 @@ def _gates(model: PftModel, stage: str) -> list[tuple]:
             continue
         gate = model.gate_map[ev.class_name]
         head_terms = tuple(Var(p.upper()) for p in ev.formal_params)
-        outer = dict(zip(ev.formal_params, head_terms))
-        inputs = [
-            (ref.event, args) for ref in gate.inputs for args in instantiate(model, ref, outer)
-        ]
+        inputs = input_instances(model, gate, dict(zip(ev.formal_params, head_terms)))
         cells, atoms = _gate_size(ev, gate, len(inputs), stage)
         for size, unit, limit in ((cells, "clauses", MAX_GATE_CELLS),
                                   (atoms, "body atoms", MAX_GATE_ATOMS)):

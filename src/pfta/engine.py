@@ -566,22 +566,16 @@ class ExactEvaluator:
         del self._memo
 
     def _index(self, roots: tuple[int, ...]) -> None:
-        """Bodies and supports of every atom the goals reach, in `AtomTable.order`.
-
-        Each body is kept with the alternatives its atoms share: a body
-        whose supports never overlap never needs a split.
-        """
+        """The support of every atom the goals reach, in `AtomTable.order`,
+        so each atom's body atoms have theirs first."""
         table = self._table
-        self._bodies: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
         self._support: dict[int, int] = {}
         for a in table.order(roots):
             if a < len(table.probs):  # a leaf, which `_known` answers
                 self._support[a] = table.decl_masks[a]
                 continue
-            bodies = table.expand(a)
-            self._bodies[a] = tuple((body, self._shared(body)) for body in bodies)
             mask = 0
-            for body in bodies:
+            for body in table.expand(a):
                 for b in body:
                     mask |= self._support[b]
             self._support[a] = mask
@@ -622,8 +616,7 @@ class ExactEvaluator:
             if chosen & mask & ~(1 << bit):
                 return 0.0
             chosen |= 1 << bit
-            # a declaration's alternatives hold adjacent bits
-            for other in range((mask & -mask).bit_length() - 1, mask.bit_length()):
+            for other in _bits(mask):
                 values[2 + other] = float(other == bit)
         for op, inputs in self._nodes:
             values.append(op(inputs(values)))
@@ -678,8 +671,8 @@ class ExactEvaluator:
     def _atom(self, a: int, chosen: int, decided: int):
         """Task: the node of P(atom a | context), the sum over its bodies, memoized."""
         bodies = []
-        for body, shared in self._bodies[a]:
-            bodies.append((yield self._conjunction(body, shared, chosen, decided)))
+        for body in self._table.expand(a):
+            bodies.append((yield self._conjunction(body, self._shared(body), chosen, decided)))
         node = self._memo[a, chosen & self._support[a]] = self._node(_sum, bodies)
         self._check_budget()
         return node
@@ -707,7 +700,7 @@ class ExactEvaluator:
                 self._check_budget()
                 mask = self._table.decl_masks[(part_shared & -part_shared).bit_length() - 1]
                 terms = []
-                for bit in range((mask & -mask).bit_length() - 1, mask.bit_length()):
+                for bit in _bits(mask):
                     node = yield self._conjunction(
                         part, part_shared, chosen | 1 << bit, decided | mask)
                     terms.append(self._node(math.prod, [2 + bit, node]))
@@ -750,10 +743,10 @@ def probability(
     bound on what remains.
     """
     goals = _as_goal_list(goals)
-    _require_exact(theory, goals)
-    if stop.exhaustive:
+    if stop.exhaustive:  # the evaluator refuses what the rule does not cover
         p = ExactEvaluator(theory, goals).probability()
         return ProbabilityBounds(p, p)
+    _require_exact(theory, goals)
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
     for _ in search._emissions:  # the bounds need no `Explanation`s
         pass
@@ -825,9 +818,11 @@ def check_assumptions(theory: PhaTheory) -> AssumptionReport:
     checked, a cyclic theory raises `EngineError`.
     """
     hypotheses = [a for decl in theory.declarations for a, _ in decl.alternatives]
-    # hypotheses are ground, so a head needs no renaming apart
+    # hypotheses are ground, so a head needs no renaming apart, and only a
+    # head of the hypothesis' predicate can unify with it
     assumption1 = not any(
-        unify(c.head, h) is not None for c in theory.clauses for h in hypotheses)
+        unify(c.head, h) is not None
+        for h in hypotheses for c in theory.clause_index.get(h.pred, ()))
     joint = math.prod(len(decl.alternatives) for decl in theory.declarations)
     if not assumption1 or joint > MAX_JOINT_STATES:
         return AssumptionReport(assumption1, None, joint)

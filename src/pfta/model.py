@@ -218,9 +218,11 @@ def _violations(model: PftModel) -> list[str]:
     input_classes = {ref.event for g in model.gates for ref in g.inputs}
 
     for e in model.events:
-        for p in e.formal_params:
+        for p, uses in Counter(e.formal_params).items():
             if p not in model.param_map:
                 out.append(f"event {e.class_name} uses undeclared parameter {p}")
+            if uses > 1:
+                out.append(f"event {e.class_name} repeats parameter {p}")
         if e.kind == KIND_BASIC:
             if e.class_name in model.gate_map:
                 out.append(f"basic event {e.class_name} is the output of a gate")
@@ -390,3 +392,11 @@ def instantiate(
             for a in ref.args
         ))
     return out
+
+
+def input_instances(
+    model: PftModel, gate: Gate, env: Mapping[str, object]
+) -> tuple[tuple[str, tuple], ...]:
+    """The (class name, arguments) of every instance `instantiate` gives of
+    each input of `gate` under `env`, in input order: the n of `Gate.needed`."""
+    return tuple((ref.event, args) for ref in gate.inputs for args in instantiate(model, ref, env))

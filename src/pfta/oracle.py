@@ -25,7 +25,7 @@ from .model import (
     PftModel,
     failure_probability,
     format_instance,
-    instantiate,
+    input_instances,
 )
 
 if TYPE_CHECKING:
@@ -57,9 +57,7 @@ def _gate_node(model: PftModel, key: Key) -> tuple[int, tuple[Key, ...]]:
     class_name, values = key
     gate = model.gate_map[class_name]
     env = dict(zip(model.event_map[class_name].formal_params, values))
-    inputs = tuple(
-        (ref.event, args) for ref in gate.inputs for args in instantiate(model, ref, env)
-    )
+    inputs = input_instances(model, gate, env)
     return gate.needed(len(inputs)), inputs
 
 

@@ -148,11 +148,11 @@ def walk(term, subst: Subst):
     return term
 
 
-def unify(a: Atom, b: Atom, subst: Subst | None = None) -> Subst | None:
-    """Most general unifier extending `subst`, or None."""
+def unify(a: Atom, b: Atom) -> Subst | None:
+    """Most general unifier of `a` and `b`, or None."""
     if a.pred != b.pred or len(a.args) != len(b.args):
         return None
-    out = dict(subst) if subst else {}
+    out = {}
     for x, y in zip(a.args, b.args):
         x = walk(x, out)
         y = walk(y, out)

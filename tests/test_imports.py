@@ -1,5 +1,6 @@
-"""Modules of the package share only public names, its exports resolve,
-and numpy is loaded only when the oracle enumerates."""
+"""Modules of the package share only public names and use every name they
+import, its exports resolve, every source parses as Python 3.10, and numpy
+is loaded only when the oracle enumerates."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 import pfta
 
 SRC = Path(pfta.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 MODEL = str(Path(__file__).parent / "data" / "multiprocessor.pft")
 # `from .x import a, b` or `from .x import (\n a,\n b,\n)`
 _RELATIVE_IMPORT = re.compile(r"^from \.\w* import (\([^)]*\)|.*)$", re.MULTILINE)
@@ -98,6 +100,62 @@ def test_only_the_model_checks_a_model():
         imported = _names_imported_from((SRC / f"{name}.py").read_text(), "model")
         assert {n for n in imported if "valid" in n or "violation" in n} == set(), name
     assert {"validate", "require_valid"} & set(pfta.__all__) == set()
+
+
+def test_the_translations_and_the_oracle_expand_gates_through_one_rule():
+    # a gate's input instances are listed by `input_instances` alone
+    for name in ("compile", "oracle"):
+        imported = _names_imported_from((SRC / f"{name}.py").read_text(), "model")
+        assert "input_instances" in imported and "instantiate" not in imported, name
+
+
+def _unused_imports(text: str) -> list[str]:
+    """Names a source imports but never reads, as a name or an attribute
+    base, and does not list in its `__all__`; `from __future__` is exempt."""
+    tree = ast.parse(text)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_the_unused_import_scan_sees_every_use():
+    text = ("from __future__ import annotations\n"
+            "import os, os.path as osp\n"
+            "import json.decoder\n"
+            "from .a import b, c as d, e, f, g\n"
+            "def h(x: e) -> None:\n    import numpy as np\n    return d(x) + f.y\n"
+            "__all__ = ['g']\n")
+    assert _unused_imports(text) == ["os", "osp", "json", "b", "np"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {path.name: _unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_every_source_parses_as_python_3_10():
+    """`pyproject.toml` admits Python 3.10, so no source may use later
+    grammar.  `feature_version` is best-effort: it rejects most newer syntax
+    (such as `except*`), but does not check library APIs or every feature."""
+    tops = ("src", "tests", "bench")
+    paths = [path for top in tops for path in sorted((ROOT / top).rglob("*.py"))]
+    assert {path.relative_to(ROOT).parts[0] for path in paths} == set(tops)
+    failed = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            failed.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert failed == []
 
 
 def _definitions_holding(text: str, matches) -> set[str]:

@@ -20,6 +20,7 @@ from pfta.model import (
     PftModel,
     failure_probability,
     format_instance,
+    input_instances,
     instantiate,
 )
 from pfta.errors import ModelInvalidError
@@ -275,6 +276,9 @@ def _top_over(*refs: EventRef, **kwargs) -> Gate:
     (dict(events=(_A, _B, _E, EventNode("F", KIND_INTERNAL), _TE),
           gates=(_GATE_E, Gate("or", "F", ()), _top_over(EventRef("F")))),
      ["gate F has no inputs"]),
+    (dict(events=(EventNode("A", KIND_BASIC, ("i", "i")), _B, _E, _TE),
+          gates=(Gate("and", "E", (EventRef("A", ("i", "i")),), forall=("i",)), _GATE_TE)),
+     ["event A repeats parameter i"]),
 ], ids=[
     "empty-type", "repeated-type-values", "parameter-of-unknown-type",
     "two-gates-on-one-output", "basic-event-as-gate-output", "missing-rate",
@@ -283,7 +287,7 @@ def _top_over(*refs: EventRef, **kwargs) -> Gate:
     "unknown-input", "arity-mismatch", "constant-outside-its-type",
     "parameter-type-mismatch", "constant-for-a-parameter-of-unknown-type",
     "vote-over-a-parameter-of-unknown-type", "k-on-non-vote-gate", "forall-over-several-inputs",
-    "gate-with-no-inputs",
+    "gate-with-no-inputs", "repeated-formal-parameter",
 ])
 def test_each_planted_defect_is_reported_at_construction(defect, violations):
     assert _rejected(PftModel, **{**_VALID, **defect}) == violations
@@ -319,6 +323,24 @@ def test_instantiate_binds_repeated_parameters_together():
     )
     got = instantiate(m, EventRef("X", ("a", "a")), {})
     assert got == [(1, 1), (2, 2), (3, 3)]
+
+
+def test_input_instances_follow_the_inputs_in_order(model):
+    got = input_instances(model, model.gate_map["S"], {"i": 2})
+    assert got == (("P", (2,)), ("MM", (2,)), ("DM", (2,)))
+
+
+def test_input_instances_expand_a_forall_input_into_its_replicas(model):
+    assert input_instances(model, model.gate_map["DM"], {"i": 3}) == (("D", (3, 1)), ("D", (3, 2)))
+    got = input_instances(model, model.gate_map["SKN"], {})
+    assert got == (("S", (1,)), ("S", (2,)), ("S", (3,)))
+
+
+def test_input_instances_carry_a_clause_variable_from_the_environment(model):
+    got = input_instances(model, model.gate_map["MM"], {"i": Var("I")})
+    assert got == (("Mg", ()), ("M", (Var("I"),)))
+    got = input_instances(model, model.gate_map["DM"], {"i": Var("I")})
+    assert got == (("D", (Var("I"), 1)), ("D", (Var("I"), 2)))
 
 
 def test_format_instance_renders_like_the_source_labels():

@@ -301,6 +301,20 @@ def test_head_unifying_with_hypothesis_breaks_assumption_one():
         entails(theory, {Atom("b", ())}, [Atom("a", ())])
 
 
+@pytest.mark.parametrize("head, holds", [
+    (Atom("a", (Var("X"),)), False),
+    (Atom("a", (2,)), True),
+    (Atom("c", (Var("X"),)), True),
+], ids=["variable-head-of-its-predicate", "other-constant", "other-predicate"])
+def test_assumption_one_unifies_non_ground_heads_with_the_hypotheses(head, holds):
+    theory = PhaTheory(
+        clauses=(Clause(head, (Atom("b", ()),)),),
+        declarations=(DisjointDeclaration(((Atom("a", (1,)), 0.5), (Atom("b", ()), 0.5))),),
+        stage=STAGE_DIRECT,
+    )
+    assert check_assumptions(theory).assumption1 is holds
+
+
 def test_entails_follows_clauses(model):
     theory = compile_disjoint(model, T)
     te = Atom("te", ())
