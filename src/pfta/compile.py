@@ -19,18 +19,21 @@ Both walk the gates through `_gates`: an output's parameters stay clause
 variables, and every gate kind expands the input it quantifies into replicas.
 A gate over `MAX_GATE_CELLS` clauses or `MAX_GATE_ATOMS` body atoms is
 refused before any clause is built.
+Every event atom, the goal `top_atom` included, is written by `event_atom`,
+and `ground_events` alone reads a hypothesis back into its ground event.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product, repeat
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import TheoryError
 from .model import (
     EventNode,
     Gate,
+    GroundEvent,
     KIND_BASIC,
     KIND_TOP,
     PftModel,
@@ -60,6 +63,24 @@ def predicate_name(class_name: str) -> str:
     return class_name.lower()
 
 
+def event_atom(key: tuple[str, tuple], status: str | None = None) -> Atom:
+    """The atom of the event instance `key` = (class, arguments), with
+    `status` last when it is given: the one writer of an event atom."""
+    name, args = key
+    return Atom(predicate_name(name), args if status is None else args + (status,))
+
+
+def top_atom(model: PftModel) -> Atom:
+    """The goal: the top event's atom, ground and without a status."""
+    return event_atom((model.top.class_name, ()))
+
+
+def ground_events(model: PftModel, hypotheses: Iterable[Atom]) -> dict[Atom, GroundEvent]:
+    """Each hypothesis atom's ground event (class, values), read back from `event_atom`."""
+    names = {predicate_name(e.class_name): e.class_name for e in model.events}
+    return {a: (names[a.pred], a.args[:-1]) for a in hypotheses}
+
+
 def declarations(model: PftModel, t: float) -> tuple[DisjointDeclaration, ...]:
     """One declaration per ground basic event, working then failed at time `t`.
 
@@ -71,25 +92,12 @@ def declarations(model: PftModel, t: float) -> tuple[DisjointDeclaration, ...]:
         if ev.kind != KIND_BASIC:
             continue
         p = failure_probability(model.rate_map[ev.class_name], t)
-        pred = predicate_name(ev.class_name)
         value_sets = [model.param_values(f) for f in ev.formal_params]
         for values in product(*value_sets):
-            decls.append(
-                DisjointDeclaration(
-                    (
-                        (Atom(pred, values + (STATUS_WORKING,)), 1.0 - p),
-                        (Atom(pred, values + (STATUS_FAILED,)), p),
-                    )
-                )
-            )
+            key = (ev.class_name, values)
+            decls.append(DisjointDeclaration(((event_atom(key, STATUS_WORKING), 1.0 - p),
+                                              (event_atom(key, STATUS_FAILED), p))))
     return tuple(decls)
-
-
-def _direct_atom(model: PftModel, event: str, args: tuple) -> Atom:
-    """Atom for an instance in the direct translation; basics carry `f`."""
-    if model.event_map[event].kind == KIND_BASIC:
-        return Atom(predicate_name(event), args + (STATUS_FAILED,))
-    return Atom(predicate_name(event), args)
 
 
 def _gate_size(event: EventNode, gate: Gate, n: int, stage: str) -> tuple[int, int]:
@@ -148,9 +156,10 @@ def compile_direct(model: PftModel, t: float) -> PhaTheory:
     """
     clauses: list[Clause] = []
     for ev, gate, head_terms, inputs in _gates(model, STAGE_DIRECT):
-        head = Atom(predicate_name(ev.class_name), head_terms)
-        # each replica's atom is built once and shared by every clause
-        atoms = [_direct_atom(model, event, args) for event, args in inputs]
+        head = event_atom((ev.class_name, head_terms))
+        # each replica's atom is built once and shared by every clause; basics carry `f`
+        atoms = [event_atom(key, STATUS_FAILED if model.event_map[key[0]].kind == KIND_BASIC
+                            else None) for key in inputs]
         clauses.extend(map(Clause, repeat(head), combinations(atoms, gate.needed(len(atoms)))))
     return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DIRECT)
 
@@ -204,19 +213,19 @@ def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
     clauses: list[Clause] = []
     for ev, gate, head_terms, inputs in _gates(model, STAGE_DISJOINT):
         # each expanded input's atom at each status, built once and shared by every cell
-        failed = [Atom(predicate_name(event), args + (STATUS_FAILED,)) for event, args in inputs]
-        working = [Atom(predicate_name(event), args + (STATUS_WORKING,)) for event, args in inputs]
-        pred = predicate_name(ev.class_name)
+        failed = [event_atom(key, STATUS_FAILED) for key in inputs]
+        working = [event_atom(key, STATUS_WORKING) for key in inputs]
+        head = (ev.class_name, head_terms)
         m = gate.needed(len(inputs))
         failure = _cell_bodies(failed, working, m)
         if ev.kind == KIND_TOP:
             # the top event keeps only its failure cells, under a plain head
-            clauses.extend(map(Clause, repeat(Atom(pred, head_terms)), failure))
+            clauses.extend(map(Clause, repeat(event_atom(head)), failure))
             continue
         if gate.kind == "or":
             success = [tuple(reversed(working))]
         else:
             success = _cell_bodies(working, failed, len(inputs) - m + 1)
-        clauses.extend(map(Clause, repeat(Atom(pred, head_terms + (STATUS_FAILED,))), failure))
-        clauses.extend(map(Clause, repeat(Atom(pred, head_terms + (STATUS_WORKING,))), success))
+        clauses.extend(map(Clause, repeat(event_atom(head, STATUS_FAILED)), failure))
+        clauses.extend(map(Clause, repeat(event_atom(head, STATUS_WORKING)), success))
     return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DISJOINT)

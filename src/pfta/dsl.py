@@ -32,6 +32,7 @@ from .model import (
     EventRef,
     FailureRate,
     Gate,
+    IDENTIFIER,
     KIND_BASIC,
     KIND_INTERNAL,
     KIND_TOP,
@@ -40,8 +41,7 @@ from .model import (
     PftModel,
 )
 
-_TOKEN = re.compile(r"\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|[(){}=:,])")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|{IDENTIFIER.pattern}|[(){{}}=:,])")
 _INTEGER = re.compile(r"-?\d+")
 
 
@@ -93,7 +93,7 @@ class _Cursor:
 
     def ident(self, what: str = "identifier") -> _Tok:
         tok = self.next(what)
-        if not _IDENT.fullmatch(tok.text):
+        if not IDENTIFIER.fullmatch(tok.text):
             raise DslError(f"expected {what}, got {tok.text!r}", self.lineno, tok.column)
         return tok
 
@@ -296,7 +296,7 @@ def _parse_ref(cur: _Cursor) -> tuple[str, list[int | str], int]:
             nxt = cur.next("argument")
             if _INTEGER.fullmatch(nxt.text):
                 args.append(int(nxt.text))
-            elif _IDENT.fullmatch(nxt.text):
+            elif IDENTIFIER.fullmatch(nxt.text):
                 args.append(nxt.text)
             else:
                 raise DslError(f"expected argument, got {nxt.text!r}", cur.lineno, nxt.column)

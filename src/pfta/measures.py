@@ -13,6 +13,8 @@ The theory's clauses do not depend on the mission time, so an exhaustive
 curve records them once and replays the recording with the compiler's
 declarations at each time.  Bounded curves search with their stop
 criteria instead, and a point at time 0 is 0 without any theory.
+No measure builds or parses an atom: `compile` writes the goal and the
+hypotheses and reads them back into ground events.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .compile import compile_direct, compile_disjoint, declarations, predicate_name
+from .compile import (compile_direct, compile_disjoint, declarations, event_atom,
+                      ground_events, top_atom)
 from .engine import (
     EXHAUSTIVE,
     ExactEvaluator,
@@ -36,12 +39,13 @@ from .engine import (
 from .errors import AnalysisError
 from .model import (
     GroundEvent,
+    IDENTIFIER,
     KIND_BASIC,
     PftModel,
     failure_probability,
     format_instance,
 )
-from .pha import Atom, STATUS_FAILED
+from .pha import STATUS_FAILED
 
 MAX_CURVE_POINTS = 10**6  # largest grid `curve_times` builds
 
@@ -71,14 +75,6 @@ class UnreliabilityPoint:
     bounds: ProbabilityBounds
 
 
-def top_atom(model: PftModel) -> Atom:
-    return Atom(predicate_name(model.top.class_name))
-
-
-def _class_names(model: PftModel) -> dict[str, str]:
-    return {predicate_name(e.class_name): e.class_name for e in model.events}
-
-
 def _basic_instance(model: PftModel, name: str, values: tuple) -> GroundEvent:
     ev = model.event_map.get(name)
     if ev is None or ev.kind != KIND_BASIC:
@@ -97,7 +93,7 @@ def _basic_instance(model: PftModel, name: str, values: tuple) -> GroundEvent:
 
 def parse_instance(model: PftModel, text: str) -> GroundEvent:
     """Read a rendered ground event such as `D(1,2)` back into a key."""
-    m = re.fullmatch(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\(([^()]*)\))?\s*", text)
+    m = re.fullmatch(rf"\s*({IDENTIFIER.pattern})\s*(?:\(([^()]*)\))?\s*", text)
     if m is None:
         raise AnalysisError(f"cannot parse event {text!r}")
     values: tuple[int, ...] = ()
@@ -132,9 +128,7 @@ def minimal_cut_sets(
     _require_positive_time(t)
     theory = compile_direct(model, t)
     expls = minimal_explanations(theory, top_atom(model), stop)
-    names = _class_names(model)
-    events = {a: (names[a.pred], a.args[:-1])
-              for a in set().union(*(e.hypotheses for e in expls))}
+    events = ground_events(model, set().union(*(e.hypotheses for e in expls)))
     rows = {a: (rank, key, format_instance(key))
             for rank, (a, key) in enumerate(sorted(events.items(), key=itemgetter(1)))}
     cut_sets = []
@@ -169,7 +163,7 @@ class TopEvent:
         prior = 1.0
         for name, _ in keys:
             prior *= failure_probability(self.model.rate_map[name], self.t)
-        failed = [Atom(predicate_name(name), values + (STATUS_FAILED,)) for name, values in keys]
+        failed = [event_atom(key, STATUS_FAILED) for key in keys]
         return _posterior(prior * self.evaluator.probability(failed), self.probability)
 
 

@@ -10,6 +10,7 @@ independently with exponential rates; the unique top event is ground.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,9 @@ KIND_TOP = "top"
 
 # a ground event instance: (class name, parameter values)
 GroundEvent = tuple[str, tuple[int, ...]]
+
+# the form of every name in a model, which the model language reads and writes
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def format_instance(key: GroundEvent) -> str:
@@ -189,11 +193,27 @@ def _violations(model: PftModel) -> list[str]:
     out: list[str] = []
     classes = {e.class_name for e in model.events}
 
+    named = [("model", [model.name] if model.name else []),
+             ("type", [t.name for t in model.types]),
+             ("parameter", [p.name for p in model.params]),
+             ("event class", [e.class_name for e in model.events])]
+    for what, names in named:
+        out.extend(f"{what} name {n!r} is not an identifier"
+                   for n in names if not IDENTIFIER.fullmatch(n))
+
+    # the model language declares types and event classes in one namespace
+    for name, uses in Counter(t.name for t in model.types).items():
+        if uses > 1:
+            out.append(f"type {name} is declared {uses} times")
+        if name in classes:
+            out.append(f"type {name} has the name of an event class")
     for t in model.types:
         if not t.values:
             out.append(f"type {t.name} is empty")
         if len(set(t.values)) != len(t.values):
             out.append(f"type {t.name} has repeated values")
+        if any(type(v) is not int for v in t.values):
+            out.append(f"type {t.name} has a value that is not an integer")
 
     for p in model.params:
         if p.type_name not in model.type_map:
@@ -202,15 +222,15 @@ def _violations(model: PftModel) -> list[str]:
     tops = [e for e in model.events if e.kind == KIND_TOP]
     if len(tops) != 1:
         out.append(f"model has {len(tops)} top events, expected exactly 1")
-    lowered: dict[str, str] = {}
-    for e in model.events:
-        low = e.class_name.lower()
-        if low in lowered:
-            out.append(
-                f"event classes {lowered[low]} and {e.class_name} collide "
-                "case-insensitively"
-            )
-        lowered[low] = e.class_name
+    # a class names a predicate and a parameter a clause variable, each in one case
+    for what, names in (("event classes", [e.class_name for e in model.events]),
+                        ("parameters", [p.name for p in model.params])):
+        lowered: dict[str, str] = {}
+        for name in names:
+            low = name.lower()
+            if low in lowered:
+                out.append(f"{what} {lowered[low]} and {name} collide case-insensitively")
+            lowered[low] = name
     gate_outputs = [g.output for g in model.gates]
     if len(set(gate_outputs)) != len(gate_outputs):
         dups = sorted({n for n in gate_outputs if gate_outputs.count(n) > 1})
@@ -218,6 +238,8 @@ def _violations(model: PftModel) -> list[str]:
     input_classes = {ref.event for g in model.gates for ref in g.inputs}
 
     for e in model.events:
+        if e.kind not in (KIND_BASIC, KIND_INTERNAL, KIND_TOP):
+            out.append(f"event {e.class_name} has unknown kind {e.kind}")
         for p, uses in Counter(e.formal_params).items():
             if p not in model.param_map:
                 out.append(f"event {e.class_name} uses undeclared parameter {p}")
@@ -298,6 +320,8 @@ def _check_gate(model: PftModel, g: Gate, classes: set[str]) -> Iterable[str]:
     if g.output not in classes:
         out.append(f"gate output {g.output} is not a declared event")
         return out
+    if g.kind not in ("and", "or", "kofn"):
+        out.append(f"gate {g.output} has unknown kind {g.kind}")
     outer = model.event_map[g.output].formal_params
     for ref in g.inputs:
         if ref.event not in classes:
@@ -359,11 +383,20 @@ def _check_gate(model: PftModel, g: Gate, classes: set[str]) -> Iterable[str]:
         if len(g.inputs) != 1:
             out.append(f"gate {g.output} quantifies over a non-unique input")
         else:
+            ref = g.inputs[0]
             for pname in g.forall:
-                if model.declared_at.get(pname) != g.inputs[0].event:
+                if model.declared_at.get(pname) != ref.event:
                     out.append(
                         f"gate {g.output} quantifies {pname}, which is not "
-                        f"declared at {g.inputs[0].event}"
+                        f"declared at {ref.event}"
+                    )
+            # each quantified argument stands at its own formal, as the model language writes it
+            formals = model.event_map[ref.event].formal_params if ref.event in classes else ()
+            for arg, formal in zip(ref.args, formals):
+                if arg in g.forall and arg != formal:
+                    out.append(
+                        f"gate {g.output}: forall parameter {arg} must match the "
+                        f"formal parameter name {formal} of {ref.event}"
                     )
     if not g.inputs:
         out.append(f"gate {g.output} has no inputs")

@@ -135,3 +135,35 @@ event X(i:T) = or(D(i,3), DM(i))
 event S = vote(1:2) forall(i:T) X(i)
 top TE = or(B, S)
 """
+
+# two parameters that differ only in case would name one clause variable
+CASE_PARAMETERS = """\
+type T = {1, 2}
+basic A(i:T) rate 1e-4
+basic B(I:T) rate 2e-4
+event E(i:T, I:T) = or(A(i), B(I))
+top TE = and forall(i:T, I:T) E(i, I)
+"""
+
+# small models at the edges of the language, each named for what it exercises
+EDGE_MODELS = {
+    # a reference names a constant of T, so T is not symmetric
+    "asymmetric": "model asymmetric\n" + CONSTANT_OF_T,
+    "unsorted": """\
+model unsorted
+type T = {3, 1, 2}
+basic A(i:T) rate 1e-4
+basic B(i:T) rate 3e-4
+event E(i:T) = or(A(i), B(i))
+top TE = vote(2:3) forall(i:T) E(i)
+""",
+    "or_forall": QUANTIFIED_OR,
+    "zero_rate": """\
+model zero_rate
+type T = {1, 2}
+basic A(i:T) rate 1e-4
+basic Z rate 0
+event E = and forall(i:T) A(i)
+top TE = or(E, Z)
+""",
+}

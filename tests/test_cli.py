@@ -19,7 +19,7 @@ import pfta.measures
 import pfta.oracle
 from conftest import DATA
 from pfta.cli import MAX_DIGITS, main
-from randmodels import CONSTANT_OF_T, multiprocessor_text
+from randmodels import CASE_PARAMETERS, CONSTANT_OF_T, multiprocessor_text
 
 MODEL = str(DATA / "multiprocessor.pft")
 BROKEN = str(DATA / "two_input_vote.pft")
@@ -54,12 +54,30 @@ def test_validate_reports_violations_on_stderr(capsys):
      ["top event TE is an input of a gate"]),
     ("basic B rate -2\n",
      ["model has 0 top events, expected exactly 1", "negative failure rate for B"]),
-], ids=["case-collision", "top-as-input", "two-violations"])
+    (CASE_PARAMETERS, ["parameters i and I collide case-insensitively"]),
+], ids=["case-collision", "top-as-input", "two-violations", "parameter-case-collision"])
 def test_validate_prints_each_violation_on_its_own_line(capsys, tmp_path, text, violations):
     path = tmp_path / "model.pft"
     path.write_text(text)
     err = "".join(f"violation: {v}\n" for v in violations)
     assert _run(capsys, "validate", str(path)) == (1, "", err)
+
+
+@pytest.mark.parametrize("command", [
+    ["compile", "--stage", "1", "--time", "10000"],
+    ["compile", "--stage", "2", "--time", "10000"],
+    ["mcs", "--time", "10000"],
+    ["unrel", "--time", "10000"],
+    ["curve", "--from", "0", "--to", "10000", "--step", "5000"],
+    ["posterior", "--time", "10000"],
+    ["oracle", "--time", "10000"],
+], ids=["compile-1", "compile-2", "mcs", "unrel", "curve", "posterior", "oracle"])
+def test_no_command_analyses_a_model_whose_parameters_differ_only_in_case(capsys, tmp_path,
+                                                                          command):
+    path = tmp_path / "model.pft"
+    path.write_text(CASE_PARAMETERS)
+    err = "error: invalid model: parameters i and I collide case-insensitively\n"
+    assert _run(capsys, command[0], str(path), *command[1:]) == (1, "", err)
 
 
 def test_compile_stage_two_writes_theory_text(capsys, tmp_path):

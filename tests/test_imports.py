@@ -210,6 +210,21 @@ def test_only_the_atom_table_walks_the_atoms():
     assert _definitions_holding(text, _calls("postorder")) == {"AtomTable"}
 
 
+def test_compile_alone_writes_and_reads_event_atoms():
+    # `compile.event_atom` builds every atom outside `pha` and `ground_events`
+    # reads hypotheses back, so `measures` passes atoms on without spelling one
+    built = {path.name: _definitions_holding(path.read_text(), _calls("Atom"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "pha.py"}
+    assert {name: found for name, found in built.items() if found} == {"compile.py": {"event_atom"}}
+    text = (SRC / "measures.py").read_text()
+    assert _names_imported_from(text, "pha") & {"Atom"} == set()
+    assert _names_imported_from(text, "compile") & {"predicate_name"} == set()
+    assert _definitions_holding(text, _reads("pred")) == set()
+    defined = {getattr(top, "name", None) for top in ast.parse(text).body}
+    assert defined & {"top_atom", "_class_names"} == set()
+    assert "_direct_atom" not in (SRC / "compile.py").read_text()
+
+
 def _numpy_imports(text: str) -> list[tuple[str, int]]:
     """(place, line) of each numpy import of a source.  The place is
     `function` in a function body, `type-checking` in a module-level

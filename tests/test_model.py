@@ -279,6 +279,29 @@ def _top_over(*refs: EventRef, **kwargs) -> Gate:
     (dict(events=(EventNode("A", KIND_BASIC, ("i", "i")), _B, _E, _TE),
           gates=(Gate("and", "E", (EventRef("A", ("i", "i")),), forall=("i",)), _GATE_TE)),
      ["event A repeats parameter i"]),
+    (dict(params=(_I, Parameter("I", "T")),
+          events=(_A, _B, _E, EventNode("C", KIND_BASIC, ("I",)), EventNode("F", KIND_INTERNAL),
+                  _TE),
+          gates=(_GATE_E, Gate("and", "F", (EventRef("C", ("I",)),), forall=("I",)),
+                 _top_over(EventRef("F"))),
+          rates=(*_RATES, FailureRate("C", 1e-3))),
+     ["parameters i and I collide case-insensitively"]),
+    (dict(params=(_I, Parameter("j", "T")),
+          events=(EventNode("A", KIND_BASIC, ("i", "j")), _B, _E, _TE),
+          gates=(Gate("and", "E", (EventRef("A", ("i", "i")),), forall=("i", "j")), _GATE_TE)),
+     ["gate E: forall parameter i must match the formal parameter name j of A"]),
+    (dict(events=(EventNode("A b", KIND_BASIC, ("i",)), _B, _E, _TE),
+          gates=(Gate("and", "E", (EventRef("A b", ("i",)),), forall=("i",)), _GATE_TE),
+          rates=(FailureRate("A b", 1e-3), _RATES[1])),
+     ["event class name 'A b' is not an identifier"]),
+    (dict(name="my model"), ["model name 'my model' is not an identifier"]),
+    (dict(types=(ParamType("A", (1, 2)),), params=(Parameter("i", "A"),)),
+     ["type A has the name of an event class"]),
+    (dict(types=(_TYPE, _TYPE)), ["type T is declared 2 times"]),
+    (dict(types=(ParamType("T", (1, 2.5)),)), ["type T has a value that is not an integer"]),
+    (dict(gates=(_GATE_E, Gate("xor", "TE", (EventRef("E"), EventRef("B"))))),
+     ["gate TE has unknown kind xor"]),
+    (dict(events=(_A, _B, EventNode("E", "module"), _TE)), ["event E has unknown kind module"]),
 ], ids=[
     "empty-type", "repeated-type-values", "parameter-of-unknown-type",
     "two-gates-on-one-output", "basic-event-as-gate-output", "missing-rate",
@@ -287,7 +310,10 @@ def _top_over(*refs: EventRef, **kwargs) -> Gate:
     "unknown-input", "arity-mismatch", "constant-outside-its-type",
     "parameter-type-mismatch", "constant-for-a-parameter-of-unknown-type",
     "vote-over-a-parameter-of-unknown-type", "k-on-non-vote-gate", "forall-over-several-inputs",
-    "gate-with-no-inputs", "repeated-formal-parameter",
+    "gate-with-no-inputs", "repeated-formal-parameter", "case-colliding-parameters",
+    "forall-argument-away-from-its-formal", "class-name-not-an-identifier",
+    "model-name-not-an-identifier", "type-named-like-a-class", "type-declared-twice",
+    "non-integer-type-value", "unknown-gate-kind", "unknown-event-kind",
 ])
 def test_each_planted_defect_is_reported_at_construction(defect, violations):
     assert _rejected(PftModel, **{**_VALID, **defect}) == violations
