@@ -447,5 +447,5 @@ def _format_gate(model: PftModel, gate: Gate) -> str:
         rest = "(" + ", ".join(_format_ref(r) for r in gate.inputs) + ")"
     if gate.kind != "kofn":
         return gate.kind + rest
-    n = prod(len(model.param_values(p)) for p in gate.forall) if gate.forall else len(gate.inputs)
+    n = prod(len(model.param_values(p)) for p in gate.forall)
     return f"vote({gate.k}:{n}){rest}"

@@ -52,7 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, count, product, repeat
 from operator import add, and_, itemgetter, or_
@@ -252,8 +252,7 @@ class SearchStats:
     steps not pushed because another alternative of the declaration was
     assumed; `peak_frontier` the most states the frontier held at once.
     `emitted` counts the explanations emitted, duplicates left out, also
-    when no `Explanation` was built for them; it is left out of `==`, so
-    stats compare by their state counts.
+    when no `Explanation` was built for them.
     """
 
     popped: int = 0
@@ -261,7 +260,7 @@ class SearchStats:
     duplicates: int = 0
     inconsistent: int = 0
     peak_frontier: int = 0
-    emitted: int = field(default=0, compare=False)
+    emitted: int = 0
 
 
 class ExplanationSearch(Iterator[Explanation]):
@@ -295,7 +294,7 @@ class ExplanationSearch(Iterator[Explanation]):
         self.goals = _as_goal_list(goals)
         self.stop = stop
         self.frontier_budget = frontier_budget
-        self.sound = theory.stage == STAGE_DISJOINT and all(g.is_ground() for g in self.goals)
+        self.sound = _inexact(theory, self.goals) is None
 
         self._table = table = AtomTable(theory, self.goals)
         self._emitted_probs_sum = 0.0
@@ -519,16 +518,15 @@ def _bits(mask: int) -> list[int]:
     return bits
 
 
-def _require_exact(theory: PhaTheory, goals: tuple[Atom, ...]) -> None:
-    """Refuse a theory or goals outside the probability rule."""
+def _inexact(theory: PhaTheory, goals: tuple[Atom, ...]) -> str | None:
+    """Why the probability rule does not cover `theory` and `goals`, or None."""
     if theory.stage != STAGE_DISJOINT:
-        raise EngineError(
-            "probability requires a disjoint-stage theory; "
-            "recompile with the status-complete translation"
-        )
+        return ("probability requires a disjoint-stage theory; "
+                "recompile with the status-complete translation")
     for g in goals:
         if not g.is_ground():
-            raise EngineError(f"probability requires ground goals; {format_atom(g)} has variables")
+            return f"probability requires ground goals; {format_atom(g)} has variables"
+    return None
 
 
 class ExactEvaluator:
@@ -553,7 +551,8 @@ class ExactEvaluator:
         budget: int = DEFAULT_BUDGET,
     ):
         goals = _as_goal_list(goals)
-        _require_exact(theory, goals)
+        if fault := _inexact(theory, goals):
+            raise EngineError(fault)
         self.budget = budget
         self._table = table = AtomTable(theory, goals)
         roots = tuple(map(table.intern, goals))
@@ -746,7 +745,8 @@ def probability(
     if stop.exhaustive:  # the evaluator refuses what the rule does not cover
         p = ExactEvaluator(theory, goals).probability()
         return ProbabilityBounds(p, p)
-    _require_exact(theory, goals)
+    if fault := _inexact(theory, goals):
+        raise EngineError(fault)
     search = ExplanationSearch(theory, goals, stop, frontier_budget)
     for _ in search._emissions:  # the bounds need no `Explanation`s
         pass

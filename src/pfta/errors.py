@@ -7,19 +7,21 @@ class PftaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DslError(PftaError):
-    """Syntax or reference error in a fault tree document."""
+class _LocatedError(PftaError):
+    """An error in a text, its message prefixed `line L[, column C]: `
+    when the line is known."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
-        where = ""
         if line is not None:
-            where = f"line {line}"
-            if column is not None:
-                where += f", column {column}"
-            where += ": "
-        super().__init__(where + message)
+            column_part = f", column {column}" if column is not None else ""
+            message = f"line {line}{column_part}: {message}"
+        super().__init__(message)
+
+
+class DslError(_LocatedError):
+    """Syntax or reference error in a fault tree document."""
 
 
 class ModelInvalidError(PftaError):
@@ -31,15 +33,10 @@ class ModelInvalidError(PftaError):
         super().__init__("invalid model: " + "; ".join(violations))
 
 
-class TheoryError(PftaError):
+class TheoryError(_LocatedError):
     """Malformed theory (bad declaration, dangling predicate, or bad text),
     or one too large to build: a gate over the translation's clause or
     body-atom limit."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        where = f"line {line}: " if line is not None else ""
-        super().__init__(where + message)
 
 
 class EngineError(PftaError):

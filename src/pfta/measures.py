@@ -20,6 +20,7 @@ hypotheses and reads them back into ground events.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from itertools import product
@@ -83,12 +84,17 @@ def _basic_instance(model: PftModel, name: str, values: tuple) -> GroundEvent:
         raise AnalysisError(
             f"{name} takes {len(ev.formal_params)} parameter values, got {len(values)}"
         )
+    indices = []
     for param, value in zip(ev.formal_params, values):
-        if value not in model.param_values(param):
+        try:
+            indices.append(operator.index(value))
+        except TypeError:  # such as 1.0: no parameter has it as a value
+            indices.append(None)
+        if indices[-1] not in model.param_values(param):
             raise AnalysisError(
                 f"{format_instance((name, values))}: {value} is not a value of parameter {param}"
             )
-    return (name, tuple(values))
+    return (name, tuple(indices))
 
 
 def parse_instance(model: PftModel, text: str) -> GroundEvent:
@@ -195,9 +201,7 @@ def _labeled(
         types = {model.param_map[p].type_name for p in ev.formal_params}
         if types <= model.symmetric_types:
             values = tuple(model.param_values(p)[0] for p in ev.formal_params)
-            label = ev.class_name
-            if ev.formal_params:
-                label += "(" + ",".join(ev.formal_params) + ")"
+            label = format_instance((ev.class_name, ev.formal_params))
             labeled.append((label, (ev.class_name, values)))
         else:
             keys = [(ev.class_name, values)
@@ -234,7 +238,9 @@ def unreliability_curve(
 
 
 def curve_times(t_from: float, t_to: float, step: float) -> list[float]:
-    """Arithmetic grid from t_from to t_to inclusive (within rounding)."""
+    """Arithmetic grid t_from + i * step up to t_to inclusive, where an end
+    that rounding left short of a grid point (by 1e-12 of the step count
+    plus 1e-15 of the times' magnitudes, in steps) counts as on it."""
     for name, value in (("start time", t_from), ("end time", t_to), ("step", step)):
         if not math.isfinite(value):
             raise AnalysisError(f"curve {name} must be finite, got {value}")
@@ -242,18 +248,16 @@ def curve_times(t_from: float, t_to: float, step: float) -> list[float]:
         raise AnalysisError(f"step must be positive, got {step}")
     if t_to < t_from:
         raise AnalysisError("curve end time precedes start time")
-    limit = t_to + 1e-9 * abs(t_to)
-    steps = (limit - t_from) / step  # the grid has floor(steps) + 1 points
+    steps = (t_to - t_from) / step
+    steps += 1e-12 * max(1.0, steps) + 1e-15 * (abs(t_from) + abs(t_to)) / step
+    # the grid has floor(steps) + 1 points
     if steps >= MAX_CURVE_POINTS:
         size = math.floor(steps) + 1 if steps < 2**53 else f"{steps:.3g}"  # exact below 2**53
         raise AnalysisError(
             f"curve grid of {size} points exceeds the limit of "
             f"{MAX_CURVE_POINTS} points; use a larger step"
         )
-    times = []
-    while (t := t_from + len(times) * step) <= limit:
-        times.append(t)
-    return times
+    return [t_from + i * step for i in range(math.floor(steps) + 1)]
 
 
 def basic_event_posteriors(

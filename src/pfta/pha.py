@@ -14,11 +14,11 @@ every procedure that reads a grounded theory live in `engine`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import TheoryError
 
@@ -38,30 +38,27 @@ class Var:
     name: str
 
 
-@dataclass(frozen=True, init=False)
-class Atom:
+class Atom(NamedTuple):
     """A predicate applied to variables, integers, or symbolic constants.
 
-    The hash, that of the field tuple, is computed once at construction,
-    since atoms key the renderer's, the search's and the interning tables.
-    `str` hashes are salted per process, so an atom pickles as its fields
-    alone and hashes afresh when it is rebuilt.
+    Atoms key the renderer's, the search's and the interning tables, so
+    an atom is a tuple of its fields: built, hashed and pickled by the
+    tuple type in C.  Its hash is that of `(pred, args)`, and a pickle
+    carries the two fields alone, so a per-process salted `str` hash is
+    computed afresh where the atom is loaded.  Equality is strict: an
+    atom equals only another atom, never a plain tuple of its fields.
     """
 
     pred: str
     args: tuple = ()
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, pred: str, args: tuple = ()):
-        object.__setattr__(self, "pred", pred)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash((pred, args)))
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Atom) and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __ne__(self, other) -> bool:
+        return not self == other
 
-    def __reduce__(self):
-        return Atom, (self.pred, self.args)
+    __hash__ = tuple.__hash__
 
     def is_ground(self) -> bool:
         return not any(isinstance(a, Var) for a in self.args)

@@ -312,7 +312,7 @@ def test_a_model_saved_with_a_byte_order_mark_validates(capsys, tmp_path):
 def test_an_oversized_curve_grid_exits_2_at_once(capsys):
     # the count is exact while a float holds it; past that the message
     # still names the limit, even when the count overflows to inf
-    for t_to, step, size in (("1", "1e-9", "1000000002"), ("1000000", "1", "1000001"),
+    for t_to, step, size in (("1", "1e-9", "1000000001"), ("1000000", "1", "1000001"),
                              ("1e308", "5e-324", "inf")):
         start = time.perf_counter()
         code, out, err = _run(capsys, "curve", MODEL, "--from", "0", "--to", t_to, "--step", step)

@@ -3,7 +3,8 @@
 `tests/data/cli_corpus.json` holds, per request, the exit code and the
 SHA-256 of standard output and of standard error, and the test replays
 each request in process through `pfta.cli.main`.  The requests run every
-command on both data files and on the `EDGE_MODELS`, each analysis at
+command on both data files, the `EDGE_MODELS` and three bench-family
+models (`mp(4,2,2)`, `mp(5,3,3)` and `chain(12)`), each analysis at
 default digits and at `--digits 17`; argparse errors and help text are
 left out, since their wording changes between Python versions.
 
@@ -26,10 +27,17 @@ from pathlib import Path
 
 from conftest import DATA
 from pfta.cli import main
-from randmodels import EDGE_MODELS
+from pfta.dsl import serialize_model
+from randmodels import EDGE_MODELS, chain, multiprocessor_text
 
 CORPUS = DATA / "cli_corpus.json"
 DATA_FILES = ("multiprocessor", "two_input_vote")
+# bench-family models: mp(5,3,3)'s 27 events send its oracle requests to exit 2
+FAMILY_MODELS = {
+    "mp_4_2_2": multiprocessor_text(4, 2, 2),
+    "mp_5_3_3": multiprocessor_text(5, 3, 3),
+    "chain_12": serialize_model(chain(12)),
+}
 
 _ANALYSES = [
     ["mcs", "--time", "10000"],
@@ -57,10 +65,10 @@ REQUESTS = [
 
 
 def _model_files(directory: Path) -> dict[str, Path]:
-    """Each corpus model's file, keyed by its name: the data files and the
-    edge models, written into `directory`."""
+    """Each corpus model's file, keyed by its name: the data files, and the
+    edge and family models written into `directory`."""
     files = {name: DATA / f"{name}.pft" for name in DATA_FILES}
-    for name, text in EDGE_MODELS.items():
+    for name, text in {**EDGE_MODELS, **FAMILY_MODELS}.items():
         files[name] = directory / f"{name}.pft"
         files[name].write_text(text)
     return files

@@ -844,7 +844,7 @@ def test_search_stats_count_duplicates_and_inconsistent_steps():
     # g, its three bodies, then (), (a) and (x) with a assumed: (a) finds
     # a assumed and completes {a} again, a duplicate; x contradicts a
     assert search.stats == SearchStats(
-        popped=8, pushed=8, duplicates=1, inconsistent=1, peak_frontier=3)
+        popped=8, pushed=8, duplicates=1, inconsistent=1, peak_frontier=3, emitted=1)
     assert search.stats.emitted == 1  # the duplicate {a} is not counted
 
 

@@ -113,9 +113,13 @@ def test_negative_time_is_rejected(model):
 def test_curve_times_builds_an_inclusive_grid():
     assert curve_times(0, 20000, 2000) == [2000.0 * i for i in range(11)]
     assert curve_times(5, 6, 0.5) == [5.0, 5.5, 6.0]
-    # the end is padded relative to itself, so a grid below 1 h stops at it
+    # the grid is counted in steps, so a grid below 1 h stops at its end
     assert curve_times(0, 1e-10, 1e-10) == [0.0, 1e-10]
     assert curve_times(0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.30000000000000004]
+    # and a late start neither adds a point past the end nor drops the end
+    assert curve_times(1e9, 1e9 + 10, 1) == [1e9 + i for i in range(11)]
+    assert curve_times(1e6, 1000000.01, 0.001) == [1e6 + i * 0.001 for i in range(11)]
+    assert curve_times(1e6, 1000000.002, 0.001) == [1e6, 1e6 + 0.001, 1e6 + 0.002]
     with pytest.raises(AnalysisError, match="step"):
         curve_times(0, 10, 0)
     with pytest.raises(AnalysisError, match="precedes"):
@@ -128,6 +132,12 @@ def test_curve_times_refuses_a_grid_over_the_point_limit():
         curve_times(0, MAX_CURVE_POINTS, 1)
     with pytest.raises(AnalysisError, match="1e\\+300 points"):
         curve_times(0, 1, 1e-300)
+
+
+def test_an_oversized_grid_counts_its_points_exactly():
+    for t_to, step, size in ((1e9, 1, 1000000001), (1e7, 0.5, 20000001), (1, 1e-9, 1000000001)):
+        with pytest.raises(AnalysisError, match=f"grid of {size} points"):
+            curve_times(0, t_to, step)
 
 
 def test_unreliability_curve_is_monotone(model):
@@ -236,6 +246,11 @@ def test_basic_posteriors_reject_instances_outside_the_model(model):
         basic_event_posteriors(model, T, [("S", (1,))])
     with pytest.raises(AnalysisError, match="not a basic event class"):
         top_event(model, T).posterior({("SKN", ())})
+    # an integer index is its value; a value with none is refused
+    assert basic_event_posteriors(model, T, [("D", (True, 2))]) == basic_event_posteriors(
+        model, T, [("D", (1, 2))])
+    with pytest.raises(AnalysisError, match="1.0 is not a value of parameter i"):
+        basic_event_posteriors(model, T, [("D", (1.0, 2))])
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -146,6 +146,24 @@ def test_atom_equality_and_repr_ignore_the_stored_hash():
     assert Atom("p") == Atom("p", ())
 
 
+def test_an_atom_hashes_as_the_tuple_of_its_fields():
+    # so every set and dict of atoms is ordered as one of their field tuples
+    for atom in (Atom("te"), Atom("p", (1, "f")), Atom("s", (Var("I"), "w")),
+                 Atom("g", (Var("I"), Var("J")))):
+        assert hash(atom) == hash((atom.pred, atom.args))
+
+
+def test_an_atom_has_no_instance_dict():
+    assert not hasattr(Atom("p", (1, "f")), "__dict__")
+
+
+def test_an_atom_equals_neither_a_var_nor_a_tuple_of_its_fields():
+    atom = Atom("I")
+    assert atom != Var("I") and Var("I") != atom
+    assert not atom == ("I", ()) and not ("I", ()) == atom
+    assert atom in {Atom("I")} and atom not in {Var("I"), ("I", ())}
+
+
 def test_an_unpickled_atom_hashes_in_its_own_process():
     # str hashes are salted per process, so a stored hash must not travel
     atoms = [Atom("p", (1, "f")), Atom("te"), Atom("s", (Var("I"), "w"))]
