@@ -137,10 +137,12 @@ class StopCriteria:
 EXHAUSTIVE = StopCriteria()
 
 
-def _as_goal_list(goals: Atom | Iterable[Atom]) -> tuple[Atom, ...]:
-    if isinstance(goals, Atom):
-        return (goals,)
-    return tuple(goals)
+def _atoms(name: str, atoms: Atom | Iterable[Atom]) -> tuple[Atom, ...]:
+    """The atom argument `name` as a tuple, a lone `Atom` as a tuple of one."""
+    atoms = (atoms,) if isinstance(atoms, Atom) else tuple(atoms)
+    if wrong := [a for a in atoms if not isinstance(a, Atom)]:
+        raise EngineError(f"{name}: {wrong[0]!r} is not an Atom")
+    return atoms
 
 
 class AtomTable:
@@ -187,6 +189,12 @@ class AtomTable:
             i = self.ids[atom] = len(self.atoms)
             self.atoms.append(atom)
         return i
+
+    def bit(self, atom: Atom) -> int:
+        """The bit of `atom`, which must be a declaration alternative."""
+        if (i := self.ids.get(atom, len(self.probs))) < len(self.probs):
+            return i
+        raise EngineError(f"{format_atom(atom)} is not a hypothesis of the theory")
 
     def ground(self, atoms: tuple[Atom, ...]) -> list[tuple[int, ...]]:
         """Id tuples of the ground instances of `atoms`."""
@@ -291,7 +299,7 @@ class ExplanationSearch(Iterator[Explanation]):
         frontier_budget: int = DEFAULT_BUDGET,
     ):
         self.theory = theory
-        self.goals = _as_goal_list(goals)
+        self.goals = _atoms("goals", goals)
         self.stop = stop
         self.frontier_budget = frontier_budget
         self.sound = _inexact(theory, self.goals) is None
@@ -550,7 +558,7 @@ class ExactEvaluator:
         goals: Atom | Iterable[Atom],
         budget: int = DEFAULT_BUDGET,
     ):
-        goals = _as_goal_list(goals)
+        goals = _atoms("goals", goals)
         if fault := _inexact(theory, goals):
             raise EngineError(fault)
         self.budget = budget
@@ -589,7 +597,7 @@ class ExactEvaluator:
 
     def probability(
         self,
-        condition: Iterable[Atom] = (),
+        condition: Atom | Iterable[Atom] = (),
         declarations: Iterable[DisjointDeclaration] | None = None,
     ) -> float:
         """P(goals | every hypothesis in `condition` holds), at most 1.
@@ -607,10 +615,7 @@ class ExactEvaluator:
                 raise ValueError("the declarations must list the theory's alternatives in order")
             values[2:] = [p for _, p in pairs]
         chosen = 0
-        for atom in condition:
-            bit = table.ids.get(atom, len(table.probs))
-            if bit >= len(table.probs):
-                raise EngineError(f"{format_atom(atom)} is not a hypothesis of the theory")
+        for bit in map(table.bit, _atoms("condition", condition)):
             mask = table.decl_masks[bit]
             if chosen & mask & ~(1 << bit):
                 return 0.0
@@ -741,7 +746,7 @@ def probability(
     point interval; bounded ones search, and the frontier mass is a sound
     bound on what remains.
     """
-    goals = _as_goal_list(goals)
+    goals = _atoms("goals", goals)
     if stop.exhaustive:  # the evaluator refuses what the rule does not cover
         p = ExactEvaluator(theory, goals).probability()
         return ProbabilityBounds(p, p)
@@ -780,10 +785,11 @@ def entails(theory: PhaTheory, hypotheses: Iterable[Atom], goals: Iterable[Atom]
     """True when the ground `goals` all follow from `hypotheses` alone.
 
     False for a goal with variables or with a predicate the theory does
-    not know.  Raises `EngineError`, as the search does, when an atom the
-    goals reach is a hypothesis that heads a clause or depends on itself.
+    not know.  Raises `EngineError` on a hypothesis no declaration lists
+    and, as the search does, on an atom the goals reach that is a
+    hypothesis heading a clause or that depends on itself.
     """
-    goals = tuple(goals)
+    goals = _atoms("goals", goals)
     if not all(g.is_ground() for g in goals):
         return False
     try:
@@ -792,7 +798,7 @@ def entails(theory: PhaTheory, hypotheses: Iterable[Atom], goals: Iterable[Atom]
         return False
     roots = [table.intern(g) for g in goals]
     rules = _ground_rules(table, roots)
-    facts = reduce(or_, [1 << table.ids[h] for h in hypotheses if h in table.ids], 0)
+    facts = reduce(or_, [1 << table.bit(h) for h in _atoms("hypotheses", hypotheses)], 0)
     mask = _closure(rules, facts)
     return all(mask >> g & 1 for g in roots)
 

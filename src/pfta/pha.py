@@ -42,23 +42,16 @@ class Atom(NamedTuple):
     """A predicate applied to variables, integers, or symbolic constants.
 
     Atoms key the renderer's, the search's and the interning tables, so
-    an atom is a tuple of its fields: built, hashed and pickled by the
-    tuple type in C.  Its hash is that of `(pred, args)`, and a pickle
-    carries the two fields alone, so a per-process salted `str` hash is
-    computed afresh where the atom is loaded.  Equality is strict: an
-    atom equals only another atom, never a plain tuple of its fields.
+    an atom is a tuple of its fields: built, hashed, compared and pickled
+    by the tuple type in C, and equal to the plain tuple `(pred, args)`.
+    A lookup of an equal atom built elsewhere thus makes no Python call;
+    no table mixes atoms with other tuples, and every engine entry refuses
+    a member of an atom argument that is not an `Atom`.  A pickle carries
+    the two fields alone, so a salted `str` hash is made where it loads.
     """
 
     pred: str
     args: tuple = ()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Atom) and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
 
     def is_ground(self) -> bool:
         return not any(isinstance(a, Var) for a in self.args)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from pfta.dsl import parse_model
 from pfta.model import PftModel
 
@@ -60,6 +62,77 @@ def random_model(seed: int) -> tuple[PftModel, float]:
 
     # parse_model raises ModelInvalidError should a generated model be invalid
     return parse_model("\n".join(lines) + "\n"), t
+
+
+# failure probabilities at the analysis time, as multiples of 1/t
+_SCALES = (0.3, 0.8, 0.1, 1.2)
+
+
+def _shared_model(name: str, pick) -> tuple[PftModel, float]:
+    """A small model whose ground tree shares nodes, built from the choices
+    `pick(n)` makes in range(n); choosing 0 throughout gives the simplest.
+
+    Basic events `B0`.. are read by several gates, `R(c)` stands beside a
+    `forall` over `R`, a replicated `W(i:T) = op(R(i), B..)` may read a
+    global event and a two-parameter class `D(i:T, j:U)`, the vote or
+    quantifier `G` over `R` or `W` is an inner event, and the inner events
+    `L0`.. read any earlier unit, so one may have several parents.  At
+    most 13 ground basic events.
+    """
+    t = (1e3, 5e3, 1e4)[pick(3)]
+    card = 2 + pick(2)
+    values = ", ".join(str(v) for v in range(1, card + 1))
+    lines = [f"model {name}", f"type T = {{{values}}}"]
+
+    def rate() -> str:
+        return f"{_SCALES[pick(len(_SCALES))] / t:.6g}"
+
+    def op() -> str:
+        return ("or", "and")[pick(2)]
+
+    def distinct(units: list[str], n: int) -> list[str]:
+        rest = list(units)
+        return [rest.pop(pick(len(rest))) for _ in range(min(n, len(rest)))]
+
+    units = [f"B{i}" for i in range(2 + pick(3))]
+    lines += [f"basic {b} rate {rate()}" for b in units]
+    lines.append(f"basic R(i:T) rate {rate()}")
+    units.append(f"R({1 + pick(card)})")
+    replica = "R"
+    shape = pick(3)
+    if shape:
+        inputs = ["R(i)", units[pick(len(units) - 1)]]  # and a global B, R(c) being last
+        if shape == 2:
+            lines += ["type U = {1, 2}", f"basic D(i:T, j:U) rate {rate()}",
+                      f"event DM(i:T) = {op()} forall(j:U) D(i,j)"]
+            inputs.append("DM(i)")
+            units.append(f"D({1 + pick(card)},{1 + pick(2)})")
+        lines.append(f"event W(i:T) = {op()}({', '.join(inputs)})")
+        replica = "W"
+    quantifier = (f"vote({1 + pick(card)}:{card})", "and", "or")[pick(3)]
+    lines.append(f"event G = {quantifier} forall(i:T) {replica}(i)")
+    units.append("G")
+    read: set[str] = set()
+    for n in range(1 + pick(3)):
+        inputs = distinct(units, 2 + pick(2))
+        lines.append(f"event L{n} = {op()}({', '.join(inputs)})")
+        read.update(inputs)
+        units.append(f"L{n}")
+    lines.append(f"top TE = {op()}({', '.join(u for u in units if u not in read)})")
+    # parse_model raises ModelInvalidError should a generated model be invalid
+    return parse_model("\n".join(lines) + "\n"), t
+
+
+def shared_model(seed: int) -> tuple[PftModel, float]:
+    """A model with shared structure plus an analysis time; deterministic per seed."""
+    rng = random.Random(seed)
+    return _shared_model(f"shared{seed}", rng.randrange)
+
+
+@st.composite
+def shared_models(draw) -> tuple[PftModel, float]:
+    """Hypothesis strategy over `shared_model`'s grammar, shrinking to small models."""
+    return _shared_model("shared", lambda n: draw(st.integers(0, n - 1)))
 
 
 def multiprocessor_text(n: int, m: int, k: int) -> str:

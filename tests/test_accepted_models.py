@@ -27,7 +27,7 @@ from pfta.model import (
 )
 from pfta.oracle import top_enumeration, unfold
 from pfta.pha import STAGE_DIRECT, STAGE_DISJOINT, parse_theory, serialize
-from randmodels import CASE_PARAMETERS, EDGE_MODELS, random_model
+from randmodels import CASE_PARAMETERS, EDGE_MODELS, random_model, shared_model
 
 T = 1e4
 _TYPE = ParamType("T", (1, 2))
@@ -53,6 +53,7 @@ CORPUS = {
     "two_input_vote": _text((DATA / "two_input_vote.pft").read_text()),
     **{name: _text(text) for name, text in EDGE_MODELS.items()},
     **{f"rand{seed}": (lambda seed=seed: random_model(seed)) for seed in range(60)},
+    **{f"shared{seed}": (lambda seed=seed: shared_model(seed)) for seed in range(60)},
     "case-parameters": _text(CASE_PARAMETERS),
     "forall-away-from-its-formal": lambda: (_over_x(args=("a", "a")), T),
     "class-not-an-identifier": lambda: (_over_x(cls="A b"), T),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from dataclasses import astuple, replace
 from itertools import count
 
@@ -624,6 +625,55 @@ def test_every_engine_entry_refuses_a_cyclic_theory_before_it_searches(entry, cl
     theory = parse_theory("disjoint([a:0.5,x:0.5]).\n" + clauses, stage=STAGE_DISJOINT)
     with pytest.raises(EngineError, match="cyclic theory: g depends on itself"):
         entry(theory)
+
+
+B_FAILED = Atom("b", ("f",))
+# every atom argument of the engine: (entry called with it on a stage 2
+# theory, the argument's name, an atom it may hold)
+ATOM_ENTRIES = {
+    "search": (lambda th, atoms: next(ExplanationSearch(th, atoms)), "goals", TE),
+    "explain": (lambda th, atoms: explain(th, atoms, BOUNDED), "goals", TE),
+    "minimal": (lambda th, atoms: minimal_explanations(th, atoms, BOUNDED), "goals", TE),
+    "probability": (lambda th, atoms: probability(th, atoms), "goals", TE),
+    "bounded-probability": (lambda th, atoms: probability(th, atoms, BOUNDED), "goals", TE),
+    "evaluator": (lambda th, atoms: ExactEvaluator(th, atoms).probability(), "goals", TE),
+    "evaluator-condition": (lambda th, atoms: ExactEvaluator(th, TE).probability(atoms),
+                            "condition", B_FAILED),
+    "entails-goals": (lambda th, atoms: entails(th, [B_FAILED], atoms), "goals", TE),
+    "entails-hypotheses": (lambda th, atoms: entails(th, atoms, [TE]), "hypotheses", B_FAILED),
+}
+
+
+@pytest.mark.parametrize("entry", ATOM_ENTRIES)
+def test_every_engine_entry_reads_a_lone_atom_as_a_list_of_one(model, entry):
+    call, _, atom = ATOM_ENTRIES[entry]
+    theory = compile_disjoint(model, T)
+    assert call(theory, atom) == call(theory, [atom])
+
+
+@pytest.mark.parametrize("member", ["b", ("b", ("f",))], ids=["string", "tuple"])
+@pytest.mark.parametrize("entry", ATOM_ENTRIES)
+def test_every_engine_entry_refuses_a_member_that_is_not_an_atom(model, entry, member):
+    # an atom equals the tuple of its fields, so a tuple would be found as one
+    call, name, atom = ATOM_ENTRIES[entry]
+    theory = compile_disjoint(model, T)
+    with pytest.raises(EngineError, match=re.escape(f"{name}: {member!r} is not an Atom")):
+        call(theory, [atom, member])
+
+
+@pytest.mark.parametrize("hypotheses", [
+    [Atom("skn", ("f",)), Atom("b", ("w",))],
+    [Atom("zzz", ()), B_FAILED],
+], ids=["derived-atom", "unknown-atom"])
+def test_entails_and_a_condition_refuse_what_no_declaration_lists(model, hypotheses):
+    # entails once took the derived skn(f) as a fact and dropped zzz, and
+    # answered True for both
+    theory = compile_disjoint(model, T)
+    refusal = re.escape(f"{format_atom(hypotheses[0])} is not a hypothesis of the theory")
+    with pytest.raises(EngineError, match=f"^{refusal}$"):
+        entails(theory, hypotheses, [TE])
+    with pytest.raises(EngineError, match=f"^{refusal}$"):
+        ExactEvaluator(theory, TE).probability(hypotheses)
 
 
 def test_evaluator_rejects_a_hypothesis_that_heads_a_clause():

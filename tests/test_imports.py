@@ -210,6 +210,15 @@ def test_only_the_atom_table_walks_the_atoms():
     assert _definitions_holding(text, _calls("postorder")) == {"AtomTable"}
 
 
+def test_every_engine_entry_reads_its_atom_arguments_through_one_normaliser():
+    # `_atoms` takes a lone atom as a list of one and refuses a non-atom member
+    text = (SRC / "engine.py").read_text()
+    assert _definitions_holding(text, _calls("_atoms")) == {
+        "ExplanationSearch", "ExactEvaluator", "probability", "entails"}
+    defined = {getattr(top, "name", None) for top in ast.parse(text).body}
+    assert "_as_goal_list" not in defined
+
+
 def test_compile_alone_writes_and_reads_event_atoms():
     # `compile.event_atom` builds every atom outside `pha` and `ground_events`
     # reads hypotheses back, so `measures` passes atoms on without spelling one

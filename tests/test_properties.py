@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from randmodels import quantified_or, random_model
+from randmodels import quantified_or, random_model, shared_model, shared_models
 from pfta.compile import compile_direct, compile_disjoint
 from pfta.engine import EXHAUSTIVE, ExactEvaluator, ExplanationSearch, check_assumptions, explain
 from pfta.measures import minimal_cut_sets, top_atom, unreliability_curve
@@ -15,6 +16,9 @@ from pfta.pha import Atom, Var
 
 AGREEMENT_TOL = 1e-9
 BATTERY_SEEDS = range(60)
+# by seed, the random trees and then the models whose ground trees share nodes
+BATTERY = {**{seed: partial(random_model, seed) for seed in BATTERY_SEEDS},
+           **{f"shared{seed}": partial(shared_model, seed) for seed in BATTERY_SEEDS}}
 
 rates = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -39,9 +43,9 @@ def test_failure_probability_agrees_with_the_direct_formula(lam, t):
     )
 
 
-@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+@pytest.mark.parametrize("seed", BATTERY)
 def test_search_and_enumeration_agree_on_random_models(seed):
-    model, t = random_model(seed)
+    model, t = BATTERY[seed]()
     tree = unfold(model, t)
 
     exact = exact_probability(tree, {tree.top: True})
@@ -53,9 +57,26 @@ def test_search_and_enumeration_agree_on_random_models(seed):
     assert cut_sets == set(prime_implicants(tree, top_enumeration(tree)[2]))
 
 
-@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+@pytest.mark.parametrize("seed", BATTERY)
 def test_evaluator_agrees_with_oracle_and_search_on_random_models(seed):
-    model, t = random_model(seed)
+    _evaluator_agrees(*BATTERY[seed]())
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(shared_models())
+def test_evaluator_agrees_with_oracle_and_search_on_drawn_shared_models(drawn):
+    _evaluator_agrees(*drawn)
+
+
+def test_most_shared_models_make_the_evaluator_split():
+    # a split is where the evaluator conditions shared nodes, and only
+    # shared nodes reach that code
+    models = [shared_model(seed) for seed in BATTERY_SEEDS]
+    splits = [ExactEvaluator(compile_disjoint(m, t), top_atom(m))._splits for m, t in models]
+    assert sum(n > 0 for n in splits) >= 2 * len(splits) / 3
+
+
+def _evaluator_agrees(model, t):
     tree = unfold(model, t)
     theory = compile_disjoint(model, t)
     evaluator = ExactEvaluator(theory, top_atom(model))
@@ -73,17 +94,17 @@ def test_evaluator_agrees_with_oracle_and_search_on_random_models(seed):
         assert joint == pytest.approx(exact_probability(tree, condition), abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(0, 60, 6))
+@pytest.mark.parametrize("seed", list(BATTERY)[::6])
 def test_status_complete_translation_keeps_both_assumptions(seed):
-    model, t = random_model(seed)
+    model, t = BATTERY[seed]()
     report = check_assumptions(compile_disjoint(model, t))
     assert report.assumption1 is True
     assert report.assumption2 is True
 
 
-@pytest.mark.parametrize("seed", range(3, 60, 12))
+@pytest.mark.parametrize("seed", list(BATTERY)[3::12])
 def test_anytime_bounds_always_bracket_the_exact_value(seed):
-    model, t = random_model(seed)
+    model, t = BATTERY[seed]()
     tree = unfold(model, t)
     exact = exact_probability(tree, {tree.top: True})
     theory = compile_disjoint(model, t)
@@ -98,10 +119,10 @@ def _variables(atom):
     return {a for a in atom.args if isinstance(a, Var)}
 
 
-@pytest.mark.parametrize("seed", [*BATTERY_SEEDS, "quantified_or"])
+@pytest.mark.parametrize("seed", [*BATTERY, "quantified_or"])
 def test_no_clause_has_a_variable_outside_its_head(seed):
     # every quantified input is expanded into replicas, whatever the gate kind
-    model, t = (quantified_or(), 1e4) if seed == "quantified_or" else random_model(seed)
+    model, t = (quantified_or(), 1e4) if seed == "quantified_or" else BATTERY[seed]()
     for theory in (compile_direct(model, t), compile_disjoint(model, t)):
         for clause in theory.clauses:
             body_vars = set().union(*map(_variables, clause.body))
