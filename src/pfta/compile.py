@@ -15,19 +15,22 @@ the order the model declares them:
 
 Both read every gate as one rule: it fails when at least m =
 `Gate.needed(n)` of its n inputs fail.
+Both emit one `Cells` record per gate head, holding the head, the inputs'
+atoms and m, never a clause per cell: the theory's `clauses` view expands
+the records when something reads it, and `serialize` writes text from them.
 Both walk the gates through `_gates`: an output's parameters stay clause
 variables, and every gate kind expands the input it quantifies into replicas.
 A gate over `MAX_GATE_CELLS` clauses or `MAX_GATE_ATOMS` body atoms is
-refused before any clause is built.
+refused before its record is built.
 Every event atom, the goal `top_atom` included, is written by `event_atom`,
 and `ground_events` alone reads a hypothesis back into its ground event.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product, repeat
+from itertools import product
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import TheoryError
 from .model import (
@@ -42,7 +45,7 @@ from .model import (
 )
 from .pha import (
     Atom,
-    Clause,
+    Cells,
     DisjointDeclaration,
     PhaTheory,
     STAGE_DIRECT,
@@ -126,7 +129,7 @@ def _gates(model: PftModel, stage: str) -> list[tuple]:
     `input_instances` under them.
 
     Every gate's clauses and body atoms are counted first, so a gate over
-    `MAX_GATE_CELLS` or `MAX_GATE_ATOMS` is refused before any clause is built.
+    `MAX_GATE_CELLS` or `MAX_GATE_ATOMS` is refused before any record is built.
     """
     gates = []
     for ev in model.events:
@@ -151,51 +154,18 @@ def compile_direct(model: PftModel, t: float) -> PhaTheory:
     """Direct clause translation (stage 1): cut set oriented.
 
     A gate needing m failures gets one clause per m-subset of its inputs,
-    in `itertools.combinations` order.  Raises `TheoryError` for a gate
-    over `MAX_GATE_CELLS` clauses or `MAX_GATE_ATOMS` body atoms.
+    in `itertools.combinations` order: a `Cells` record with leads and
+    no trails.  Raises `TheoryError` for a gate over `MAX_GATE_CELLS`
+    clauses or `MAX_GATE_ATOMS` body atoms.
     """
-    clauses: list[Clause] = []
+    rules: list[Cells] = []
     for ev, gate, head_terms, inputs in _gates(model, STAGE_DIRECT):
-        head = event_atom((ev.class_name, head_terms))
-        # each replica's atom is built once and shared by every clause; basics carry `f`
-        atoms = [event_atom(key, STATUS_FAILED if model.event_map[key[0]].kind == KIND_BASIC
-                            else None) for key in inputs]
-        clauses.extend(map(Clause, repeat(head), combinations(atoms, gate.needed(len(atoms)))))
-    return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DIRECT)
-
-
-def _cell_bodies(same: Sequence[Atom], other: Sequence[Atom], m: int) -> list[tuple[Atom, ...]]:
-    """The bodies of the cells led by the m-subsets of the inputs.
-
-    `same` and `other` hold the inputs' atoms at the cell's status and at
-    the opposite one.  A cell's body is its lead, the subset's `same`
-    atoms in positional order, then its trail: the `other` atoms of the
-    positions before the lead's last that are outside the lead, in
-    reverse positional order.  Bodies come in `itertools.combinations`
-    order of their leads.
-
-    The leads grow one position per level, in that order, and each level
-    keeps (last position, lead, trail) per prefix, so a prefix's tuples
-    are built once and shared by all its extensions.  Extending a prefix
-    ending at l by a position p adds `same[p]` to the lead and the gap
-    l+1..p-1, from p-1 down, in front of the trail: one slice of `other`
-    reversed.  No step walks the body slot by slot in Python.
-    """
-    n = len(same)
-    reverse = tuple(reversed(other))  # other[j] is reverse[n - 1 - j]
-    level = [(-1, (), ())]
-    for depth in range(m - 1):
-        top = n - m + depth  # the last position a lead's depth-th input can take
-        level = [
-            (p, lead + (same[p],), reverse[n - p:n - 1 - last] + trail)
-            for last, lead, trail in level
-            for p in range(last + 1, top + 1)
-        ]
-    return [
-        lead + (same[p],) + reverse[n - p:n - 1 - last] + trail
-        for last, lead, trail in level
-        for p in range(last + 1, n)
-    ]
+        # each replica's atom is built once and shared by every cell; basics carry `f`
+        atoms = tuple(event_atom(key, STATUS_FAILED if model.event_map[key[0]].kind == KIND_BASIC
+                                 else None) for key in inputs)
+        rules.append(Cells(event_atom((ev.class_name, head_terms)), atoms, (),
+                           gate.needed(len(atoms))))
+    return PhaTheory(tuple(rules), declarations(model, t), STAGE_DIRECT)
 
 
 def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
@@ -204,28 +174,27 @@ def compile_disjoint(model: PftModel, t: float) -> PhaTheory:
     A gate needing m of its n inputs to fail gets a failure cell per
     m-subset lead, then a working cell per (n-m+1)-subset lead, except
     that an OR has one working cell, which reads every input working from
-    the last and has no trail (`_cell_bodies` gives leads and trails).
-    Together the cells partition the joint status space of the inputs;
-    the failure cells alone cover exactly the failing region.  The top
-    event keeps only its failure cells.  Raises `TheoryError` for a gate
-    over `MAX_GATE_CELLS` clauses or `MAX_GATE_ATOMS` body atoms.
+    the last and has no trail: the lead of all n inputs reversed.  Each
+    head's cells are one `Cells` record.  Together the cells partition
+    the joint status space of the inputs; the failure cells alone cover
+    exactly the failing region.  The top event keeps only its failure
+    cells.  Raises `TheoryError` for a gate over `MAX_GATE_CELLS` clauses
+    or `MAX_GATE_ATOMS` body atoms.
     """
-    clauses: list[Clause] = []
+    rules: list[Cells] = []
     for ev, gate, head_terms, inputs in _gates(model, STAGE_DISJOINT):
         # each expanded input's atom at each status, built once and shared by every cell
-        failed = [event_atom(key, STATUS_FAILED) for key in inputs]
-        working = [event_atom(key, STATUS_WORKING) for key in inputs]
+        failed = tuple(event_atom(key, STATUS_FAILED) for key in inputs)
+        working = tuple(event_atom(key, STATUS_WORKING) for key in inputs)
         head = (ev.class_name, head_terms)
-        m = gate.needed(len(inputs))
-        failure = _cell_bodies(failed, working, m)
+        n, m = len(inputs), gate.needed(len(inputs))
         if ev.kind == KIND_TOP:
             # the top event keeps only its failure cells, under a plain head
-            clauses.extend(map(Clause, repeat(event_atom(head)), failure))
+            rules.append(Cells(event_atom(head), failed, working, m))
             continue
+        rules.append(Cells(event_atom(head, STATUS_FAILED), failed, working, m))
         if gate.kind == "or":
-            success = [tuple(reversed(working))]
+            rules.append(Cells(event_atom(head, STATUS_WORKING), working[::-1], (), n))
         else:
-            success = _cell_bodies(working, failed, len(inputs) - m + 1)
-        clauses.extend(map(Clause, repeat(event_atom(head, STATUS_FAILED)), failure))
-        clauses.extend(map(Clause, repeat(event_atom(head, STATUS_WORKING)), success))
-    return PhaTheory(tuple(clauses), declarations(model, t), STAGE_DISJOINT)
+            rules.append(Cells(event_atom(head, STATUS_WORKING), working, failed, n - m + 1))
+    return PhaTheory(tuple(rules), declarations(model, t), STAGE_DISJOINT)

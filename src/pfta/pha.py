@@ -6,6 +6,12 @@ atoms with probabilities summing to one; exactly one alternative of each
 declaration holds.  Explanations are consistent hypothesis sets whose
 probability is the product of the chosen alternatives.
 
+A theory holds rules: a `Clause`, or a `Cells` record that stands for
+every clause of one gate head, the cells led by the m-subsets of its
+inputs.  `_cell_bodies` is the one routine that expands a record; the
+theory's `clauses` view runs it over atoms, and `serialize` over the
+atoms' texts, so writing a compiled theory builds no clause.
+
 Theories, unification and their text format live here, with the ground
 instances of atoms over given constants; the grounder built on those and
 every procedure that reads a grounded theory live in `engine`.
@@ -16,9 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, combinations, product, repeat
 from operator import attrgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import TheoryError
 
@@ -65,6 +71,63 @@ class Clause:
     body: tuple[Atom, ...] = ()
 
 
+def _cell_bodies(same: Sequence, other: Sequence, m: int) -> Iterator[tuple]:
+    """The bodies of the cells led by the m-subsets of the inputs, 1 <= m <= n.
+
+    `same` and `other` hold the inputs' items (atoms, or their texts) at
+    the cell's status and at the opposite one.  A cell's body is its
+    lead, the subset's `same` items in positional order, then its trail:
+    the `other` items of the positions before the lead's last that are
+    outside the lead, in reverse positional order.  With `other` empty
+    there are no trails, and the bodies are `itertools.combinations` of
+    `same`; either way they come in that order of their leads.
+
+    The leads grow one position per level, in that order, and each level
+    keeps (last position, lead, trail) per prefix, so a prefix's tuples
+    are built once and shared by all its extensions.  Extending a prefix
+    ending at l by a position p adds `same[p]` to the lead and the gap
+    l+1..p-1, from p-1 down, in front of the trail: one slice of `other`
+    reversed.  No step walks the body slot by slot in Python, and the
+    last level's bodies are made as they are read, so none is kept.
+    """
+    if not other:
+        return combinations(same, m)
+    n = len(same)
+    reverse = tuple(reversed(other))  # other[j] is reverse[n - 1 - j]
+    level = [(-1, (), ())]
+    for depth in range(m - 1):
+        top = n - m + depth  # the last position a lead's depth-th input can take
+        level = [
+            (p, lead + (same[p],), reverse[n - p:n - 1 - last] + trail)
+            for last, lead, trail in level
+            for p in range(last + 1, top + 1)
+        ]
+    return (
+        lead + (same[p],) + reverse[n - p:n - 1 - last] + trail
+        for last, lead, trail in level
+        for p in range(last + 1, n)
+    )
+
+
+@dataclass(frozen=True)
+class Cells:
+    """The clauses of one gate head: a body per cell led by an m-subset of its inputs.
+
+    `same` and `other` hold the n inputs' atoms at the cell's status and
+    at the opposite one, in the gate's input order, and 1 <= m <= n;
+    `other` is empty where no cell has a trail.  `_cell_bodies` gives
+    the bodies, in clause order.
+    """
+
+    head: Atom
+    same: tuple[Atom, ...]
+    other: tuple[Atom, ...]
+    m: int
+
+    def clauses(self) -> Iterator[Clause]:
+        return map(Clause, repeat(self.head), _cell_bodies(self.same, self.other, self.m))
+
+
 @dataclass(frozen=True)
 class DisjointDeclaration:
     """Exhaustive, mutually exclusive ground alternatives with probabilities."""
@@ -88,11 +151,18 @@ class DisjointDeclaration:
             raise TheoryError(f"probabilities sum to {total:g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaTheory:
-    """Clauses plus declarations; `stage` records the compilation discipline."""
+    """Rules plus declarations; `stage` records the compilation discipline.
 
-    clauses: tuple[Clause, ...]
+    A rule is a `Clause` or a `Cells` record of one gate head.  `clauses`
+    lists every rule's clauses in rule order, a view built on the first
+    read and kept, and `clause_index` groups it by head predicate; text
+    is written from the rules alone.  Two theories are equal when their
+    clauses, declarations and stage are, however their rules hold them.
+    """
+
+    rules: tuple[Clause | Cells, ...]
     declarations: tuple[DisjointDeclaration, ...]
     stage: str = STAGE_DIRECT
 
@@ -105,9 +175,10 @@ class PhaTheory:
                         f"hypothesis {format_atom(atom)} appears in two declarations"
                     )
                 seen[atom] = i
-        known = {c.head.pred for c in self.clauses} | {a.pred for a in seen}
-        # the body predicates are collected in C; only a failure looks for where
-        body_atoms = chain.from_iterable(map(attrgetter("body"), self.clauses))
+        known = {r.head.pred for r in self.rules} | {a.pred for a in seen}
+        # a record's body atoms are its inputs; only a failure looks for where
+        body_atoms = chain.from_iterable(
+            r.same + r.other if isinstance(r, Cells) else r.body for r in self.rules)
         if not known.issuperset(map(attrgetter("pred"), body_atoms)):
             for c in self.clauses:
                 for b in c.body:
@@ -116,6 +187,21 @@ class PhaTheory:
                             f"dangling predicate {b.pred} in the body of "
                             f"{format_atom(c.head)}"
                         )
+
+    def __eq__(self, other):
+        if not isinstance(other, PhaTheory):
+            return NotImplemented
+        return ((self.clauses, self.declarations, self.stage)
+                == (other.clauses, other.declarations, other.stage))
+
+    def __hash__(self):
+        # equal theories share their declarations and stage
+        return hash((self.declarations, self.stage))
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        return tuple(chain.from_iterable(
+            r.clauses() if isinstance(r, Cells) else (r,) for r in self.rules))
 
     @cached_property
     def clause_index(self) -> dict[str, tuple[Clause, ...]]:
@@ -230,14 +316,21 @@ def serialize(theory: PhaTheory, precision: int | None = None) -> str:
     With `precision`, probabilities are rendered to that many decimal
     places (more when rounding would collapse them to 0 or 1); otherwise
     they round-trip exactly.  Clauses read as `format_clause` renders
-    them, but a stage-2 vote gate repeats a few hundred distinct atoms
-    across a hundred thousand body slots, so each distinct atom is
-    rendered once per call, and a body is joined from those texts by a
-    `map` over it, with no Python loop per slot.
+    them, in the order of the theory's `clauses`, but no clause is
+    built: each distinct atom is rendered once per call, and a record's
+    lines come from `_cell_bodies` run over its inputs' texts, each body
+    joined once, with no Python loop per body slot.
     """
     lines = [format_declaration(d, precision) for d in theory.declarations]
     text = _AtomTexts().__getitem__
-    lines.extend(_clause_line(c, text) for c in theory.clauses)
+    for rule in theory.rules:
+        if isinstance(rule, Cells):
+            head = text(rule.head) + " :- "
+            bodies = _cell_bodies(tuple(map(text, rule.same)), tuple(map(text, rule.other)),
+                                  rule.m)
+            lines.extend(head + ", ".join(body) + "." for body in bodies)
+        else:
+            lines.append(_clause_line(rule, text))
     return "\n".join(lines) + "\n"
 
 

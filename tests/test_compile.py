@@ -6,8 +6,10 @@ from math import comb
 
 import pytest
 
+import pfta.pha
 from conftest import DATA
 from randmodels import chain, multiprocessor, quantified_or
+from pfta.cli import main
 from pfta.compile import compile_direct, compile_disjoint
 from pfta.dsl import parse_model
 from pfta.errors import ModelInvalidError, TheoryError
@@ -18,6 +20,7 @@ from pfta.pha import (
     STAGE_DIRECT,
     STAGE_DISJOINT,
     Atom,
+    PhaTheory,
     format_clause,
     parse_theory,
     serialize,
@@ -48,6 +51,33 @@ def test_disjoint_stage_shape(model):
     assert theory.stage == STAGE_DISJOINT
     assert len(theory.declarations) == 14
     assert len(theory.clauses) == 18
+
+
+@pytest.mark.parametrize("stage", ["1", "2"])
+def test_the_compile_command_builds_no_clause(monkeypatch, capsys, stage):
+    argv = ["compile", str(DATA / "multiprocessor.pft"), "--time", "1e4", "--stage", stage]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("a clause was built")
+
+    monkeypatch.setattr(pfta.pha, "Clause", refuse)
+    monkeypatch.setattr(PhaTheory, "clauses", property(refuse))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    with pytest.raises(AssertionError, match="was built"):
+        compile_disjoint(multiprocessor(3, 2, 2), T).clause_index
+
+
+def test_a_translation_holds_one_record_per_gate_head():
+    m = multiprocessor(17, 2, 13)
+    # MM, DM, S and SKN have a failure and a working head; the top TE one
+    theory = compile_disjoint(m, T)
+    heads = [rule.head for rule in theory.rules]
+    assert len(heads) == len(set(heads)) == 9
+    assert len(theory.clauses) == 8580
+    assert len(compile_direct(m, T).rules) == 5
 
 
 def test_declarations_pair_working_before_failed(model):

@@ -6,15 +6,16 @@ import os
 import pickle
 import subprocess
 import sys
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, product
 from operator import or_
 from pathlib import Path
 
 import pytest
 
-from randmodels import multiprocessor, random_model
+from randmodels import multiprocessor, random_model, shared_model
 from pfta.compile import compile_direct, compile_disjoint
+from pfta.dsl import parse_model
 from pfta.engine import (
     AssumptionReport,
     AtomTable,
@@ -23,7 +24,7 @@ from pfta.engine import (
     check_assumptions,
     entails,
 )
-from pfta.errors import EngineError, TheoryError
+from pfta.errors import EngineError, ModelInvalidError, TheoryError
 from pfta.pha import (
     Atom,
     Clause,
@@ -94,7 +95,7 @@ def test_malformed_declarations_are_rejected(alternatives, message):
 def test_hypothesis_may_appear_in_one_declaration_only():
     with pytest.raises(TheoryError):
         PhaTheory(
-            clauses=(),
+            rules=(),
             declarations=(_decl(("a", 0.5), ("b", 0.5)), _decl(("a", 0.3), ("c", 0.7))),
             stage=STAGE_DIRECT,
         )
@@ -103,7 +104,7 @@ def test_hypothesis_may_appear_in_one_declaration_only():
 def test_dangling_body_predicate_is_rejected():
     with pytest.raises(TheoryError, match="dangling predicate nope"):
         PhaTheory(
-            clauses=(Clause(Atom("g", ()), (Atom("nope", ()),)),),
+            rules=(Clause(Atom("g", ()), (Atom("nope", ()),)),),
             declarations=(_decl(("a", 0.5), ("b", 0.5)),),
             stage=STAGE_DIRECT,
         )
@@ -229,6 +230,34 @@ def test_serialize_renders_item_by_item(stage, compile_theory, precision):
     assert again == theory
 
 
+def _valid_data_models() -> dict:
+    """Each valid model file of the test data, analysed at T."""
+    models = {}
+    for path in sorted(DATA.glob("*.pft")):
+        try:
+            model = parse_model(path.read_text())
+        except ModelInvalidError:
+            continue
+        models[path.name] = lambda model=model: (model, T)
+    return models
+
+
+AGREEMENT = {**{seed: partial(random_model, seed) for seed in range(60)},
+             **{f"shared{seed}": partial(shared_model, seed) for seed in range(60)},
+             **_valid_data_models()}
+
+
+@pytest.mark.parametrize("compile_theory", [compile_direct, compile_disjoint],
+                         ids=["stage1", "stage2"])
+@pytest.mark.parametrize("name", AGREEMENT)
+def test_records_write_the_text_of_their_clause_view(name, compile_theory):
+    model, t = AGREEMENT[name]()
+    theory = compile_theory(model, t)
+    text = serialize(theory)
+    assert text == serialize(PhaTheory(theory.clauses, theory.declarations, theory.stage))
+    assert parse_theory(text, theory.stage) == theory
+
+
 def test_serialize_renders_facts_and_propositional_atoms():
     fact = Clause(Atom("g", (Var("X"),)))
     rule = Clause(Atom("h", ()), (Atom("a", ()), Atom("g", (1,)), Atom("a", ())))
@@ -250,7 +279,7 @@ def test_serialize_default_precision_round_trips_probabilities(model):
 
 
 def test_fixed_precision_grows_until_nonzero():
-    theory = PhaTheory(clauses=(), declarations=(_decl(("a", 0.99998), ("b", 2e-5)),),
+    theory = PhaTheory(rules=(), declarations=(_decl(("a", 0.99998), ("b", 2e-5)),),
                        stage=STAGE_DIRECT)
     assert serialize(theory, precision=4) == "disjoint([a:0.99998,b:0.00002]).\n"
 
@@ -319,7 +348,7 @@ def test_rules_that_never_fire_leave_every_assumption_report_unchanged(model):
 
 def test_head_unifying_with_hypothesis_breaks_assumption_one():
     theory = PhaTheory(
-        clauses=(Clause(Atom("a", ()), (Atom("b", ()),)),),
+        rules=(Clause(Atom("a", ()), (Atom("b", ()),)),),
         declarations=(_decl(("a", 0.5), ("b", 0.5)),),
         stage=STAGE_DIRECT,
     )
@@ -340,7 +369,7 @@ def test_head_unifying_with_hypothesis_breaks_assumption_one():
 ], ids=["variable-head-of-its-predicate", "other-constant", "other-predicate"])
 def test_assumption_one_unifies_non_ground_heads_with_the_hypotheses(head, holds):
     theory = PhaTheory(
-        clauses=(Clause(head, (Atom("b", ()),)),),
+        rules=(Clause(head, (Atom("b", ()),)),),
         declarations=(DisjointDeclaration(((Atom("a", (1,)), 0.5), (Atom("b", ()), 0.5))),),
         stage=STAGE_DIRECT,
     )
@@ -375,7 +404,7 @@ def test_entails_on_a_chain_deeper_than_the_recursion_limit():
     names = [f"e{i:05d}" for i in range(depth)] + ["a"]
     clauses = [Clause(Atom(h, ()), (Atom(b, ()),)) for h, b in zip(names, names[1:])]
     theory = PhaTheory(
-        clauses=tuple(reversed(clauses)),
+        rules=tuple(reversed(clauses)),
         declarations=(_decl(("a", 0.5), ("x", 0.5)),),
         stage=STAGE_DIRECT,
     )
@@ -386,7 +415,7 @@ def test_entails_on_a_chain_deeper_than_the_recursion_limit():
 
 def test_entails_needs_every_body_atom():
     theory = PhaTheory(
-        clauses=(
+        rules=(
             Clause(Atom("g", ()), (Atom("a", ()), Atom("h", ()))),
             Clause(Atom("h", ()), (Atom("b", ()),)),
         ),
