@@ -16,8 +16,9 @@ the order the model declares them:
 Both read every gate as one rule: it fails when at least m =
 `Gate.needed(n)` of its n inputs fail.
 Both emit one `Cells` record per gate head, holding the head, the inputs'
-atoms and m, never a clause per cell: the theory's `clauses` view expands
-the records when something reads it, and `serialize` writes text from them.
+atoms and m, never a clause per cell: the engine grounds the records and
+`serialize` writes text from them; only the theory's `clauses` view, which
+no analysis reads, expands them into clauses.
 Both walk the gates through `_gates`: an output's parameters stay clause
 variables, and every gate kind expands the input it quantifies into replicas.
 A gate over `MAX_GATE_CELLS` clauses or `MAX_GATE_ATOMS` body atoms is

@@ -5,6 +5,10 @@ Every procedure below reads one grounder, `AtomTable`: it interns the
 ground atoms it meets as integers, grounds each on its first `expand`
 (so no atom is unified twice) and lists what goals reach, inputs first,
 with `order`, which refuses a cyclic theory as the probability rule does.
+It grounds the theory's rules, not its clause view: a ground atom
+unifies with each rule head of its predicate once, the rule's inputs
+are substituted and interned once, and its bodies are `cell_bodies`
+over their ids, so no analysis builds a `Clause` per cell.
 
 `AtomTable` interns every declaration alternative first, in declaration
 order, so an alternative's atom id is its bit in every mask and the
@@ -68,6 +72,7 @@ from .pha import (
     STAGE_DISJOINT,
     Var,
     apply_substitution,
+    cell_bodies,
     format_atom,
     format_clause,
     ground_instances,
@@ -152,13 +157,15 @@ class AtomTable:
     so an atom is an alternative exactly when its id is below
     `len(probs)`, and that id is its bit: `probs` gives its probability and
     `decl_masks` the mask of its declaration's bits.  An atom is grounded
-    once, the first time it is expanded: its clause bodies, found by
-    unifying it with each clause head of its predicate as written (every
-    expanded atom is ground) and grounded through `ground`, are kept for
-    every later use.  Only ground atoms are interned, so `ground` takes a
-    body of interned atoms as it is; a body left with variables, and a
-    goal that has some, is grounded over the theory's and the goals'
-    constants.
+    once, the first time it is expanded: it is unified with each rule
+    head of its predicate as written (every expanded atom is ground), the
+    rule's inputs, `same` then `other`, are grounded through `ground`,
+    and the rule's bodies, `cell_bodies` over each instance's ids, are
+    kept for every later use, in clause order.  Only ground atoms are
+    interned, so `ground` takes interned atoms as they are; a record's
+    inputs are ground once its head is, and a clause body left with
+    variables, like a goal that has some, is grounded over the theory's
+    and the goals' constants, each instance one body.
     """
 
     def __init__(self, theory: PhaTheory, goals: tuple[Atom, ...]):
@@ -172,13 +179,13 @@ class AtomTable:
                 self.intern(atom)
                 self.probs.append(p)
                 self.decl_masks.append(mask)
-        known = set(theory.clause_index) | {a.pred for a in self.atoms}
+        known = set(theory.rule_index) | {a.pred for a in self.atoms}
         for g in goals:
             if g.pred not in known:
                 raise EngineError(f"unknown predicate {g.pred} in goal {format_atom(g)}")
         self.theory = theory
         self.goals = goals
-        # atom id -> its clause bodies as id tuples
+        # atom id -> its bodies as id tuples
         self.expansions: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._constants: list | None = None
 
@@ -220,16 +227,17 @@ class AtomTable:
             return bodies
         atom = self.atoms[goal]
         found: list[tuple[int, ...]] = []
-        # the goal is ground, so a clause needs no renaming apart, and
+        # the goal is ground, so a rule needs no renaming apart, and
         # unifying binds every variable of the head to a constant
-        for clause in self.theory.clause_index.get(atom.pred, ()):
-            subst = unify(atom, clause.head)
+        for rule in self.theory.rule_index.get(atom.pred, ()):
+            subst = unify(atom, rule.head)
             if subst is None:
                 continue
-            body = clause.body
+            inputs, n = rule.same + rule.other, len(rule.same)
             if subst:
-                body = tuple(apply_substitution(b, subst) for b in body)
-            found.extend(self.ground(body))
+                inputs = tuple(apply_substitution(b, subst) for b in inputs)
+            for ids in self.ground(inputs):
+                found.extend(cell_bodies(ids[:n], ids[n:], rule.m))
         if goal < len(self.probs) and found:
             raise EngineError(
                 f"hypothesis {format_atom(atom)} heads a clause; "
@@ -827,14 +835,14 @@ def check_assumptions(theory: PhaTheory) -> AssumptionReport:
     # hypotheses are ground, so a head needs no renaming apart, and only a
     # head of the hypothesis' predicate can unify with it
     assumption1 = not any(
-        unify(c.head, h) is not None
-        for h in hypotheses for c in theory.clause_index.get(h.pred, ()))
+        unify(r.head, h) is not None
+        for h in hypotheses for r in theory.rule_index.get(h.pred, ()))
     joint = math.prod(len(decl.alternatives) for decl in theory.declarations)
     if not assumption1 or joint > MAX_JOINT_STATES:
         return AssumptionReport(assumption1, None, joint)
 
     table = AtomTable(theory, ())
-    heads = [i for c in theory.clauses for (i,) in table.ground((c.head,))]
+    heads = [i for r in theory.rules for (i,) in table.ground((r.head,))]
     rules = _ground_rules(table, heads)
     choices = [[1 << table.ids[a] for a, _ in decl.alternatives]
                for decl in theory.declarations]

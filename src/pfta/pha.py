@@ -6,11 +6,13 @@ atoms with probabilities summing to one; exactly one alternative of each
 declaration holds.  Explanations are consistent hypothesis sets whose
 probability is the product of the chosen alternatives.
 
-A theory holds rules: a `Clause`, or a `Cells` record that stands for
-every clause of one gate head, the cells led by the m-subsets of its
-inputs.  `_cell_bodies` is the one routine that expands a record; the
-theory's `clauses` view runs it over atoms, and `serialize` over the
-atoms' texts, so writing a compiled theory builds no clause.
+A theory holds rules: a `Cells` record that stands for every clause of
+one gate head, the cells led by the m-subsets of its inputs, or a
+`Clause`, which reads as the record of its single cell.  Every reader
+takes a rule one way, through its head, `same`, `other` and `m`, and
+`cell_bodies` is the one routine that expands it: `serialize` runs it
+over the inputs' texts, the engine over their interned ids, and the
+theory's `clauses` view, which analyses never build, over the atoms.
 
 Theories, unification and their text format live here, with the ground
 instances of atoms over given constants; the grounder built on those and
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product, repeat
 from operator import attrgetter
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import TheoryError
 
@@ -65,22 +67,39 @@ class Atom(NamedTuple):
 
 @dataclass(frozen=True)
 class Clause:
-    """Definite clause `head :- body`; an empty body is a fact."""
+    """Definite clause `head :- body`; an empty body is a fact.
+
+    As a rule it is the record of its single cell: its body is `same`,
+    `other` is empty and `m` is the body's length, so a fact has m = 0
+    and one empty body.
+    """
 
     head: Atom
     body: tuple[Atom, ...] = ()
+    other = ()
+
+    @property
+    def same(self) -> tuple[Atom, ...]:
+        return self.body
+
+    @property
+    def m(self) -> int:
+        return len(self.body)
 
 
-def _cell_bodies(same: Sequence, other: Sequence, m: int) -> Iterator[tuple]:
-    """The bodies of the cells led by the m-subsets of the inputs, 1 <= m <= n.
+def cell_bodies(same: Sequence, other: Sequence, m: int) -> Iterator[tuple]:
+    """The bodies of the cells led by the m-subsets of the n inputs, 0 <= m <= n.
 
-    `same` and `other` hold the inputs' items (atoms, or their texts) at
-    the cell's status and at the opposite one.  A cell's body is its
-    lead, the subset's `same` items in positional order, then its trail:
-    the `other` items of the positions before the lead's last that are
-    outside the lead, in reverse positional order.  With `other` empty
-    there are no trails, and the bodies are `itertools.combinations` of
-    `same`; either way they come in that order of their leads.
+    `same` and `other` hold the inputs' items (atoms, their texts or
+    their interned ids) at the cell's status and at the opposite one.  A
+    cell's body is its lead, the subset's `same` items in positional
+    order, then its trail: the `other` items of the positions before the
+    lead's last that are outside the lead, in reverse positional order.
+    With `other` empty there are no trails, and the bodies are
+    `itertools.combinations` of `same`; either way they come in that
+    order of their leads.  A `Clause` is its own single cell: m = n and
+    no `other`, so its one body is `same`, empty for a fact.  A record
+    with trails has m >= 1.
 
     The leads grow one position per level, in that order, and each level
     keeps (last position, lead, trail) per prefix, so a prefix's tuples
@@ -115,17 +134,16 @@ class Cells:
 
     `same` and `other` hold the n inputs' atoms at the cell's status and
     at the opposite one, in the gate's input order, and 1 <= m <= n;
-    `other` is empty where no cell has a trail.  `_cell_bodies` gives
-    the bodies, in clause order.
+    `other` is empty where no cell has a trail.  `cell_bodies` gives
+    the bodies, in clause order.  Every variable of an input must be one
+    of the head's, as the translations make it: the engine grounds the
+    inputs once for all the cells, so a ground head must ground them.
     """
 
     head: Atom
     same: tuple[Atom, ...]
     other: tuple[Atom, ...]
     m: int
-
-    def clauses(self) -> Iterator[Clause]:
-        return map(Clause, repeat(self.head), _cell_bodies(self.same, self.other, self.m))
 
 
 @dataclass(frozen=True)
@@ -155,11 +173,14 @@ class DisjointDeclaration:
 class PhaTheory:
     """Rules plus declarations; `stage` records the compilation discipline.
 
-    A rule is a `Clause` or a `Cells` record of one gate head.  `clauses`
-    lists every rule's clauses in rule order, a view built on the first
-    read and kept, and `clause_index` groups it by head predicate; text
-    is written from the rules alone.  Two theories are equal when their
-    clauses, declarations and stage are, however their rules hold them.
+    A rule is a `Cells` record of one gate head or a `Clause`, read as the
+    record of its single cell.  `rule_index` groups the rules by head
+    predicate; the engine grounds them from it and text is written from
+    them.  `clauses` lists every rule's clauses in rule order, a view
+    built on the first read and kept: only equality, the dangling
+    predicate error and outside readers build it.  Two theories are equal
+    when their clauses, declarations and stage are, however their rules
+    hold them.
     """
 
     rules: tuple[Clause | Cells, ...]
@@ -177,8 +198,7 @@ class PhaTheory:
                 seen[atom] = i
         known = {r.head.pred for r in self.rules} | {a.pred for a in seen}
         # a record's body atoms are its inputs; only a failure looks for where
-        body_atoms = chain.from_iterable(
-            r.same + r.other if isinstance(r, Cells) else r.body for r in self.rules)
+        body_atoms = chain.from_iterable(r.same + r.other for r in self.rules)
         if not known.issuperset(map(attrgetter("pred"), body_atoms)):
             for c in self.clauses:
                 for b in c.body:
@@ -201,13 +221,13 @@ class PhaTheory:
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
         return tuple(chain.from_iterable(
-            r.clauses() if isinstance(r, Cells) else (r,) for r in self.rules))
+            map(Clause, repeat(r.head), cell_bodies(r.same, r.other, r.m)) for r in self.rules))
 
     @cached_property
-    def clause_index(self) -> dict[str, tuple[Clause, ...]]:
-        out: dict[str, list[Clause]] = {}
-        for c in self.clauses:
-            out.setdefault(c.head.pred, []).append(c)
+    def rule_index(self) -> dict[str, tuple[Clause | Cells, ...]]:
+        out: dict[str, list[Clause | Cells]] = {}
+        for r in self.rules:
+            out.setdefault(r.head.pred, []).append(r)
         return {k: tuple(v) for k, v in out.items()}
 
 
@@ -283,15 +303,10 @@ def _format_probability(p: float, precision: int | None) -> str:
         digits += 1
 
 
-def _clause_line(clause: Clause, text: Callable[[Atom], str]) -> str:
-    """`clause` on one line, each of its atoms rendered by `text`."""
-    if not clause.body:
-        return text(clause.head) + "."
-    return f"{text(clause.head)} :- {', '.join(map(text, clause.body))}."
-
-
 def format_clause(clause: Clause) -> str:
-    return _clause_line(clause, format_atom)
+    if not clause.body:
+        return format_atom(clause.head) + "."
+    return f"{format_atom(clause.head)} :- {', '.join(map(format_atom, clause.body))}."
 
 
 def format_declaration(decl: DisjointDeclaration, precision: int | None = None) -> str:
@@ -317,20 +332,17 @@ def serialize(theory: PhaTheory, precision: int | None = None) -> str:
     places (more when rounding would collapse them to 0 or 1); otherwise
     they round-trip exactly.  Clauses read as `format_clause` renders
     them, in the order of the theory's `clauses`, but no clause is
-    built: each distinct atom is rendered once per call, and a record's
-    lines come from `_cell_bodies` run over its inputs' texts, each body
+    built: each distinct atom is rendered once per call, and a rule's
+    lines come from `cell_bodies` run over its inputs' texts, each body
     joined once, with no Python loop per body slot.
     """
     lines = [format_declaration(d, precision) for d in theory.declarations]
     text = _AtomTexts().__getitem__
     for rule in theory.rules:
-        if isinstance(rule, Cells):
-            head = text(rule.head) + " :- "
-            bodies = _cell_bodies(tuple(map(text, rule.same)), tuple(map(text, rule.other)),
-                                  rule.m)
-            lines.extend(head + ", ".join(body) + "." for body in bodies)
-        else:
-            lines.append(_clause_line(rule, text))
+        # only a fact has m = 0, and its one body is empty
+        head = text(rule.head) + (" :- " if rule.m else "")
+        bodies = cell_bodies(tuple(map(text, rule.same)), tuple(map(text, rule.other)), rule.m)
+        lines.extend(head + ", ".join(body) + "." for body in bodies)
     return "\n".join(lines) + "\n"
 
 
@@ -463,8 +475,8 @@ def theory_constants(theory: PhaTheory) -> set:
     for decl in theory.declarations:
         for atom, _ in decl.alternatives:
             out.update(atom.args)
-    for c in theory.clauses:
-        for atom in (c.head, *c.body):
+    for r in theory.rules:
+        for atom in (r.head, *r.same, *r.other):
             out.update(a for a in atom.args if not isinstance(a, Var))
     return out
 

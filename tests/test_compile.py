@@ -67,7 +67,30 @@ def test_the_compile_command_builds_no_clause(monkeypatch, capsys, stage):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
     with pytest.raises(AssertionError, match="was built"):
-        compile_disjoint(multiprocessor(3, 2, 2), T).clause_index
+        compile_disjoint(multiprocessor(3, 2, 2), T).clauses
+
+
+@pytest.mark.parametrize("command", [
+    ["unrel", "--time", "1e4"],
+    ["unrel", "--time", "1e4", "--epsilon", "1e-3"],
+    ["mcs", "--time", "1e4", "--posterior"],
+    ["curve", "--from", "0", "--to", "20000", "--step", "2000"],
+    ["posterior", "--time", "1e4"],
+    ["oracle", "--time", "1e4"],
+], ids=" ".join)
+def test_the_analysis_commands_build_no_clause(monkeypatch, capsys, command):
+    # the engine grounds the theory's records, so no analysis builds its clause view
+    argv = [command[0], str(DATA / "multiprocessor.pft"), *command[1:]]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("a clause was built")
+
+    monkeypatch.setattr(pfta.pha, "Clause", refuse)
+    monkeypatch.setattr(PhaTheory, "clauses", property(refuse))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_a_translation_holds_one_record_per_gate_head():

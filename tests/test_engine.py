@@ -354,6 +354,8 @@ FREE_REPLICA = parse_theory(
     "disjoint([a(3,w):0.8,a(3,f):0.2]).\n"
     "s :- a(I,f).\n"
     "t(J) :- s, a(J,w).\n"
+    "u.\n"
+    "v(J) :- u, t(J).\n"
 )
 
 
@@ -382,7 +384,7 @@ def _reference_expansion(table, atom):
         constants.update(a for a in g.args if not isinstance(a, Var))
     constants = sorted(constants, key=repr)
     bodies = []
-    for clause in table.theory.clause_index.get(atom.pred, ()):
+    for clause in [c for c in table.theory.clauses if c.head.pred == atom.pred]:
         subst = unify(atom, clause.head)
         if subst is not None:
             body = tuple(apply_substitution(b, subst) for b in clause.body)
@@ -400,6 +402,7 @@ def _expansion_cases():
     yield NON_GROUND, (Atom("g", ()),)
     yield NON_GROUND, (Atom("c", (Z,)),)
     yield FREE_REPLICA, (Atom("t", (2,)),)
+    yield FREE_REPLICA, (Atom("v", (3,)),)
 
 
 def test_every_expansion_matches_grounding_each_body_atom():
