@@ -17,21 +17,26 @@ hypothesis that heads a clause: the PHA probability rule assumes none
 does, and every procedure rests on that rule.
 
 `ExplanationSearch` is a best-first abductive search.  A search state is
-a partial SLD derivation: a tuple of remaining goal ids, a bitmask of the
+a partial SLD derivation: a frame of remaining goal ids, a bitmask of the
 assumed alternatives, and their probability product, which serves as
-the state priority.  The frontier is kept as priority levels, one FIFO
-queue of states per distinct priority (replicas share their rates, so a
-parametric model has few), and the highest level is served first: states
-leave in nonincreasing priority, first pushed first within a priority,
-so complete explanations are emitted most probable first.  The sum of
-frontier priorities, taken with `math.fsum` and so correctly rounded,
-bounds the probability mass still unaccounted for.  That upper bound is
-probabilistically valid only for ground goals on theories whose
-same-head clause bodies are disjoint (stage "disjoint"); otherwise it is
-reported as raw search mass (`sound` is False), as a goal's instances
-need not be mutually exclusive.  The search yields bit masks; atoms turn
-back into `Atom`s only when an `Explanation` is asked for, so bounded
-`probability`, which needs only the bounds, builds none.
+the state priority.  A frame (body, position, rest) holds the goals of
+`body` from the negative index `position` on, then those of the frame
+`rest`; None holds no goal.  A body is a goal instance or a tuple that
+`AtomTable.expand` stores, so states share the ground program's bodies
+and no step copies a goal list.  The frontier is kept as priority
+levels, one FIFO queue of states per distinct priority (replicas share
+their rates, so a parametric model has few), and the highest level is
+served first: states leave in nonincreasing priority, first pushed
+first within a priority, so complete explanations are emitted most
+probable first.  The sum of frontier priorities, taken with `math.fsum`
+and so correctly rounded, bounds the probability mass still unaccounted
+for.  That upper bound is probabilistically valid only for ground goals
+on theories whose same-head clause bodies are disjoint (stage
+"disjoint"); otherwise it is reported as raw search mass (`sound` is
+False), as a goal's instances need not be mutually exclusive.  The
+search yields bit masks; atoms turn back into `Atom`s only when an
+`Explanation` is asked for, so bounded `probability`, which needs only
+the bounds, builds none.
 
 `ExactEvaluator` applies the same probability rule without enumerating
 explanations, to ground goals on disjoint-stage theories.  Same-head
@@ -287,7 +292,7 @@ class ExplanationSearch(Iterator[Explanation]):
     turns a mask's bits into `Atom`s, for `__next__` and for the sets
     `minimal_explanations` keeps, so bounded `probability` drains the
     generator and builds none.  The frontier is kept as priority levels:
-    a dict from priority to a deque of (goal ids, assumed mask) in push
+    a dict from priority to a deque of (goal frame, assumed mask) in push
     order, and a heap of the distinct priorities, entries (-priority,
     creation index, deque), so the heap never compares deques.  A state
     pops from the front of the highest level and its children join the
@@ -320,16 +325,19 @@ class ExplanationSearch(Iterator[Explanation]):
         initial = table.ground(self.goals)
         if len(initial) > frontier_budget:
             raise EngineError(f"frontier memory budget of {frontier_budget} states exceeded")
-        # each atom's clause bodies and, for an alternative, its flag, the
-        # mask of the other alternatives of its declaration and its probability
-        self._steps: dict[int, tuple] = {}
-        for a in table.order(chain.from_iterable(initial)):
+        # by atom id, each reached atom's clause bodies and, for an
+        # alternative, its flag, the mask of the other alternatives of its
+        # declaration and its probability
+        reached = table.order(chain.from_iterable(initial))
+        self._steps: list[tuple | None] = [None] * len(table.atoms)
+        for a in reached:
             if a < len(table.probs):
                 self._steps[a] = (), 1 << a, table.decl_masks[a] ^ (1 << a), table.probs[a]
             else:
                 self._steps[a] = table.expand(a), 0, 0, 0.0
         if initial:
-            self._levels[1.0] = deque((goals, 0) for goals in initial)
+            self._levels[1.0] = deque(
+                ((ids, -len(ids), None) if ids else None, 0) for ids in initial)
             heapq.heappush(self._order, (-1.0, 0, self._levels[1.0]))
         # states on the frontier and the running sum of their priorities,
         # in push and pop order; `bounds` sums the frontier afresh
@@ -382,9 +390,15 @@ class ExplanationSearch(Iterator[Explanation]):
         A child never outranks its parent (no probability exceeds 1), so
         the top level stays on top until an inner loop has drained it.
         Every goal atom's step is built on construction, so the loop
-        grounds nothing.  The emitted mass and count, the frontier size and
-        mass and the counters live in locals; they are written back before
-        each emission and on exit, for `stats`, `bounds` and `_stopped`.
+        grounds nothing.  A pop reads one goal and builds at most the frame
+        of the goals after it; an expansion pushes a frame per body over
+        the stored body itself.  The emitted mass and count, the frontier
+        size and mass and the counters live in locals; they are written
+        back before each emission and on exit, for `stats`, `bounds` and
+        `_stopped`.  The size and mass change only where a state dies
+        (emitted, a duplicate, inconsistent, or an atom with no body) or
+        is replaced by children; a step that keeps one state at its
+        priority leaves them, and the peak, as they are.
         """
         if self._stopped():
             return
@@ -401,11 +415,11 @@ class ExplanationSearch(Iterator[Explanation]):
                 neg_priority, _, level = order[0]
                 priority = -neg_priority
                 while level:
-                    goals, assumed = level.popleft()
-                    size -= 1
+                    frame, assumed = level.popleft()
                     popped += 1
-                    mass -= priority
-                    if not goals:
+                    if frame is None:
+                        size -= 1
+                        mass -= priority
                         if assumed in seen:
                             duplicates += 1
                             continue
@@ -419,16 +433,19 @@ class ExplanationSearch(Iterator[Explanation]):
                         if self._stopped():
                             return
                         continue
-                    goal, rest = goals[0], goals[1:]
+                    body, at, rest = frame
+                    goal = body[at]
+                    if at != -1:
+                        rest = body, at + 1, rest
                     bodies, flag, others, p = steps[goal]
                     if flag:
                         # an alternative heads no clause, so it has no bodies
                         if assumed & flag:
                             level.append((rest, assumed))
-                            mass += priority
                         elif assumed & others:
                             inconsistent += 1
-                            continue
+                            size -= 1
+                            mass -= priority
                         else:
                             child = priority * p
                             target = levels.get(child)
@@ -436,16 +453,15 @@ class ExplanationSearch(Iterator[Explanation]):
                                 target = levels[child] = deque()
                                 heappush(order, (-child, next(created), target))
                             target.append((rest, assumed | flag))
-                            mass += child
-                        size += 1
-                    else:
-                        # children in clause order join the back of their
-                        # level: that order fixes which equal-priority state
-                        # pops first, hence the emission order and every sum
-                        for body in bodies:
-                            level.append((body + rest, assumed))
-                            mass += priority
-                        size += len(bodies)
+                            mass += child - priority
+                        continue
+                    # children in clause order join the back of their level:
+                    # that order fixes which equal-priority state pops
+                    # first, hence the emission order and every sum
+                    for body in bodies:
+                        level.append(((body, -len(body), rest) if body else rest, assumed))
+                    size += len(bodies) - 1
+                    mass += (len(bodies) - 1) * priority
                     if size > peak:
                         if size > budget:
                             raise EngineError(

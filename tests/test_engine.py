@@ -44,7 +44,7 @@ from pfta.pha import (
     theory_constants,
     unify,
 )
-from randmodels import chain, multiprocessor, random_model
+from randmodels import chain, multiprocessor, random_model, shared_model
 
 T = 1e4
 TE = Atom("te", ())
@@ -847,8 +847,16 @@ def _reference_cases():
     for seed in range(60):
         model, t = random_model(seed)
         yield f"rand{seed}", model, t
+    # DAGs that meet a hypothesis twice: a step finds it assumed, or
+    # another alternative of its declaration assumed
+    for seed in range(10):
+        model, t = shared_model(seed)
+        yield f"shared{seed}", model, t
     for n, m, k in ((5, 3, 3), (7, 3, 5)):
         yield f"mp({n},{m},{k})", multiprocessor(n, m, k), T
+    # every failure has probability 1.0, so a hypothesis step's child
+    # joins the back of the level being drained
+    yield "mp(3,2,2)@1e308", multiprocessor(3, 2, 2), 1e308
 
 
 @pytest.mark.parametrize("stage", [compile_direct, compile_disjoint])
@@ -884,6 +892,46 @@ def test_search_stats_count_states(model, stop, popped):
     if stop.exhaustive:
         assert stats.pushed == stats.popped  # the frontier ran empty
     assert 1 <= stats.peak_frontier <= stats.pushed
+
+
+@pytest.mark.parametrize("stage, nmk, stop, stats, lower, upper", [
+    (compile_disjoint, (7, 3, 5), StopCriteria(epsilon=1e-2),
+     (35540, 38178, 0, 3525, 2639, 1494), 0.09583127639733785, 0.10546651543356966),
+    (compile_disjoint, (10, 2, 6), StopCriteria(max_explanations=20),
+     (29854, 34085, 0, 3268, 4255, 20), 0.015663044984686614, 0.8247990510759622),
+    (compile_direct, (10, 2, 6), StopCriteria(max_explanations=20),
+     (10607, 13864, 0, 0, 3277, 20), 0.05128051013771885, 1.6845073382927223),
+    (compile_direct, (11, 2, 7), StopCriteria(max_explanations=5),
+     (19412, 25414, 0, 0, 6007, 5), 0.012820127534429716, 3.088246787036656),
+], ids=["unrel-mp(7,3,5)-eps", "unrel-mp(10,2,6)-max20", "mcs-mp(10,2,6)-max20",
+        "mcs-mp(11,2,7)-max5"])
+def test_the_bounded_searches_of_the_wide_benchmark_are_pinned(
+        stage, nmk, stop, stats, lower, upper):
+    # the work and the bounds of the searches that the benchmark's
+    # `anytime-wide` `unrel` and `mcs` requests run at t = 1e4
+    model = multiprocessor(*nmk)
+    search = ExplanationSearch(stage(model, T), top_atom(model), stop)
+    for _ in search._emissions:
+        pass
+    assert astuple(search.stats) == stats
+    assert search.bounds == ProbabilityBounds(lower, upper)
+
+
+def test_an_expansion_pushes_the_stored_bodies_themselves():
+    # mp(11,2,7)'s stage-1 top is or(B, SKN): a budget of 2 states lets the
+    # search expand `te` and assume `B`, then stops it right after it
+    # expands the vote `skn` into its 462 cells
+    model = multiprocessor(11, 2, 7)
+    search = ExplanationSearch(compile_direct(model, T), top_atom(model), frontier_budget=2)
+    with pytest.raises(EngineError, match="budget of 2 states"):
+        next(search)
+    table = search._table
+    cells = table.expand(table.ids[Atom("skn", ())])
+    frames = [frame for frame, _ in search._levels[1.0]]
+    assert len(cells) == len(frames) == 462
+    for frame, cell in zip(frames, cells):
+        body, position, rest = frame
+        assert body is cell and position == -len(cell) and rest is None
 
 
 def test_search_stats_count_duplicates_and_inconsistent_steps():

@@ -210,6 +210,33 @@ def test_only_the_atom_table_walks_the_atoms():
     assert _definitions_holding(text, _calls("postorder")) == {"AtomTable"}
 
 
+def _slices_in_method(text: str, cls: str, method: str) -> list[int]:
+    """Lines of the slices in method `method` of top-level class `cls`."""
+    return [
+        node.lineno
+        for top in ast.parse(text).body if isinstance(top, ast.ClassDef) and top.name == cls
+        for definition in top.body
+        if isinstance(definition, ast.FunctionDef) and definition.name == method
+        for node in ast.walk(definition)
+        if isinstance(node, ast.Slice)
+    ]
+
+
+def test_the_slice_scan_sees_every_slice_of_the_method():
+    text = ("class A:\n    def f(self, x):\n        y = x[1:]\n"
+            "        def g():\n            return x[::2], x[0]\n        return y\n"
+            "    def h(self, x):\n        return x[:1]\n"
+            "def f(x):\n    return x[1:]\n")
+    assert _slices_in_method(text, "A", "f") == [3, 5]
+
+
+def test_the_search_loop_copies_no_goal_list():
+    # a state's goals are a frame over a stored body: a pop reads one goal
+    # and an expansion pushes the body itself, so no slice builds a copy
+    text = (SRC / "engine.py").read_text()
+    assert _slices_in_method(text, "ExplanationSearch", "_search") == []
+
+
 def test_every_engine_entry_reads_its_atom_arguments_through_one_normaliser():
     # `_atoms` takes a lone atom as a list of one and refuses a non-atom member
     text = (SRC / "engine.py").read_text()
