@@ -242,7 +242,9 @@ class AtomTable:
             if subst:
                 inputs = tuple(apply_substitution(b, subst) for b in inputs)
             for ids in self.ground(inputs):
-                found.extend(cell_bodies(ids[:n], ids[n:], rule.m))
+                # with trails, an input's unit is the 1-tuple of its id
+                units = tuple(zip(ids)) if rule.other else ids
+                found.extend(cell_bodies(units[:n], units[n:], rule.m))
         if goal < len(self.probs) and found:
             raise EngineError(
                 f"hypothesis {format_atom(atom)} heads a clause; "

@@ -13,6 +13,12 @@ takes a rule one way, through its head, `same`, `other` and `m`, and
 `cell_bodies` is the one routine that expands it: `serialize` runs it
 over the inputs' texts, the engine over their interned ids, and the
 theory's `clauses` view, which analyses never build, over the atoms.
+A `Cells` record whose m, `other` or input variables break its rules
+is refused when built.  Where cells have trails, each input comes as a
+unit that `+` concatenates, a 1-tuple of its id or atom or its text led
+by ", ", so a body is built by concatenation from pieces its prefix
+shares, and `serialize` writes each such line from one body text, with
+no tuple and no join per line.
 
 Theories, unification and their text format live here, with the ground
 instances of atoms over given constants; the grounder built on those and
@@ -87,45 +93,56 @@ class Clause:
         return len(self.body)
 
 
-def cell_bodies(same: Sequence, other: Sequence, m: int) -> Iterator[tuple]:
+def cell_bodies(same: Sequence, other: Sequence, m: int) -> Iterator:
     """The bodies of the cells led by the m-subsets of the n inputs, 0 <= m <= n.
 
-    `same` and `other` hold the inputs' items (atoms, their texts or
-    their interned ids) at the cell's status and at the opposite one.  A
-    cell's body is its lead, the subset's `same` items in positional
-    order, then its trail: the `other` items of the positions before the
-    lead's last that are outside the lead, in reverse positional order.
-    With `other` empty there are no trails, and the bodies are
-    `itertools.combinations` of `same`; either way they come in that
-    order of their leads.  A `Clause` is its own single cell: m = n and
-    no `other`, so its one body is `same`, empty for a fact.  A record
-    with trails has m >= 1.
+    `same` and `other` stand for the inputs at the cell's status and at
+    the opposite one.  A cell's body is its lead, the subset's `same`
+    inputs in positional order, then its trail: the `other` inputs of
+    the positions before the lead's last that are outside the lead, in
+    reverse positional order.  With `other` empty there are no trails:
+    `same` holds the inputs' items (atoms, their texts or their interned
+    ids) and the bodies are `itertools.combinations` of them; either way
+    they come in that order of their leads.  A `Clause` is its own single
+    cell: m = n and no `other`, so its one body is `same`, empty for a
+    fact.
 
-    The leads grow one position per level, in that order, and each level
-    keeps (last position, lead, trail) per prefix, so a prefix's tuples
-    are built once and shared by all its extensions.  Extending a prefix
-    ending at l by a position p adds `same[p]` to the lead and the gap
-    l+1..p-1, from p-1 down, in front of the trail: one slice of `other`
-    reversed.  No step walks the body slot by slot in Python, and the
-    last level's bodies are made as they are read, so none is kept.
+    A record with trails has m >= 1, and its inputs come as units that
+    `+` concatenates, one per input: 1-tuples of the items, or the atom
+    texts each led by ", ".  A body is then the concatenation of its
+    units, so 1-tuples give the tuple of items and led texts give the
+    body's text, led by ", ", with no tuple built per body.  The leads
+    grow one position per level, in that order, and each level keeps
+    (last position, lead, trail) per prefix, so a prefix's pieces are
+    built once and shared by all its extensions.  Extending a prefix
+    ending at l by the positions p = l+1, l+2, ... in turn appends
+    `same[p]` to the lead, and puts the gap l+1..p-1, from p-1 down, in
+    front of the trail, which grows by one unit per step:
+    `trail = other[p] + trail`.  The last level's bodies are made as
+    they are read, so none is kept.
     """
     if not other:
         return combinations(same, m)
     n = len(same)
-    reverse = tuple(reversed(other))  # other[j] is reverse[n - 1 - j]
-    level = [(-1, (), ())]
+    empty = same[0][:0]
+    level = [(-1, empty, empty)]
     for depth in range(m - 1):
         top = n - m + depth  # the last position a lead's depth-th input can take
-        level = [
-            (p, lead + (same[p],), reverse[n - p:n - 1 - last] + trail)
-            for last, lead, trail in level
-            for p in range(last + 1, top + 1)
-        ]
-    return (
-        lead + (same[p],) + reverse[n - p:n - 1 - last] + trail
-        for last, lead, trail in level
-        for p in range(last + 1, n)
-    )
+        extended = []
+        for last, lead, trail in level:
+            for p in range(last + 1, top + 1):
+                extended.append((p, lead + same[p], trail))
+                trail = other[p] + trail
+        level = extended
+    return _last_cells(level, same, other)
+
+
+def _last_cells(level: list, same: Sequence, other: Sequence) -> Iterator:
+    """The bodies that extend each prefix of `level` by its last input."""
+    for last, lead, trail in level:
+        for p in range(last + 1, len(same)):
+            yield lead + same[p] + trail
+            trail = other[p] + trail
 
 
 @dataclass(frozen=True)
@@ -138,12 +155,27 @@ class Cells:
     the bodies, in clause order.  Every variable of an input must be one
     of the head's, as the translations make it: the engine grounds the
     inputs once for all the cells, so a ground head must ground them.
+    A record outside these rules raises `TheoryError`, naming its head.
     """
 
     head: Atom
     same: tuple[Atom, ...]
     other: tuple[Atom, ...]
     m: int
+
+    def __post_init__(self):
+        n = len(self.same)
+        if not 1 <= self.m <= n:
+            problem = f"needs m in 1..{n}, got {self.m}"
+        elif self.other and len(self.other) != n:
+            problem = f"has {n} inputs but {len(self.other)} at the opposite status"
+        else:
+            stray = next((a for atom in self.same + self.other for a in atom.args
+                          if isinstance(a, Var) and a not in self.head.args), None)
+            if stray is None:
+                return
+            problem = f"has input variable {stray.name}, which the head lacks"
+        raise TheoryError(f"the record of {format_atom(self.head)} {problem}")
 
 
 @dataclass(frozen=True)
@@ -220,8 +252,12 @@ class PhaTheory:
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
-        return tuple(chain.from_iterable(
-            map(Clause, repeat(r.head), cell_bodies(r.same, r.other, r.m)) for r in self.rules))
+        out: list[Clause] = []
+        for r in self.rules:
+            # with trails, an input's unit is the 1-tuple of its atom
+            same, other = (tuple(zip(r.same)), tuple(zip(r.other))) if r.other else (r.same, ())
+            out.extend(map(Clause, repeat(r.head), cell_bodies(same, other, r.m)))
+        return tuple(out)
 
     @cached_property
     def rule_index(self) -> dict[str, tuple[Clause | Cells, ...]]:
@@ -333,16 +369,24 @@ def serialize(theory: PhaTheory, precision: int | None = None) -> str:
     they round-trip exactly.  Clauses read as `format_clause` renders
     them, in the order of the theory's `clauses`, but no clause is
     built: each distinct atom is rendered once per call, and a rule's
-    lines come from `cell_bodies` run over its inputs' texts, each body
-    joined once, with no Python loop per body slot.
+    lines come from `cell_bodies`.  A record with trails runs it over its
+    inputs' texts each led by ", ", so each body comes as one text and
+    its line is the head, that text past its lead and a period: no
+    tuple and no join per line.  Any other rule runs it over the texts
+    themselves and joins each body once.
     """
     lines = [format_declaration(d, precision) for d in theory.declarations]
     text = _AtomTexts().__getitem__
     for rule in theory.rules:
         # only a fact has m = 0, and its one body is empty
         head = text(rule.head) + (" :- " if rule.m else "")
-        bodies = cell_bodies(tuple(map(text, rule.same)), tuple(map(text, rule.other)), rule.m)
-        lines.extend(head + ", ".join(body) + "." for body in bodies)
+        if rule.other:
+            same = [", " + text(a) for a in rule.same]
+            other = [", " + text(a) for a in rule.other]
+            lines.extend(head + body[2:] + "." for body in cell_bodies(same, other, rule.m))
+        else:
+            bodies = cell_bodies(tuple(map(text, rule.same)), (), rule.m)
+            lines.extend(head + ", ".join(body) + "." for body in bodies)
     return "\n".join(lines) + "\n"
 
 

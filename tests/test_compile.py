@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import time
 from itertools import combinations, product
 from math import comb
@@ -8,7 +9,7 @@ import pytest
 
 import pfta.pha
 from conftest import DATA
-from randmodels import chain, multiprocessor, quantified_or
+from randmodels import chain, multiprocessor, multiprocessor_text, quantified_or
 from pfta.cli import main
 from pfta.compile import compile_direct, compile_disjoint
 from pfta.dsl import parse_model
@@ -37,6 +38,33 @@ def test_direct_stage_matches_golden_text(listing_model):
 def test_disjoint_stage_matches_golden_text(model):
     theory = compile_disjoint(model, T)
     assert serialize(theory, precision=4) == (DATA / "theory_stage2.pha").read_text()
+
+
+# stdout of `pfta compile --time 10000` on the `compile-wide` bench models,
+# mp(16,2,12) and mp(17,2,13): (bytes, sha256), pinned byte for byte
+WIDE_TEXTS = {
+    (16, 12, "1", None): (175879, "88a163e17bd5080880079c591aeccf84e1ffaeeaa62340016cbaf15bbb679963"),
+    (16, 12, "1", 4): (174179, "97aad9b22a23f28955a128e445f1615275fd6eab89e901dd9efe1c5205258e51"),
+    (16, 12, "2", None): (825120, "05f60a21597403ec7447645a2faa581de2772082fa8d6f41897e38f1b239bf90"),
+    (16, 12, "2", 4): (823420, "3527113b49b97e69982e6197789a030fdd73b68a0e4da863ca07a3f2f39e495f"),
+    (17, 13, "1", None): (248507, "bfa47e28b1ce479a6cb55b8239a7f31b85fe2cb980b212c4cb69ee4aeeaa9955"),
+    (17, 13, "1", 4): (246704, "db2920c67e42b0d1b4af9c8dd38c88bc54647ba45ea18fd194bf9950d7a5651b"),
+    (17, 13, "2", None): (1207223, "3268235f37c48277d6e213954a848cd4df58fd158c116bf24a4f53f8d45b25ee"),
+    (17, 13, "2", 4): (1205420, "8a1c014590a4c8c266064c39a3e52dff4db23cdb8781dcae27e2602785d9ef83"),
+}
+
+
+@pytest.mark.parametrize("n, k, stage, precision", WIDE_TEXTS,
+                         ids=[f"mp{n}-stage{s}-precision{p}" for n, _, s, p in WIDE_TEXTS])
+def test_the_wide_bench_texts_are_pinned(tmp_path, capsys, n, k, stage, precision):
+    path = tmp_path / "mp.pft"
+    path.write_text(multiprocessor_text(n, 2, k))
+    argv = ["compile", str(path), "--stage", stage, "--time", "10000"]
+    if precision is not None:
+        argv += ["--precision", str(precision)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == WIDE_TEXTS[n, k, stage, precision]
 
 
 def test_direct_stage_shape(model):

@@ -7,7 +7,7 @@ import pickle
 import subprocess
 import sys
 from functools import partial, reduce
-from itertools import chain, product
+from itertools import chain, combinations, product
 from operator import or_
 from pathlib import Path
 
@@ -27,11 +27,14 @@ from pfta.engine import (
 from pfta.errors import EngineError, ModelInvalidError, TheoryError
 from pfta.pha import (
     Atom,
+    Cells,
     Clause,
     DisjointDeclaration,
     PhaTheory,
     STAGE_DIRECT,
     STAGE_DISJOINT,
+    STATUS_FAILED,
+    STATUS_WORKING,
     Var,
     apply_substitution,
     format_atom,
@@ -493,3 +496,65 @@ def test_parse_theory_reads_a_negative_probability_as_a_number():
     for line, body in (("g :- c.", (c,)), ("g:-c.", (c,)), ("g :-c, d.", (c, d))):
         theory = parse_theory("disjoint([c:0.5,d:0.5]).\n" + line + "\n")
         assert theory.clauses == (Clause(g, body),)
+
+
+def _record_theory(kind: str, n: int, m: int) -> PhaTheory:
+    """One `Cells` record of head g over inputs x(i,f) and x(i,w), i = 1..n:
+    without trails, with them, or over the inputs at w reversed and without
+    trails, the shape of an OR's working record at m = n."""
+    failed = tuple(Atom("x", (i, STATUS_FAILED)) for i in range(1, n + 1))
+    working = tuple(Atom("x", (i, STATUS_WORKING)) for i in range(1, n + 1))
+    same, other = {"plain": (failed, ()), "trails": (failed, working),
+                   "reversed": (working[::-1], ())}[kind]
+    declarations = tuple(DisjointDeclaration(((w, 0.5), (f, 0.5)))
+                         for w, f in zip(working, failed))
+    return PhaTheory((Cells(Atom("g"), same, other, m),), declarations, STAGE_DISJOINT)
+
+
+def _bodies_by_definition(record: Cells) -> list[tuple[Atom, ...]]:
+    """Per m-subset lead in `combinations` order: the lead's `same` atoms, then
+    the `other` atoms before the lead's last and outside it, last first."""
+    other = record.other
+    return [tuple(record.same[i] for i in lead)
+            + tuple(other[j] for j in range(lead[-1] - 1, -1, -1) if other and j not in lead)
+            for lead in combinations(range(len(record.same)), record.m)]
+
+
+RECORD_SHAPES = [(kind, n, m) for kind in ("plain", "trails", "reversed")
+                 for n in range(1, 9) for m in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("kind, n, m", RECORD_SHAPES,
+                         ids=[f"{kind}-n{n}-m{m}" for kind, n, m in RECORD_SHAPES])
+def test_every_record_shape_writes_and_grounds_its_clause_view(kind, n, m):
+    theory = _record_theory(kind, n, m)
+    (record,) = theory.rules
+    assert theory.clauses == tuple(Clause(record.head, body)
+                                   for body in _bodies_by_definition(record))
+    lines = serialize(theory).splitlines()
+    assert lines[n:] == [format_clause(c) for c in theory.clauses]
+    table = AtomTable(theory, (record.head,))
+    assert table.expand(table.intern(record.head)) == tuple(
+        tuple(table.ids[a] for a in c.body) for c in theory.clauses)
+
+
+G, GX = Atom("g"), Atom("g", (Var("X"),))
+A_F, B_F, C_W = Atom("a", ("f",)), Atom("b", ("f",)), Atom("c", ("w",))
+
+
+@pytest.mark.parametrize("head, same, other, m, problem", [
+    (G, (A_F, B_F), (C_W,), 1, "has 2 inputs but 1 at the opposite status"),
+    (G, (A_F, B_F), (C_W, C_W, C_W), 1, "has 2 inputs but 3 at the opposite status"),
+    (G, (A_F, B_F), (), 3, "needs m in 1..2, got 3"),
+    (G, (A_F, B_F), (C_W, C_W), 0, "needs m in 1..2, got 0"),
+    (G, (A_F, B_F), (), -1, "needs m in 1..2, got -1"),
+    (G, (), (), 0, "needs m in 1..0, got 0"),
+    (GX, (Atom("a", (Var("X"), Var("Y"))),), (), 1, "has input variable Y, which the head lacks"),
+    (GX, (Atom("a", (Var("X"),)),), (Atom("b", (Var("Z"),)),), 1,
+     "has input variable Z, which the head lacks"),
+], ids=["short-other", "long-other", "m-over-n", "m-zero", "m-negative", "no-inputs",
+        "stray-same-variable", "stray-other-variable"])
+def test_a_record_outside_its_rules_is_refused_naming_its_head(head, same, other, m, problem):
+    with pytest.raises(TheoryError) as err:
+        Cells(head, same, other, m)
+    assert str(err.value) == f"the record of {format_atom(head)} {problem}"
